@@ -397,7 +397,7 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
             return False, f"fiber_compare failed to recover k = {k}"
     return True, ("second-slot forms agree (10^3); covering and representation "
                   "properties hold (10^3 each); longitude checks exact; "
-                  "freeness |k|<=5 and fibre search k in [-3,3] pass")
+                  "freeness |k|<=5 and fiber_compare k in [-3,3] pass")
 
 
 def _criterion_symplectic_footnote() -> tuple[bool, str]:

@@ -1,23 +1,26 @@
 """Exact arithmetic in the three-strand braid group B3 = <a, b | aba = bab>.
 
-Equality is decided through a faithful 2x2 matrix representation over
-integer Laurent polynomials:
+Each element is stored in one canonical form, Delta^d w (Garside 1969):
+Delta = aba = bab and w is a positive word containing no aba or bab.
+Equality, hashing, the exponent sum and the printed word all read (d, w).
+
+Equality is also decided by a second, independent route: a faithful 2x2
+matrix representation over integer Laurent polynomials,
 
     a -> [[-t, 1], [0, 1]]        b -> [[1, 0], [t, -t]]
 
-Faithfulness of this representation for three strands is a known external
-fact; the test suite cross-validates it against an independent Garside-style
-normal form on short words, and every generator image has unit determinant
-(+-t^k), so inverses stay exact.
-
-Words are stored as given; free reduction is applied only when rendering.
+computed from (d, w) on first use.  Faithfulness of this representation for
+three strands is a known external fact; the test suite checks the canonical
+form against the product of these matrices over raw input words.  Every
+generator image has unit determinant (+-t^k), so inverses stay exact.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +165,6 @@ class LaurentMatrix:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
-_MAT_IDENTITY = LaurentMatrix(_LP_ONE, _LP_ZERO, _LP_ZERO, _LP_ONE)
-
 _GEN_MATS = {
     1: LaurentMatrix(LaurentPoly.monomial(-1, 1), _LP_ONE, _LP_ZERO, _LP_ONE),
     2: LaurentMatrix(_LP_ONE, _LP_ZERO, _LP_T, LaurentPoly.monomial(-1, 1)),
@@ -171,80 +172,143 @@ _GEN_MATS = {
 _GEN_MATS[-1] = _GEN_MATS[1].inverse()
 _GEN_MATS[-2] = _GEN_MATS[2].inverse()
 
-_LETTER_TO_GEN = {"a": 1, "A": -1, "b": 2, "B": -2}
-_GEN_TO_LETTER = {v: k for k, v in _LETTER_TO_GEN.items()}
+
+# polynomials in t as coefficient lists from t^0, for building Burau images
+
+def _add(x: list[int], y: list[int]) -> list[int]:
+    if len(x) < len(y):
+        x, y = y, x
+    return [e + f for e, f in zip(x, y)] + x[len(y):]
+
+
+def _neg_t(x: list[int]) -> list[int]:
+    """-t x"""
+    return [0] + [-e for e in x]
 
 
 # ---------------------------------------------------------------------------
-# braid elements
+# braid elements in Garside form
 # ---------------------------------------------------------------------------
+#
+# Every element is Delta^d w, with Delta = aba = bab and w a positive word
+# over {a, b} containing no aba or bab (Garside 1969).  Positive words are
+# equal exactly when one rewrites to the other by aba <-> bab, so w is the
+# only positive spelling of its element and is not divisible by Delta;
+# hence (d, w) is unique.  Delta u = tau(u) Delta, where tau swaps a and b.
 
-@dataclass(frozen=True, eq=False)
+_TAU = str.maketrans("ab", "ba")
+# x^-1 = Delta^-1 x y; "D" stands for Delta^-1
+_EXPAND = str.maketrans({"A": "Dab", "B": "Dba"})
+_GEN_TO_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
+# Delta^-1 s = (s*)^-1 for a simple factor s with s s* = Delta, as text
+_CANCEL = {"a": "AB", "b": "BA", "ab": "A", "ba": "B"}
+
+
+def _times(d: int, w: str, letters: str) -> tuple[int, str]:
+    """Delta^d w times `letters` (a, b and D = Delta^-1), as (d, w) again.
+
+    Only the last two letters can complete an aba or bab; that Delta then
+    moves left past the rest.  The letters kept are tau^flip of the true
+    ones, so each move flips a bit instead of rewriting them."""
+    out = list(w)
+    flip = False
+    for c in letters:
+        if c == "D":
+            d -= 1
+            flip = not flip
+            continue
+        if flip:
+            c = "b" if c == "a" else "a"
+        if len(out) > 1 and out[-2] == c != out[-1]:
+            del out[-2:]
+            d += 1
+            flip = not flip
+        else:
+            out.append(c)
+    w = "".join(out)
+    return d, w.translate(_TAU) if flip else w
+
+
+@dataclass(frozen=True)
 class BraidElement:
-    """A braid word with its cached matrix image and exponent sum.  Equality
-    and hashing go through the matrix, which decides the word problem."""
+    """The braid Delta^d w in Garside form; build it with parse, from_word
+    or the group operations.  Equality and hashing compare (d, w)."""
 
-    word: tuple[int, ...]
-    mat: LaurentMatrix
+    d: int
+    w: str
 
     @classmethod
     def from_word(cls, word: Iterable[int]) -> "BraidElement":
-        word = tuple(word)
-        mat = _MAT_IDENTITY
-        for g in word:
-            if g not in _GEN_MATS:
-                raise ValueError(f"illegal generator {g}")
-            mat = mat @ _GEN_MATS[g]
-        return cls(word, mat)
+        try:
+            text = "".join(_GEN_TO_LETTER[g] for g in word)
+        except KeyError as exc:
+            raise ValueError(f"illegal generator {exc.args[0]}") from None
+        return cls(*_times(0, "", text.translate(_EXPAND)))
 
     @classmethod
     def parse(cls, text: str) -> "BraidElement":
-        try:
-            return cls.from_word(_LETTER_TO_GEN[ch] for ch in text)
-        except KeyError as exc:
-            raise ValueError(f"illegal braid letter {exc.args[0]!r}") from None
+        bad = next((ch for ch in text if ch not in "abAB"), None)
+        if bad is not None:
+            raise ValueError(f"illegal braid letter {bad!r}")
+        return cls(*_times(0, "", text.translate(_EXPAND)))
 
     @classmethod
     def identity(cls) -> "BraidElement":
-        return cls((), _MAT_IDENTITY)
+        return cls(0, "")
 
     @property
     def eps(self) -> int:
         """Exponent sum: the image under the homomorphism sending every
         generator to 1."""
-        return sum(1 if g > 0 else -1 for g in self.word)
+        return 3 * self.d + len(self.w)
+
+    @functools.cached_property
+    def mat(self) -> LaurentMatrix:
+        """The Burau image: Delta^2 -> t^3 I, then one shift-add per letter
+        of Delta^(d mod 2) w."""
+        p, q, r, s = [1], [], [], [1]
+        for c in ("aba" if self.d % 2 else "") + self.w:
+            if c == "a":  # [[p, q], [r, s]] [[-t, 1], [0, 1]]
+                p, q, r, s = _neg_t(p), _add(p, q), _neg_t(r), _add(r, s)
+            else:  # [[p, q], [r, s]] [[1, 0], [t, -t]]
+                p, q, r, s = _add(p, [0] + q), _neg_t(q), _add(r, [0] + s), _neg_t(s)
+        shift = 3 * (self.d // 2)
+        return LaurentMatrix(*(LaurentPoly.make(shift, e) for e in (p, q, r, s)))
 
     def __mul__(self, other: "BraidElement") -> "BraidElement":
-        return BraidElement(self.word + other.word, self.mat @ other.mat)
+        # Delta^d w Delta^e v = Delta^(d+e) tau^e(w) v
+        w = self.w.translate(_TAU) if other.d % 2 else self.w
+        return BraidElement(*_times(self.d + other.d, w, other.w))
 
     def inv(self) -> "BraidElement":
-        return BraidElement(tuple(-g for g in reversed(self.word)), self.mat.inverse())
+        # (Delta^d w)^-1 = w^-1 Delta^-d = Delta^-d tau^d(w)^-1
+        w = self.w.translate(_TAU) if self.d % 2 else self.w
+        return BraidElement(*_times(-self.d, "", w[::-1].upper().translate(_EXPAND)))
 
     def __pow__(self, k: int) -> "BraidElement":
         if k < 0:
             return self.inv() ** (-k)
-        out = BraidElement.identity()
-        for _ in range(k):
-            out = out * self
+        out, square = BraidElement.identity(), self
+        while k:
+            if k & 1:
+                out = out * square
+            k >>= 1
+            if k:
+                square = square * square
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BraidElement):
-            return NotImplemented
-        return self.mat == other.mat
-
-    def __hash__(self) -> int:
-        return hash(self.mat)
-
     def render(self) -> str:
-        """The word as text, freely reduced for readability only."""
-        out: list[int] = []
-        for g in self.word:
-            if out and out[-1] == -g:
-                out.pop()
-            else:
-                out.append(g)
-        return "".join(_GEN_TO_LETTER[g] for g in out)
+        """The symmetric form N^-1 P: Delta^-k cancels against the first k
+        simple factors s_i of w, as Delta^-k s_1 ... s_k is the product of
+        Delta^-1 tau^(k-i)(s_i) and Delta^-1 s = (s*)^-1; a Delta left over
+        prints as aba or ABA."""
+        if self.d >= 0:
+            return "aba" * self.d + self.w
+        factors = re.findall("ab?|ba?", self.w)
+        m = min(-self.d, len(factors))
+        neg = "".join(_CANCEL[s.translate(_TAU) if (m - 1 - i) % 2 else s]
+                      for i, s in enumerate(factors[:m]))
+        return "ABA" * (-self.d - m) + neg + "".join(factors[m:])
 
     def __str__(self) -> str:
         return self.render()
@@ -267,7 +331,13 @@ def braid_inv(u: BraidElement) -> BraidElement:
 
 
 def braid_eq(u: BraidElement, v: BraidElement) -> bool:
-    return u == v
+    """Equality of Burau images, which decides the word problem."""
+    return u.mat == v.mat
+
+
+def garside_eq(u: BraidElement, v: BraidElement) -> bool:
+    """Equality of Garside forms; an independent check on braid_eq."""
+    return (u.d, u.w) == (v.d, v.w)
 
 
 def exponent_sum(u: BraidElement) -> int:
@@ -285,103 +355,3 @@ def longitude() -> BraidElement:
     """The longitude of the trefoil, a^-4 b a a b: exponent sum zero and
     commuting with the meridian."""
     return BraidElement.parse("AAAAbaab")
-
-
-# ---------------------------------------------------------------------------
-# Garside-style normal form, independent of the matrix oracle
-# ---------------------------------------------------------------------------
-#
-# Positive braid words over {1, 2} are compared through the closure of the
-# single length-preserving rewrite 121 <-> 212, which is exhaustive for the
-# short words arising from permutation factors.  An element is written
-# delta^d f1 ... fk with delta = 121 and the fi among the nontrivial proper
-# divisors of delta, pairwise left-weighted.
-
-_SIMPLES = ("", "1", "2", "12", "21", "121")
-_TAU_MAP = str.maketrans("12", "21")
-
-
-@functools.lru_cache(maxsize=None)
-def _positive_class(word: str) -> frozenset:
-    seen = {word}
-    stack = [word]
-    while stack:
-        w = stack.pop()
-        for i in range(len(w) - 2):
-            seg = w[i : i + 3]
-            if seg in ("121", "212"):
-                w2 = w[:i] + ("212" if seg == "121" else "121") + w[i + 3 :]
-                if w2 not in seen:
-                    seen.add(w2)
-                    stack.append(w2)
-    return frozenset(seen)
-
-
-def _simple_canon(word: str) -> Union[str, None]:
-    for rep in _positive_class(word):
-        if rep in _SIMPLES:
-            return rep
-    return None
-
-
-@functools.lru_cache(maxsize=None)
-def _left_weighted(u: str, v: str) -> tuple[str, str]:
-    """Slide generators from the front of v into u while u stays simple."""
-    moved = True
-    while moved and v:
-        moved = False
-        for g in "12":
-            starter = next((rep for rep in _positive_class(v) if rep.startswith(g)), None)
-            if starter is None:
-                continue
-            grown = _simple_canon(u + g)
-            if grown is None:
-                continue
-            u = grown
-            v = _simple_canon(starter[1:])
-            moved = True
-            break
-    return u, v
-
-
-def _tau(factor: str) -> str:
-    return factor.translate(_TAU_MAP)
-
-
-def garside_normal_form(word: Iterable[int]) -> tuple[int, tuple[str, ...]]:
-    """The left normal form (d, factors): the element is delta^d times the
-    left-weighted sequence of proper simple factors."""
-    d = 0
-    factors: list[str] = []
-    for g in word:
-        if g in (1, 2):
-            factors.append(str(g))
-        elif g in (-1, -2):
-            d -= 1
-            factors = [_tau(f) for f in factors]
-            factors.append("12" if g == -1 else "21")
-        else:
-            raise ValueError(f"illegal generator {g}")
-    for _ in range(len(factors) + 2):
-        changed = False
-        for i in range(len(factors) - 1):
-            pair = _left_weighted(factors[i], factors[i + 1])
-            if pair != (factors[i], factors[i + 1]):
-                factors[i], factors[i + 1] = pair
-                changed = True
-        while factors and factors[0] == "121":
-            factors.pop(0)
-            d += 1
-            changed = True
-        while factors and factors[-1] == "":
-            factors.pop()
-            changed = True
-        if not changed:
-            return d, tuple(factors)
-    raise AssertionError("garside normalization did not stabilize")
-
-
-def garside_eq(u: BraidElement, v: BraidElement) -> bool:
-    """Equality through the Garside normal form; an independent check on the
-    matrix oracle for short words."""
-    return garside_normal_form(u.word) == garside_normal_form(v.word)

@@ -3,8 +3,8 @@ commutator subgroup of B3 and x = m^{g'} the corresponding meridian
 conjugate.
 
 g' is the source of truth; x is derived from it on demand, so the defining
-constraint can never drift, and equality needs only the second slot.  The
-quandle operations are
+constraint can never drift, and equality compares the Garside forms of the
+second slots.  The quandle operations are
 
     (x, g') *  (y, h') = (y^-1 x y, g' x^-1 y)
     (x, g') *̄ (y, h') = (y x y^-1, m g' h'^-1 m^-1 h')
@@ -13,6 +13,8 @@ where *̄ uses the self-consistent displayed form; both operations also have
 an alternative displayed form, exposed for the agreement tests.  The
 infinite cyclic group generated by the longitude acts on second slots,
 freely and transitively on each fibre of the covering map (x, g') -> x.
+Since lambda = a^-6 Delta^2, the Delta-exponent of lambda^k is -4k for
+k > 0 and 2k for k <= 0, which fiber_compare reads k from.
 """
 
 from __future__ import annotations
@@ -20,22 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .braid import BraidElement, braid_eq, longitude, meridian
+from .braid import BraidElement, longitude, meridian
 
 
 class FiberMismatchError(ValueError):
     """The two elements lie over different meridian conjugates."""
 
 
-class FiberSearchExceededError(RuntimeError):
-    """The deck-transformation search bound was exhausted without a match;
-    the comparison is inconclusive, never silently wrong."""
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CoveredElement:
     """A point of the long-trefoil quandle: the exponent-zero slot g' plus
-    its meridian conjugate x = g'^-1 m g', derived and cached on first use."""
+    its meridian conjugate x = g'^-1 m g', derived and cached on first use.
+    g' determines x, so equality and hashing compare g' alone."""
 
     g: BraidElement
 
@@ -44,15 +42,6 @@ class CoveredElement:
         x = self.g.inv() * meridian() * self.g
         assert x.eps == 1
         return x
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoveredElement):
-            return NotImplemented
-        # g' determines x, so one matrix comparison decides equality
-        return braid_eq(self.g, other.g)
-
-    def __hash__(self) -> int:
-        return hash(self.g)
 
     def to_json(self) -> dict:
         return {"g_prime": self.g.render(), "x": self.x.render(), "eps": self.x.eps}
@@ -116,24 +105,12 @@ def pi1_act(p: CoveredElement, h: BraidElement) -> CoveredElement:
 
 def fiber_compare(p1: CoveredElement, p2: CoveredElement) -> int:
     """The unique k with g'_2 = lambda^k g'_1, for two elements of the same
-    fibre, found by bounded search (|k| up to the word length of
-    g'_2 g'_1^-1 plus one)."""
-    if not braid_eq(covering_p(p1), covering_p(p2)):
+    fibre, read off the Delta-exponent d of g'_2 g'_1^-1: k = -d/4 or
+    k = d/2, whichever power of the longitude it equals."""
+    if covering_p(p1) != covering_p(p2):
         raise FiberMismatchError("elements lie in different fibres")
-    lam = longitude()
     diff = p2.g * p1.g.inv()
-    bound = len(diff.word) + 1
-    candidate = p1.g
-    cand_neg = p1.g
-    if braid_eq(candidate, p2.g):
-        return 0
-    for k in range(1, bound + 1):
-        candidate = lam * candidate
-        if braid_eq(candidate, p2.g):
+    for k in (-diff.d // 4, diff.d // 2):
+        if diff == longitude() ** k:
             return k
-        cand_neg = lam.inv() * cand_neg
-        if braid_eq(cand_neg, p2.g):
-            return -k
-    raise FiberSearchExceededError(
-        f"no power of the longitude within |k| <= {bound} matches"
-    )
+    raise AssertionError(f"{diff} over one fibre is not a power of the longitude")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -11,13 +12,25 @@ from trefoil import (
     braid_mul,
     exponent_sum,
     garside_eq,
-    garside_normal_form,
     longitude,
     meridian,
     parse_braid,
     render_braid,
 )
 from trefoil.braid import _GEN_MATS, LaurentMatrix
+
+_IDENTITY_MAT = LaurentMatrix(LaurentPoly.constant(1), LaurentPoly.make(0, ()),
+                              LaurentPoly.make(0, ()), LaurentPoly.constant(1))
+
+
+def raw_mat(word):
+    """The product of the generator matrices over the word as given, the
+    reference that never looks at the Garside form."""
+    return functools.reduce(LaurentMatrix.__matmul__, (_GEN_MATS[g] for g in word), _IDENTITY_MAT)
+
+
+def random_word(rng, lo, hi):
+    return tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(lo, hi)))
 
 
 def test_laurent_poly_arithmetic():
@@ -43,10 +56,7 @@ def test_generator_matrices_are_as_specified():
 
 def test_generator_inverses():
     for g in (1, 2):
-        assert _GEN_MATS[g] @ _GEN_MATS[-g] == LaurentMatrix(
-            LaurentPoly.constant(1), LaurentPoly.make(0, ()),
-            LaurentPoly.make(0, ()), LaurentPoly.constant(1),
-        )
+        assert _GEN_MATS[g] @ _GEN_MATS[-g] == _IDENTITY_MAT
 
 
 def test_braid_relation():
@@ -101,29 +111,26 @@ def test_longitude_properties():
     assert braid_eq(lam * m, m * lam)
     assert not braid_eq(lam, BraidElement.identity())
     assert render_braid(lam) == "AAAAbaab"
+    # equal elements print alike, however they were spelled
+    assert render_braid(parse_braid("abaabaAAAAAA")) == "AAAAbaab"
 
 
 def test_parse_and_render():
-    u = parse_braid("abAB")
-    assert u.word == (1, 2, -1, -2)
     assert render_braid(parse_braid("aAb")) == "b"
     assert render_braid(BraidElement.identity()) == ""
     with pytest.raises(ValueError):
         parse_braid("axb")
 
 
-def test_words_kept_unreduced_internally():
-    u = parse_braid("aA")
-    assert u.word == (1, -1)
-    assert braid_eq(u, BraidElement.identity())
-
-
 def test_garside_identity_and_delta():
-    assert garside_normal_form(()) == (0, ())
-    assert garside_normal_form((1, -1)) == (0, ())
-    assert garside_normal_form((1, 2, 1)) == garside_normal_form((2, 1, 2))
-    d, factors = garside_normal_form((1, 2, 1))
-    assert (d, factors) == (1, ())
+    def form(word):
+        u = BraidElement.from_word(word)
+        return u.d, u.w
+
+    assert form(()) == (0, "")
+    assert form((1, -1)) == (0, "")
+    assert form((1, 2, 1)) == form((2, 1, 2)) == (1, "")
+    assert form((-1,)) == (-1, "ab")
 
 
 def test_garside_matches_matrix_oracle_exhaustively():
@@ -133,8 +140,9 @@ def test_garside_matches_matrix_oracle_exhaustively():
     by_matrix: dict = {}
     by_garside: dict = {}
     for w in words:
-        by_matrix.setdefault(BraidElement.from_word(w), set()).add(w)
-        by_garside.setdefault(garside_normal_form(w), set()).add(w)
+        u = BraidElement.from_word(w)
+        by_matrix.setdefault(raw_mat(w), set()).add(w)
+        by_garside.setdefault((u.d, u.w), set()).add(w)
     partition_matrix = sorted(frozenset(v) for v in by_matrix.values())
     partition_garside = sorted(frozenset(v) for v in by_garside.values())
     assert partition_matrix == partition_garside
@@ -143,9 +151,19 @@ def test_garside_matches_matrix_oracle_exhaustively():
 def test_garside_matches_matrix_oracle_random_length_8():
     rng = random.Random(24)
     for _ in range(1500):
-        u = BraidElement.from_word(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 8)))
-        v = BraidElement.from_word(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 8)))
-        assert braid_eq(u, v) == garside_eq(u, v)
+        wu, wv = random_word(rng, 0, 8), random_word(rng, 0, 8)
+        u, v = BraidElement.from_word(wu), BraidElement.from_word(wv)
+        equal = raw_mat(wu) == raw_mat(wv)
+        assert garside_eq(u, v) == equal
+        assert braid_eq(u, v) == equal
+
+
+def test_matrix_of_garside_form_matches_raw_word_product():
+    rng = random.Random(25)
+    for _ in range(40):
+        text = "".join(rng.choice("abAB") for _ in range(rng.randint(100, 500)))
+        word = [{"a": 1, "A": -1, "b": 2, "B": -2}[ch] for ch in text]
+        assert parse_braid(text).mat == raw_mat(word)
 
 
 def test_braid_powers():
@@ -153,3 +171,11 @@ def test_braid_powers():
     assert braid_eq(a ** 3, parse_braid("aaa"))
     assert braid_eq(a ** -2, parse_braid("AA"))
     assert braid_eq(a ** 0, BraidElement.identity())
+    rng = random.Random(26)
+    for _ in range(20):
+        u = BraidElement.from_word(random_word(rng, 0, 10))
+        k = rng.randint(-20, 20)
+        product = BraidElement.identity()
+        for _ in range(abs(k)):
+            product = product * (u if k > 0 else u.inv())
+        assert u ** k == product

@@ -82,6 +82,13 @@ def test_long_commands():
     assert code == 0
 
 
+def test_long_output_is_canonical():
+    # the same element spelled two ways prints the same bytes
+    first = go("--json", "long", "op", "", "AAAAbaab")
+    assert first[0] == 0
+    assert go("--json", "long", "op", "", "abaabaAAAAAA") == first
+
+
 def test_exit_code_usage_errors():
     assert go("bogus")[0] == 1
     assert go("op", "0/1")[0] == 1

@@ -15,6 +15,7 @@ from trefoil import (
     qt_new,
     qt_op,
     qt_op_inv,
+    render_braid,
 )
 from trefoil.acceptance import sample_covered_pool
 from trefoil.longknot import qt_op_inv_second_slot_forms, qt_op_second_slot_forms
@@ -52,6 +53,14 @@ def test_longitude_slot_gives_fibre_mate():
 def test_idempotence(pool):
     for p in pool:
         assert qt_op(p, p) == p
+
+
+def test_idempotent_chain_keeps_its_size(pool):
+    for x in pool:
+        sizes = (len(x.g.w), len(render_braid(x.g)))
+        for _ in range(5):
+            x = qt_op(x, x)
+            assert (len(x.g.w), len(render_braid(x.g))) == sizes
 
 
 def test_inverse_round_trips(pool):
@@ -138,6 +147,10 @@ def test_fiber_compare_recovers_planted_powers(pool):
         p = rng.choice(pool)
         k = rng.randint(-3, 3)
         assert fiber_compare(p, lambda_act(k, p)) == k
+    for k in (-1000, -999, -256, 255, 999, 1000):
+        p = rng.choice(pool)
+        assert fiber_compare(p, lambda_act(k, p)) == k
+        assert fiber_compare(lambda_act(k, p), p) == -k
 
 
 def test_fiber_compare_rejects_different_fibres():
