@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 from typing import Sequence, Union
 
 Rational = Union[Fraction, int]
@@ -26,7 +25,7 @@ def cf_validate(terms: Sequence[int]) -> bool:
     terms = list(terms)
     if not terms:
         raise ValueError("a continued fraction has at least one term")
-    if any(not isinstance(k, int) for k in terms):
+    if any(type(k) is not int for k in terms):  # not bool, float or str
         return False
     if any(k < 1 for k in terms[1:]):
         return False
@@ -42,9 +41,10 @@ class ContinuedFraction:
     terms: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(int(k) for k in self.terms))
-        if not cf_validate(self.terms):
-            raise ValueError(f"invalid continued fraction terms {list(self.terms)}")
+        terms = tuple(self.terms)
+        if not cf_validate(terms):
+            raise ValueError(f"invalid continued fraction terms {list(terms)}")
+        object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -78,35 +78,43 @@ class ContinuedFraction:
 
 def cf_expand(r: Rational) -> ContinuedFraction:
     """Expand a rational by the floor algorithm: k = floor(r), recurse on the
-    reciprocal of the remainder until it vanishes.
+    reciprocal of the remainder until it vanishes.  This is Euclid's
+    algorithm on the numerator and the (positive) denominator, so each term
+    is one integer divmod.
 
     The step count is Euclidean, at most 2*bit_length(denominator) + 2.
     """
-    r = Fraction(r)
-    budget = 2 * r.denominator.bit_length() + 2
+    if isinstance(r, int):
+        p, q = r, 1
+    elif isinstance(r, Fraction):
+        p, q = r.numerator, r.denominator
+    else:
+        raise TypeError(f"cf_expand takes an int or a Fraction, not {type(r).__name__}")
+    budget = 2 * q.bit_length() + 2
     terms: list[int] = []
-    steps = 0
     while True:
-        k = floor(r)
+        k, rem = divmod(p, q)
         terms.append(k)
-        steps += 1
-        assert steps <= budget, "continued-fraction expansion exceeded Euclidean bound"
-        delta = r - k
-        if delta == 0:
+        assert len(terms) <= budget, "continued-fraction expansion exceeded Euclidean bound"
+        if rem == 0:
             break
-        r = 1 / delta
+        p, q = q, rem
     return ContinuedFraction(tuple(terms))
 
 
 def cf_eval(cf: Union[ContinuedFraction, Sequence[int]]) -> Fraction:
     """Evaluate k1 + 1/(k2 + 1/(... + 1/kn)) exactly.  Raw term lists are
     validated first; invalid lists (e.g. a trailing 1 with n >= 2) are
-    errors."""
+    errors.
+
+    Runs the convergent recurrence h_i = a_i h_(i-1) + h_(i-2) over the terms
+    a_i, and the same for the denominators k_i, on plain ints; the value is
+    the last convergent h_n/k_n.
+    """
     if not isinstance(cf, ContinuedFraction):
-        if not cf_validate(cf):
-            raise ValueError(f"invalid continued fraction terms {list(cf)}")
         cf = ContinuedFraction(tuple(cf))
-    value = Fraction(cf.terms[-1])
-    for k in reversed(cf.terms[:-1]):
-        value = k + 1 / value
-    return value
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    for a in cf.terms:
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+    return Fraction(h, k)

@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 success, 1 usage error (unknown subcommand, malformed
-arguments), 2 domain error (e.g. the continued fraction of 1/0).  All
+arguments), 2 domain error (e.g. the continued fraction of 1/0), 3 internal
+error (any other exception, reported as one line).  All
 output is line-oriented text by default and machine JSON under --json;
 orbit graphs can be emitted as DOT.
 """
@@ -277,6 +278,11 @@ def run(argv: Optional[Sequence[str]] = None,
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    except Exception as exc:
+        # a defect, not bad input: one line and its own code, never the
+        # usage code 1 that a traceback would leave
+        print(f"internal error: {type(exc).__name__}: {exc}", file=err)
+        return 3
 
     if args.json:
         print(json.dumps(payload), file=out)

@@ -76,12 +76,18 @@ def pf_new(p: int, q: int) -> PFrac:
     """Reduce and canonically sign an integer pair; the zero pair is an error."""
     if p == 0 and q == 0:
         raise ValueError("the zero pair has no projective class")
-    g = gcd(abs(p), abs(q))
-    p //= g
-    q //= g
+    g = gcd(p, q)
     if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    return PFrac(p, q)
+        g = -g
+    if g != 1:
+        p //= g
+        q //= g
+    # (p, q) is now reduced and canonically signed, which is everything
+    # PFrac.__post_init__ would check again: build the instance directly.
+    x = object.__new__(PFrac)
+    object.__setattr__(x, "p", p)
+    object.__setattr__(x, "q", q)
+    return x
 
 
 PF_ZERO = pf_new(0, 1)

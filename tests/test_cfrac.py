@@ -1,11 +1,66 @@
+import random
+from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trefoil import ContinuedFraction, cf_eval, cf_expand, cf_validate
+
+
+def fraction_expand(r):
+    """The floor algorithm on Fraction: the reference for cf_expand."""
+    r = Fraction(r)
+    terms = []
+    while True:
+        k = floor(r)
+        terms.append(k)
+        delta = r - k
+        if delta == 0:
+            return tuple(terms)
+        r = 1 / delta
+
+
+def fraction_eval(terms):
+    """The right-to-left Fraction fold: the reference for cf_eval."""
+    value = Fraction(terms[-1])
+    for k in reversed(terms[:-1]):
+        value = k + 1 / value
+    return value
+
+
+def random_rationals():
+    rng = random.Random(41)
+    yield from (Fraction(n) for n in (0, 1, -1, 7, -7, 2**70, -(2**70)))
+    for bits in (4, 16, 64, 256, 1024):
+        for _ in range(40):
+            p = rng.getrandbits(bits) * rng.choice((1, -1))
+            yield Fraction(p, rng.getrandbits(bits) + 1)
+    for _ in range(3):
+        p = (rng.getrandbits(2**15) | 1 << 2**15) * rng.choice((1, -1))
+        yield Fraction(p, rng.getrandbits(2**15) | 1 << 2**15)
+
+
+def test_kernels_match_fraction_reference():
+    for r in random_rationals():
+        cf = cf_expand(r)
+        assert cf.terms == fraction_expand(r)
+        assert cf_eval(cf) == fraction_eval(cf.terms) == r
+        assert cf_expand(r.numerator) == ContinuedFraction((r.numerator,))
+        terms = cf.terms
+        if len(terms) >= 2:
+            # the last two convergents h_(n-1)/k_(n-1) and h_n/k_n = r
+            prev = fraction_eval(terms[:-1])
+            det = r.numerator * prev.denominator - prev.numerator * r.denominator
+            assert det == (-1) ** len(terms)
+
+
+def test_expand_rejects_non_rationals():
+    for r in (0.5, 2.0, "1/2", Decimal("0.5"), None):
+        with pytest.raises(TypeError):
+            cf_expand(r)
 
 
 def test_expand_examples():
@@ -36,6 +91,9 @@ def test_eval_rejects_invalid_lists():
         cf_eval([2, 1])
     with pytest.raises(ValueError):
         cf_eval([2, 0, 2])
+    for terms in ([1, 2.9], ["3", 2], [2.0]):
+        with pytest.raises(ValueError):
+            cf_eval(terms)
 
 
 def test_constructor_rejects_invalid_terms():
@@ -43,6 +101,9 @@ def test_constructor_rejects_invalid_terms():
         ContinuedFraction((2, 1))
     with pytest.raises(ValueError):
         ContinuedFraction(())
+    for terms in ((1, 2.5), (1, 2.9), ("3", 2), (2.0,), (1, "2"), (True, 2)):
+        with pytest.raises(ValueError):
+            ContinuedFraction(terms)
 
 
 def test_round_trip_small_grid():

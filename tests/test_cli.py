@@ -105,6 +105,19 @@ def test_exit_code_domain_errors():
     assert go("cf", "eval", "[2;1]")[0] == 2
 
 
+def test_exit_code_internal_errors(monkeypatch):
+    import trefoil.cli as cli
+
+    def broken(word):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "normalize", broken)
+    code, out, err = go("normalize", "ab")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
 def test_json_output_matches_library_bytes():
     cases = [
         (("--json", "op", "0/1", "1/0"),

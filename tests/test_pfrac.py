@@ -45,12 +45,25 @@ def test_pf_new_rejects_zero_pair():
 
 
 def test_canonical_constructor_rejects_raw_pairs():
-    with pytest.raises(ValueError):
-        PFrac(2, 4)
-    with pytest.raises(ValueError):
-        PFrac(1, -2)
-    with pytest.raises(ValueError):
-        PFrac(-1, 0)
+    for p, q in ((2, 4), (1, -2), (-1, 0), (0, 0), (0, 2), (0, -1), (3, 0)):
+        with pytest.raises(ValueError):
+            PFrac(p, q)
+
+
+def test_pf_new_reduces_scaled_pairs():
+    rng = random.Random(16)
+    canonical = [(0, 1), (1, 0), (1, 1), (-1, 1)]
+    for bits in (8, 64, 2048):
+        for _ in range(40):
+            p, q = rng.getrandbits(bits) * rng.choice((1, -1)), rng.getrandbits(bits) + 1
+            g = gcd(p, q)
+            canonical.append((p // g, q // g))
+    for p, q in canonical:
+        x = PFrac(p, q)
+        for g in (1, 2, rng.getrandbits(16) + 1, rng.getrandbits(300) + 1):
+            for s in (1, -1):
+                y = pf_new(s * g * p, s * g * q)
+                assert y == x and hash(y) == hash(x)
 
 
 def test_worked_identity_chains():
