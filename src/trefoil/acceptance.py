@@ -2,7 +2,9 @@
 as a library call, from the CLI (``trefoil selftest``) and from pytest.
 
 Each criterion is a function returning (ok, detail).  All sampling uses
-fixed seeds, so runs are reproducible.
+fixed seeds, so runs are reproducible.  Criterion 10 asserts a claim that
+computation refutes; it is reported REFUTED-AS-EXPECTED, and keeps the run
+green, only when it fails with the computed counterexample.
 """
 
 from __future__ import annotations
@@ -437,6 +439,13 @@ def _criterion_symplectic_footnote() -> tuple[bool, str]:
     return True, "regression and equivalences verified"
 
 
+# Criteria that assert a claim computation refutes, each with the text its
+# failing detail must carry: the computed counterexample.  Failing with that
+# text is the expected outcome; passing, or failing without it, is red, as
+# pytest's strict xfail together with the pinned counterexample test is.
+_EXPECTED_REFUTATIONS = {10: "NOT a rack"}
+
+
 @dataclass
 class CriterionResult:
     number: int
@@ -445,15 +454,27 @@ class CriterionResult:
     detail: str
     seconds: float
 
+    @property
+    def status(self) -> str:
+        """PASS or FAIL; for a criterion expected to be refuted,
+        REFUTED-AS-EXPECTED, UNEXPECTED-PASS, or FAIL when the detail lacks
+        the counterexample."""
+        marker = _EXPECTED_REFUTATIONS.get(self.number)
+        if marker is None:
+            return "PASS" if self.ok else "FAIL"
+        if self.ok:
+            return "UNEXPECTED-PASS"
+        return "REFUTED-AS-EXPECTED" if marker in self.detail else "FAIL"
+
     def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        return f"{status}  {self.number:2d}  {self.name}  [{self.seconds:.1f}s]  {self.detail}"
+        return f"{self.status}  {self.number:2d}  {self.name}  [{self.seconds:.1f}s]  {self.detail}"
 
     def to_json(self) -> dict:
         return {
             "number": self.number,
             "name": self.name,
             "pass": self.ok,
+            "status": self.status,
             "detail": self.detail,
             "seconds": round(self.seconds, 2),
         }
@@ -483,15 +504,20 @@ def run_criterion(number: int) -> CriterionResult:
 
 
 def run_selftest(stream: Optional[TextIO] = None) -> tuple[bool, list[CriterionResult]]:
-    """Run every criterion, optionally printing one line per criterion."""
+    """Run every criterion, optionally printing one line per criterion.  The
+    run is green when each criterion passes or is refuted as expected."""
     results = []
     for num, _name, _fn in CRITERIA:
         result = run_criterion(num)
         results.append(result)
         if stream is not None:
             print(result.line(), file=stream, flush=True)
-    ok = all(r.ok for r in results)
+    ok = all(r.status in ("PASS", "REFUTED-AS-EXPECTED") for r in results)
     if stream is not None:
         passed = sum(r.ok for r in results)
-        print(f"{passed}/{len(results)} criteria passed", file=stream, flush=True)
+        summary = f"{passed}/{len(results)} criteria passed"
+        refuted = sum(r.status == "REFUTED-AS-EXPECTED" for r in results)
+        if refuted:
+            summary += f", {refuted} refuted as expected"
+        print(summary, file=stream, flush=True)
     return ok, results

@@ -7,6 +7,10 @@ so that q > 0, or q = 0 and p = 1.  All arithmetic is exact on unbounded
 integers; the transvection (a/b) * (c/d) = (a - Dc)/(b - Dd) with
 D = ad - bc grows coefficients quadratically, so fixed-width integers would
 silently corrupt results.
+
+Untrusted pairs go through pf_new, which takes one gcd.  The operations
+and the matrix action are determinant-one integer maps, which send
+primitive pairs to primitive pairs, so their results are only signed.
 """
 
 from __future__ import annotations
@@ -77,13 +81,19 @@ def pf_new(p: int, q: int) -> PFrac:
     if p == 0 and q == 0:
         raise ValueError("the zero pair has no projective class")
     g = gcd(p, q)
-    if q < 0 or (q == 0 and p < 0):
-        g = -g
     if g != 1:
         p //= g
         q //= g
-    # (p, q) is now reduced and canonically signed, which is everything
-    # PFrac.__post_init__ would check again: build the instance directly.
+    return _pf_signed(p, q)
+
+
+def _pf_signed(p: int, q: int) -> PFrac:
+    """Canonically sign a pair already known to be primitive: the image of a
+    primitive pair under a determinant-one integer map is primitive, since
+    the inverse map is integral too, so pf_new's gcd would be 1.  Everything
+    else PFrac.__post_init__ checks holds too, so it is not run again."""
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
     x = object.__new__(PFrac)
     object.__setattr__(x, "p", p)
     object.__setattr__(x, "q", q)
@@ -97,13 +107,13 @@ PF_INFINITY = pf_new(1, 0)
 def pf_op(x: PFrac, y: PFrac) -> PFrac:
     """(a/b) * (c/d) = (a - Dc)/(b - Dd) with D = ad - bc."""
     d = x.p * y.q - x.q * y.p
-    return pf_new(x.p - d * y.p, x.q - d * y.q)
+    return _pf_signed(x.p - d * y.p, x.q - d * y.q)
 
 
 def pf_op_inv(x: PFrac, y: PFrac) -> PFrac:
     """The inverse operation: (a/b) *̄ (c/d) = (a + Dc)/(b + Dd)."""
     d = x.p * y.q - x.q * y.p
-    return pf_new(x.p + d * y.p, x.q + d * y.q)
+    return _pf_signed(x.p + d * y.p, x.q + d * y.q)
 
 
 def pf_op_pow(x: PFrac, y: PFrac, k: int) -> PFrac:
@@ -113,7 +123,7 @@ def pf_op_pow(x: PFrac, y: PFrac, k: int) -> PFrac:
     and x for k = 0.
     """
     d = x.p * y.q - x.q * y.p
-    return pf_new(x.p - k * d * y.p, x.q - k * d * y.q)
+    return _pf_signed(x.p - k * d * y.p, x.q - k * d * y.q)
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +205,24 @@ class TransvectionMatrix:
 
 
 def transvection_matrix(y: PFrac) -> TransvectionMatrix:
-    """The matrix of *y for y = (c, d): [[1 - dc, c^2], [-d^2, 1 + dc]]."""
+    """The matrix of *y for y = (c, d): [[1 - dc, c^2], [-d^2, 1 + dc]].
+
+    Its determinant (1 - dc)(1 + dc) + c^2 d^2 is 1 identically, so the
+    instance is built without TransvectionMatrix.__post_init__'s check.
+    """
     c, d = y.p, y.q
-    return TransvectionMatrix(1 - d * c, c * c, -d * d, 1 + d * c)
+    dc = d * c
+    m = object.__new__(TransvectionMatrix)
+    object.__setattr__(m, "a", 1 - dc)
+    object.__setattr__(m, "b", c * c)
+    object.__setattr__(m, "c", -d * d)
+    object.__setattr__(m, "d", 1 + dc)
+    return m
 
 
 def apply_matrix(m: TransvectionMatrix, x: PFrac) -> PFrac:
     """Apply a determinant-one matrix to a projective point."""
-    return pf_new(m.a * x.p + m.b * x.q, m.c * x.p + m.d * x.q)
+    return _pf_signed(m.a * x.p + m.b * x.q, m.c * x.p + m.d * x.q)
 
 
 # ---------------------------------------------------------------------------

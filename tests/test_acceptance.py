@@ -52,3 +52,10 @@ def test_criterion_10_verifiable_content():
     assert not report.idempotent
     assert report.right_distributive
     assert not report.right_translations_bijective
+
+
+def test_criterion_10_reports_refuted_as_expected():
+    result = run_criterion(10)
+    assert result.status == "REFUTED-AS-EXPECTED"
+    assert result.to_json()["status"] == "REFUTED-AS-EXPECTED"
+    assert result.line().startswith("REFUTED-AS-EXPECTED  10  symplectic-footnote")

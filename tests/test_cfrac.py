@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trefoil import ContinuedFraction, cf_eval, cf_expand, cf_validate
+from trefoil.cfrac import _BATCH_MIN_BITS, _TREE_LEAF, _euclid_batch
 
 
 def fraction_expand(r):
@@ -55,6 +56,85 @@ def test_kernels_match_fraction_reference():
             prev = fraction_eval(terms[:-1])
             det = r.numerator * prev.denominator - prev.numerator * r.denominator
             assert det == (-1) ** len(terms)
+
+
+def assert_kernels_match(r):
+    cf = cf_expand(r)
+    assert cf.terms == fraction_expand(r)
+    assert cf_eval(cf) == fraction_eval(cf.terms) == r
+    return cf
+
+
+def test_batched_expand_at_the_cutoff():
+    # the batches start once a remainder has more than _BATCH_MIN_BITS bits
+    rng = random.Random(43)
+    for bits in (_BATCH_MIN_BITS - 1, _BATCH_MIN_BITS, _BATCH_MIN_BITS + 1):
+        for size in (bits - 40, bits, bits + 40, 2 * bits):
+            for sign in (1, -1):
+                q = rng.getrandbits(bits) | 1 << bits - 1
+                p = sign * (rng.getrandbits(size) | 1)
+                while gcd(p, q) != 1:
+                    p += sign
+                r = Fraction(p, q)
+                assert r.denominator.bit_length() == bits
+                assert_kernels_match(r)
+
+
+def test_batched_expand_on_long_fibonacci_ratios():
+    # every quotient is 1: the most terms, and the most batches, per bit
+    a, b = 1, 1
+    for n in range(2, 9001):
+        a, b = b, a + b
+        if n in (6000, 9000):
+            assert a.bit_length() > 2**12
+            for r in (Fraction(b, a), Fraction(-a, b)):
+                cf = assert_kernels_match(r)
+                assert len(cf) <= 2 * r.denominator.bit_length() + 2
+            assert cf_expand(Fraction(b, a)).terms == (1,) * (n - 2) + (2,)
+
+
+def test_euclid_batch_returns_only_true_quotients():
+    # whatever the leading bits propose, a batch returns true Euclidean
+    # quotients and the pair after them; about one batch in thirty here
+    # drops a proposed trailing quotient, and p much longer than q leaves
+    # nothing to propose
+    rng = random.Random(46)
+    for _ in range(300):
+        bits = rng.randint(_BATCH_MIN_BITS + 1, 3 * _BATCH_MIN_BITS)
+        q = rng.getrandbits(bits) | 1 << bits - 1
+        p = q + 1 + rng.getrandbits(rng.choice((bits - 8, bits, bits + 8, bits + 600)))
+        quotients, x, y = _euclid_batch(p, q)
+        assert quotients
+        a, b = p, q
+        for t in quotients:
+            k, r = divmod(a, b)
+            assert k == t
+            a, b = b, r
+        assert (x, y) == (a, b)
+
+
+def test_batched_expand_around_a_huge_partial_quotient():
+    # a quotient far longer than the leading bits a batch reads, in the
+    # middle of an 18k-term expansion: one divmod step, then batches again
+    rng = random.Random(44)
+    terms = ([-3] + [rng.randint(1, 9) for _ in range(9000)] + [2**4000]
+             + [rng.randint(1, 9) for _ in range(8998)] + [2])
+    r = fraction_eval(terms)
+    assert r.denominator.bit_length() > 2**15
+    assert cf_eval(terms) == r
+    assert assert_kernels_match(r).terms == tuple(terms)
+
+
+def test_tree_eval_matches_fraction_reference():
+    rng = random.Random(45)
+    for n in range(1, 3 * _TREE_LEAF + 2):
+        for bound in (3, 2**70):
+            terms = [rng.randint(-bound, bound)] + [rng.randint(1, bound) for _ in range(n - 1)]
+            if n >= 2 and terms[-1] == 1:
+                terms[-1] = 2
+            value = cf_eval(terms)
+            assert value == fraction_eval(terms)
+            assert cf_expand(value).terms == tuple(terms)
 
 
 def test_expand_rejects_non_rationals():

@@ -173,6 +173,36 @@ def test_selftest_exit_code_tracks_criteria(monkeypatch):
     assert payload["passed"] == 1 and payload["total"] == 2 and payload["ok"] is False
 
 
+def test_selftest_reports_criterion_10_refutation(monkeypatch):
+    import trefoil.acceptance as acceptance
+
+    def only_criterion_10(ok, detail):
+        monkeypatch.setattr(
+            acceptance, "CRITERIA",
+            [(1, "stub-pass", lambda: (True, "ok")),
+             (10, "symplectic-footnote", lambda: (ok, detail))],
+        )
+
+    # refuted with the computed counterexample: green
+    only_criterion_10(False, "computed counterexample: ... is NOT a rack (witness (1, 0))")
+    code, out, _ = go("selftest")
+    assert code == 0
+    assert "REFUTED-AS-EXPECTED  10" in out
+    assert "1/2 criteria passed, 1 refuted as expected" in out
+    code, out, _ = go("--json", "selftest")
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"] is True
+    assert [c["status"] for c in payload["criteria"]] == ["PASS", "REFUTED-AS-EXPECTED"]
+    # the refuted claim passing: red
+    only_criterion_10(True, "regression and equivalences verified")
+    code, out, _ = go("selftest")
+    assert code == 1 and "UNEXPECTED-PASS  10" in out
+    # failing without the counterexample: red
+    only_criterion_10(False, "xy over Z/2 should be antisymmetric")
+    code, out, _ = go("selftest")
+    assert code == 1 and "FAIL  10" in out and "refuted" not in out
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trefoil", "op", "0/1", "1/0"],

@@ -66,6 +66,41 @@ def test_pf_new_reduces_scaled_pairs():
                 assert y == x and hash(y) == hash(x)
 
 
+def random_primitive_pairs(rng, bit_sizes):
+    yield PF_ZERO
+    yield PF_INFINITY
+    for bits in bit_sizes:
+        for sign in (1, -1):
+            q = rng.getrandbits(bits) + 1
+            p = sign * (rng.getrandbits(bits) + 1)
+            g = gcd(p, q)
+            yield PFrac(p // g, q // g)
+
+
+def test_det_one_maps_sign_only():
+    # pf_op, pf_op_inv, pf_op_pow and the matrix action skip pf_new's gcd:
+    # each result must still pass every PFrac check and equal the reduced
+    # raw pair
+    rng = random.Random(17)
+    small = list(random_primitive_pairs(rng, (1, 8, 64, 1024)))
+    big = list(random_primitive_pairs(rng, (2**12, 2**15)))[2:]
+    pairs = [(x, y) for x in small for y in small]
+    pairs += [(x, y) for b in big for s in small[:2] + small[-2:] for x, y in ((b, s), (s, b))]
+    pairs += [(big[1], big[3]), (big[3], big[2])]
+    for x, y in pairs:
+        d = x.p * y.q - x.q * y.p
+        m = transvection_matrix(y)
+        results = [
+            (pf_op(x, y), (x.p - d * y.p, x.q - d * y.q)),
+            (pf_op_inv(x, y), (x.p + d * y.p, x.q + d * y.q)),
+            (apply_matrix(m, x), (m.a * x.p + m.b * x.q, m.c * x.p + m.d * x.q)),
+        ]
+        for k in (-3, 0, 3):
+            results.append((pf_op_pow(x, y, k), (x.p - k * d * y.p, x.q - k * d * y.q)))
+        for r, raw in results:
+            assert PFrac(r.p, r.q) == r == pf_new(*raw)
+
+
 def test_worked_identity_chains():
     assert pf_op(PF_ZERO, PF_INFINITY) == pf_new(1, 1)
     assert pf_op(pf_new(1, 1), PF_ZERO) == PF_INFINITY
@@ -151,6 +186,16 @@ def test_transvection_matrix_generators():
 @given(fractions)
 def test_transvection_matrix_determinant(y):
     assert transvection_matrix(y).det() == 1
+
+
+def test_transvection_matrix_determinant_large():
+    # transvection_matrix skips the determinant check of a direct
+    # TransvectionMatrix(...), since the determinant is 1 identically
+    rng = random.Random(18)
+    for y in random_primitive_pairs(rng, (2**10, 2**12, 2**14, 2**15)):
+        m = transvection_matrix(y)
+        assert m.det() == 1
+        assert m == TransvectionMatrix(m.a, m.b, m.c, m.d)
 
 
 def test_matrix_action_examples():
