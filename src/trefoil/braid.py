@@ -314,20 +314,8 @@ class BraidElement:
         return self.render()
 
 
-def parse_braid(text: str) -> BraidElement:
-    return BraidElement.parse(text)
-
-
 def render_braid(u: BraidElement) -> str:
     return u.render()
-
-
-def braid_mul(u: BraidElement, v: BraidElement) -> BraidElement:
-    return u * v
-
-
-def braid_inv(u: BraidElement) -> BraidElement:
-    return u.inv()
 
 
 def braid_eq(u: BraidElement, v: BraidElement) -> bool:
@@ -338,10 +326,6 @@ def braid_eq(u: BraidElement, v: BraidElement) -> bool:
 def garside_eq(u: BraidElement, v: BraidElement) -> bool:
     """Equality of Garside forms; an independent check on braid_eq."""
     return (u.d, u.w) == (v.d, v.w)
-
-
-def exponent_sum(u: BraidElement) -> int:
-    return u.eps
 
 
 @functools.lru_cache(maxsize=1)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .cfrac import ContinuedFraction, cf_expand
+from .cfrac import ContinuedFraction, cf_expand, cf_validate
 from .pfrac import PF_INFINITY, PF_ZERO, PFrac, pf_op, pf_op_inv
 
 LETTERS = "abAB"
@@ -73,10 +73,6 @@ def parse_word(text: str) -> QWord:
     return QWord(text[0], text[1:])
 
 
-def render_word(w: QWord) -> str:
-    return str(w)
-
-
 def _as_word(w: WordLike) -> QWord:
     return w if isinstance(w, QWord) else parse_word(w)
 
@@ -115,17 +111,10 @@ def word_op_inv(u: WordLike, v: WordLike) -> QWord:
 # ---------------------------------------------------------------------------
 
 def normal_form_valid(exponents: Sequence[int]) -> bool:
-    """The class constraints on an exponent vector (k1, ..., kn): middle
-    exponents positive, kn > 1 when n >= 2, k1 unconstrained."""
-    e = list(exponents)
-    if any(not isinstance(k, int) for k in e):
-        return False
-    if len(e) >= 2:
-        if any(k < 1 for k in e[1:]):
-            return False
-        if e[-1] < 2:
-            return False
-    return True
+    """The class constraints on an exponent vector (k1, ..., kn): empty (the
+    generator b), or the continued-fraction constraints of :func:`cf_validate`
+    (integer terms, middle exponents positive, kn > 1 when n >= 2)."""
+    return not exponents or cf_validate(exponents)
 
 
 @dataclass(frozen=True)
@@ -140,17 +129,14 @@ class NormalForm:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(int(k) for k in self.exponents))
-        if not normal_form_valid(self.exponents):
-            raise ValueError(f"invalid normal-form exponents {list(self.exponents)}")
+        exponents = tuple(self.exponents)
+        if not normal_form_valid(exponents):
+            raise ValueError(f"invalid normal-form exponents {list(exponents)}")
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def base(self) -> str:
         return "a" if len(self.exponents) % 2 == 1 else "b"
-
-    @property
-    def is_special(self) -> bool:
-        return self.exponents in _SPECIAL_RENDER
 
     def render(self) -> str:
         special = _SPECIAL_RENDER.get(self.exponents)
@@ -181,12 +167,13 @@ class NormalForm:
 # the incremental normalizer
 # ---------------------------------------------------------------------------
 #
-# State: the exponent vector e = [k1, ..., kn] of a normal word (k1 first;
-# n = 0 is the bare generator b, n = 1 with k1 = 0 the bare generator a).
-# One letter is appended at a time and the normal shape restored.  Every
-# branch below is one of: free reduction, idempotence x*x = x (and its
-# inverse form), the presentation relations a*b*a = b / b*a*b = a and their
-# one-step consequences
+# State: the exponent vector of a normal word stored reversed, e = [kn, ...,
+# k2, k1], so that every rule edits the end of the list (n = 0 is the bare
+# generator b, n = 1 with k1 = 0 the bare generator a).  One letter is
+# appended at a time and the normal shape restored.  Every branch below is
+# one of: free reduction, idempotence x*x = x (and its inverse form), the
+# presentation relations a*b*a = b / b*a*b = a and their one-step
+# consequences
 #
 #     b a = a B,   b A = a b,   a B A = b,   a b A ... = b A A ...,
 #
@@ -198,10 +185,12 @@ class NormalForm:
 #     b A^t     ->  A B^t a b
 #     a B^s     ->  B A^s b a      (at the head, via idempotence)
 #
-# Appending b or B only adjusts k1.  The two hard cases recurse on strictly
-# shorter words, exactly as the length induction requires.
+# Appending b or B only adjusts k1.  The two hard cases replace the end of
+# the word by a strictly shorter normal prefix and push the rest of their
+# right-hand side back onto the stack of pending letters, so the loop does
+# the length induction without recursing.
 
-def _canon(e: list[int]) -> list[int]:
+def _canon(e: list[int]) -> None:
     """Squash empty blocks and eliminate kn = 1 heads.
 
     A zero interior block merges its same-letter neighbours (free
@@ -210,96 +199,21 @@ def _canon(e: list[int]) -> list[int]:
     or b A b... = a b b... (base b), which fold the head block into its
     neighbour.
     """
-    while True:
-        if len(e) >= 2 and e[-1] == 0:
-            del e[-2:]
+    while len(e) >= 2:
+        if e[0] == 0:
+            del e[:2]
             continue
-        zero = None
-        for i in range(1, len(e) - 1):
+        # Only k2..k4 can be zero: they are the only entries a rule
+        # decrements, and a merge of two positive blocks is positive.
+        for i in range(max(1, len(e) - 4), len(e) - 1):
             if e[i] == 0:
-                zero = i
+                e[i - 1 : i + 2] = [e[i - 1] + e[i + 1]]
                 break
-        if zero is not None:
-            merged = e[zero - 1] + e[zero + 1]
-            e[zero - 1 : zero + 2] = [merged]
-            continue
-        if len(e) >= 2 and e[-1] == 1:
-            del e[-1]
-            e[-1] += 1
-            continue
-        return e
-
-
-def _append(e: list[int], letter: str) -> list[int]:
-    if letter == "b":
-        return e if not e else [e[0] + 1] + e[1:]
-    if letter == "B":
-        return e if not e else [e[0] - 1] + e[1:]
-    if letter == "A":
-        return _append_inverse_a(e)
-    if letter == "a":
-        return _append_a(e)
-    raise ValueError(f"illegal operator letter {letter!r}")
-
-
-def _append_many(e: list[int], letters: Sequence[str]) -> list[int]:
-    for ch in letters:
-        e = _append(e, ch)
-    return e
-
-
-def _append_a(e: list[int]) -> list[int]:
-    if not e:
-        return [-1]  # b a = a B
-    k1 = e[0]
-    if k1 == 0:
-        if len(e) == 1:
-            return [0]  # a a = a
-        # the word ends in A; free reduction shortens the a-block
-        return _canon([0, e[1] - 1] + e[2:])
-    if k1 < 0:
-        # ... A B^s a  ->  ... b A^s B, consuming one A of the k2-block
-        s = -k1
-        if len(e) == 1:
-            # bare head a B^s a = a (b A^s B) by idempotence at the base
-            return _canon([-1, s, 1])
-        return _canon([-1, s, 1, e[1] - 1] + e[2:])
-    # k1 = s > 0: ... A b^s a -> ... (b a^s B); the positive a-run is fed
-    # back through the normalizer one letter at a time (induction on length)
-    s = k1
-    if len(e) == 1:
-        if s == 1:
-            return []  # a b a = b
-        t = [1]  # idempotence at the base supplies the consumed A
-    else:
-        t = _append(_canon([0, e[1] - 1] + e[2:]), "b")
-    t = _append_many(t, "a" * s)
-    return _append(t, "B")
-
-
-def _append_inverse_a(e: list[int]) -> list[int]:
-    if not e:
-        return [1]  # b A = a b
-    k1 = e[0]
-    if k1 > 0:
-        # a fresh a-block opens; k1 may legally be 0 afterwards
-        return _canon([0, 1] + e)
-    if k1 == 0:
-        if len(e) == 1:
-            return [0]  # a A = a
-        return [0, e[1] + 1] + e[2:]
-    # k1 = -s < 0: the word ends ... b^k3 A^k2 B^s; rewrite
-    #   ... b^k3 A^k2 B^s A = ... b^(k3-1) A B^(k2+1) A^(s-1) b
-    # and renormalize the shorter prefix letter by letter
-    s = -k1
-    if len(e) == 1:
-        # a B^s A = (a B A) A^(s-1) b ... = b A^(s-1) b
-        return _canon([1, s - 1])
-    t = _append(e[2:], "B")
-    t = _append(t, "A")
-    t = _append_many(t, "B" * (e[1] + 1))
-    t = _append_many(t, "A" * (s - 1))
-    return _append(t, "b")
+        else:
+            if e[0] != 1:
+                return
+            del e[0]
+            e[0] += 1
 
 
 def normalize(w: WordLike) -> NormalForm:
@@ -308,9 +222,64 @@ def normalize(w: WordLike) -> NormalForm:
     idempotence.  Total on arbitrary words."""
     w = _as_word(w)
     e = [0] if w.base == "a" else []
-    for ch in w.tail:
-        e = _append(e, ch)
-    return NormalForm(tuple(e))
+    # letters still to append, the next one last; a right-hand side goes
+    # back on reversed
+    pending = list(reversed(w.tail))
+    while pending:
+        ch = pending.pop()
+        if not e:
+            if ch == "a":
+                e = [-1]  # b a = a B
+            elif ch == "A":
+                e = [1]  # b A = a b
+            continue
+        k1 = e[-1]
+        if ch == "b":
+            e[-1] += 1
+        elif ch == "B":
+            e[-1] -= 1
+        elif ch == "a":
+            if k1 == 0:
+                # a a = a; otherwise the word ends in A and free reduction
+                # shortens the a-block
+                if len(e) > 1:
+                    e[-2] -= 1
+                    _canon(e)
+            elif k1 < 0:
+                # ... A B^s a -> ... b A^s B, consuming one A of the
+                # k2-block (at the bare head a B^s a = a b A^s B by
+                # idempotence at the base)
+                if len(e) > 1:
+                    e[-2] -= 1
+                e[-1:] = [1, -k1, -1]
+                _canon(e)
+            elif len(e) == 1 and k1 == 1:
+                e.clear()  # a b a = b
+            else:
+                # ... A b^s a -> ... b a^s B: the b becomes k1 and a^s B go
+                # back on the stack; idempotence at the base supplies the
+                # consumed A of a bare head
+                e[-1] = 1
+                if len(e) > 1:
+                    e[-2] -= 1
+                    _canon(e)
+                pending += "B" + "a" * k1
+        # from here on ch is "A"
+        elif k1 > 0:
+            e += [1, 0]  # a fresh a-block opens; k1 may legally be 0
+            _canon(e)
+        elif k1 == 0:
+            if len(e) > 1:
+                e[-2] += 1  # else a A = a
+        elif len(e) == 1:
+            e[:] = [-k1 - 1, 1]  # a B^s A = (a B A) A^(s-1) b = b A^(s-1) b
+            _canon(e)
+        else:
+            # ... b^k3 A^k2 B^s A = ... b^(k3-1) A B^(k2+1) A^(s-1) b
+            k2 = e[-2]
+            del e[-2:]
+            pending += "b" + "A" * (-k1 - 1) + "B" * (k2 + 1) + "AB"
+    return NormalForm(tuple(reversed(e)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from trefoil import (
     cf_expand,
     check_quandle,
     dihedral_quandle,
+    frac_to_word,
     normalize,
     pf_op,
     pf_op_pow,
@@ -47,6 +49,14 @@ def test_word_commands():
     assert go("word2frac", "bAAAbb") == (0, "7/3\n", "")
     assert go("frac2word", "7/3") == (0, "bAAAbb\n", "")
     assert go("frac2word", "-1/1") == (0, "ba\n", "")
+
+
+def test_word_commands_on_long_words():
+    rng = random.Random(9)
+    w = "a" + "".join(rng.choice("abAB") for _ in range(4000))
+    frac = word_to_frac(w)
+    assert go("normalize", w) == (0, frac_to_word(frac).render() + "\n", "")
+    assert go("word2frac", w) == (0, f"{frac}\n", "")
 
 
 def test_cf_commands():

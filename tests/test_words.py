@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,6 @@ from trefoil import (
     pf_new,
     pf_op,
     pf_op_inv,
-    render_word,
     word_op,
     word_op_inv,
     word_to_frac,
@@ -43,14 +43,14 @@ def test_render_parse_round_trip():
     rng = random.Random(1)
     for _ in range(100):
         w = random_word(rng)
-        assert parse_word(render_word(w)) == w
+        assert parse_word(str(w)) == w
 
 
 def test_free_reduce_examples():
-    assert render_word(free_reduce("abB")) == "a"
-    assert render_word(free_reduce("aAa")) == "a"
-    assert render_word(free_reduce("ab")) == "ab"
-    assert render_word(free_reduce("abBAab")) == "ab"
+    assert str(free_reduce("abB")) == "a"
+    assert str(free_reduce("aAa")) == "a"
+    assert str(free_reduce("ab")) == "ab"
+    assert str(free_reduce("abBAab")) == "ab"
 
 
 def test_free_reduce_preserves_image():
@@ -93,6 +93,25 @@ def test_normalize_soundness_and_completeness():
         assert word_to_frac(nf.to_word()) == image
         assert frac_to_word(image) == nf
         assert normal_form_valid(nf.exponents)
+
+
+def test_normalize_matches_fraction_route_exhaustively():
+    count = 0
+    for n in range(7):
+        for letters in itertools.product("abAB", repeat=n):
+            for base in "ab":
+                w = QWord(base, "".join(letters))
+                assert normalize(w) == frac_to_word(word_to_frac(w)), w
+                count += 1
+    assert count == 10_922
+
+
+def test_normalize_long_words():
+    # far beyond the depth a normalizer recursing once per rewrite reaches
+    rng = random.Random(8)
+    for _ in range(2):
+        w = QWord(rng.choice("ab"), "".join(rng.choice("abAB") for _ in range(4000)))
+        assert normalize(w) == frac_to_word(word_to_frac(w))
 
 
 def test_word_to_frac_examples():
@@ -150,6 +169,9 @@ def test_normal_form_validity_predicate():
     assert not normal_form_valid((2, 1))     # kn = 1 needs n = 1
     assert not normal_form_valid((1, 0, 2))  # middle exponent must be positive
     assert not normal_form_valid((1, -2, 3))
+    assert not normal_form_valid((True, 2))   # terms are ints, not bools,
+    assert not normal_form_valid((1, 2.9))    # floats
+    assert not normal_form_valid(("3",))      # or strings
 
 
 def test_normal_form_constructor_validates():
@@ -157,6 +179,9 @@ def test_normal_form_constructor_validates():
         NormalForm((2, 1))
     with pytest.raises(ValueError):
         NormalForm((1, 0, 2))
+    for bad in ((1, 2.9), ("3",), (True, 2)):
+        with pytest.raises(ValueError):
+            NormalForm(bad)
 
 
 def test_normal_form_render_blocks():
