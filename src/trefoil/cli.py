@@ -166,6 +166,7 @@ def _quandle_from_spec(spec: str):
 
 
 def _word_payload(input_text: str, nf, frac) -> dict:
+    """The --json payload of a word command; it needs both routes' answers."""
     return {"input": input_text, "normal_form": nf.render(), "fraction": str(frac)}
 
 
@@ -196,18 +197,21 @@ def run(argv: Optional[Sequence[str]] = None,
         elif args.command == "normalize":
             w = parse_word(args.word)
             nf = normalize(w)
-            payload = _word_payload(args.word, nf, word_to_frac(w))
             text = nf.render()
+            if args.json:
+                payload = _word_payload(args.word, nf, word_to_frac(w))
         elif args.command == "word2frac":
             w = parse_word(args.word)
             frac = word_to_frac(w)
-            payload = _word_payload(args.word, normalize(w), frac)
             text = str(frac)
+            if args.json:
+                payload = _word_payload(args.word, normalize(w), frac)
         elif args.command == "frac2word":
             frac = PFrac.parse(args.frac)
             nf = frac_to_word(frac)
-            payload = _word_payload(args.frac, nf, frac)
             text = nf.render()
+            if args.json:
+                payload = _word_payload(args.frac, nf, frac)
         elif args.command == "cf":
             if args.cf_command == "expand":
                 cf = cf_expand(PFrac.parse(args.frac).to_fraction())

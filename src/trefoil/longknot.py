@@ -13,8 +13,8 @@ where *̄ uses the self-consistent displayed form; both operations also have
 an alternative displayed form, exposed for the agreement tests.  The
 infinite cyclic group generated by the longitude acts on second slots,
 freely and transitively on each fibre of the covering map (x, g') -> x.
-Since lambda = a^-6 Delta^2, the Delta-exponent of lambda^k is -4k for
-k > 0 and 2k for k <= 0, which fiber_compare reads k from.
+lambda^k has exponent sum 0 and Burau image at t = -1 equal to
+(-1)^k [[1, -6k], [0, 1]], which fiber_compare reads k from.
 """
 
 from __future__ import annotations
@@ -105,12 +105,16 @@ def pi1_act(p: CoveredElement, h: BraidElement) -> CoveredElement:
 
 def fiber_compare(p1: CoveredElement, p2: CoveredElement) -> int:
     """The unique k with g'_2 = lambda^k g'_1, for two elements of the same
-    fibre, read off the Delta-exponent d of g'_2 g'_1^-1: k = -d/4 or
-    k = d/2, whichever power of the longitude it equals."""
+    fibre, read off the top-right entry -6k (-1)^k of the t = -1 image of
+    g'_2 g'_1^-1.  That quotient is lambda^k exactly when its exponent sum
+    is 0 and its whole image is (-1)^k [[1, -6k], [0, 1]], because the
+    image and the exponent sum together are faithful."""
     if covering_p(p1) != covering_p(p2):
         raise FiberMismatchError("elements lie in different fibres")
     diff = p2.g * p1.g.inv()
-    for k in (-diff.d // 4, diff.d // 2):
-        if diff == longitude() ** k:
-            return k
+    p, q = diff.image[:2]
+    k = -q * p // 6
+    sign = -1 if k % 2 else 1
+    if diff.eps == 0 and diff.image == (sign, -6 * k * sign, 0, sign):
+        return k
     raise AssertionError(f"{diff} over one fibre is not a power of the longitude")

@@ -6,53 +6,54 @@ import pytest
 
 from trefoil import (
     BraidElement,
-    LaurentPoly,
     braid_eq,
     garside_eq,
     longitude,
     meridian,
     render_braid,
 )
-from trefoil.braid import _GEN_MATS, LaurentMatrix
 
-_IDENTITY_MAT = LaurentMatrix(LaurentPoly.constant(1), LaurentPoly.make(0, ()),
-                              LaurentPoly.make(0, ()), LaurentPoly.constant(1))
+# the Burau images at t = -1 of a, a^-1, b, b^-1, as (p, q, r, s) = [[p, q], [r, s]]
+_GENS = {1: (1, 1, 0, 1), -1: (1, -1, 0, 1), 2: (1, 0, -1, 1), -2: (1, 0, 1, 1)}
+_IDENTITY = (1, 0, 0, 1)
+
+
+def _matmul(x, y):
+    p, q, r, s = x
+    e, f, g, h = y
+    return (p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h)
 
 
 def raw_mat(word):
     """The product of the generator matrices over the word as given, the
     reference that never looks at the Garside form."""
-    return functools.reduce(LaurentMatrix.__matmul__, (_GEN_MATS[g] for g in word), _IDENTITY_MAT)
+    return functools.reduce(_matmul, (_GENS[g] for g in word), _IDENTITY)
+
+
+def raw_key(word):
+    """(raw matrix product, raw letter sum): a faithful key for B3, since
+    the t = -1 image has kernel <Delta^4> and Delta^4 has exponent sum 12."""
+    return raw_mat(word), sum(1 if g > 0 else -1 for g in word)
 
 
 def random_word(rng, lo, hi):
     return tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(lo, hi)))
 
 
-def test_laurent_poly_arithmetic():
-    t = LaurentPoly.monomial(1, 1)
-    one = LaurentPoly.constant(1)
-    assert (one + t) * (one - t) == LaurentPoly.make(0, [1, 0, -1])
-    assert (t * t).low == 2
-    assert t.shifted(-1) == one
-    assert (-t).as_unit() == (-1, 1)
-    with pytest.raises(ValueError):
-        (one + t).as_unit()
-    assert str(LaurentPoly.make(-1, [1, 0, -2])) == "t^-1 - 2t"
-    assert str(LaurentPoly.make(0, ())) == "0"
-
-
 def test_generator_matrices_are_as_specified():
-    t = LaurentPoly.monomial(1, 1)
-    one = LaurentPoly.constant(1)
-    zero = LaurentPoly.make(0, ())
-    assert _GEN_MATS[1] == LaurentMatrix(-t, one, zero, one)
-    assert _GEN_MATS[2] == LaurentMatrix(one, zero, t, -t)
+    assert BraidElement.parse("a").image == (1, 1, 0, 1)
+    assert BraidElement.parse("b").image == (1, 0, -1, 1)
+    assert BraidElement.parse("aba").image == (0, 1, -1, 0)
+    for k, want in ((2, (-1, 0, 0, -1)), (3, (0, -1, 1, 0)), (4, _IDENTITY)):
+        assert BraidElement.parse("aba" * k).image == want
+        assert BraidElement.parse("ABA" * k).image == raw_mat((-1, -2, -1) * k)
 
 
 def test_generator_inverses():
     for g in (1, 2):
-        assert _GEN_MATS[g] @ _GEN_MATS[-g] == _IDENTITY_MAT
+        assert _matmul(_GENS[g], _GENS[-g]) == _IDENTITY
+        assert BraidElement.from_word((-g,)).image == _GENS[-g]
+        assert BraidElement.from_word((g, -g)).image == _IDENTITY
 
 
 def test_braid_relation():
@@ -77,13 +78,14 @@ def test_group_laws():
     assert not braid_eq(BraidElement.parse("a"), BraidElement.parse("b"))
 
 
-def test_determinant_tracks_exponent_sum():
+def test_determinant_one_and_exponent_sum():
     rng = random.Random(22)
     for _ in range(50):
-        u = BraidElement.from_word(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 10)))
-        sign, exp = u.mat.det().as_unit()
-        assert exp == u.eps
-        assert sign == (-1) ** (u.eps % 2)
+        word = random_word(rng, 0, 10)
+        u = BraidElement.from_word(word)
+        p, q, r, s = u.image
+        assert p * s - q * r == 1
+        assert u.eps == raw_key(word)[1]
 
 
 def test_exponent_sum_examples():
@@ -137,7 +139,7 @@ def test_garside_matches_matrix_oracle_exhaustively():
     by_garside: dict = {}
     for w in words:
         u = BraidElement.from_word(w)
-        by_matrix.setdefault(raw_mat(w), set()).add(w)
+        by_matrix.setdefault(raw_key(w), set()).add(w)
         by_garside.setdefault((u.d, u.w), set()).add(w)
     partition_matrix = sorted(frozenset(v) for v in by_matrix.values())
     partition_garside = sorted(frozenset(v) for v in by_garside.values())
@@ -149,7 +151,7 @@ def test_garside_matches_matrix_oracle_random_length_8():
     for _ in range(1500):
         wu, wv = random_word(rng, 0, 8), random_word(rng, 0, 8)
         u, v = BraidElement.from_word(wu), BraidElement.from_word(wv)
-        equal = raw_mat(wu) == raw_mat(wv)
+        equal = raw_key(wu) == raw_key(wv)
         assert garside_eq(u, v) == equal
         assert braid_eq(u, v) == equal
 
@@ -159,7 +161,7 @@ def test_matrix_of_garside_form_matches_raw_word_product():
     for _ in range(40):
         text = "".join(rng.choice("abAB") for _ in range(rng.randint(100, 500)))
         word = [{"a": 1, "A": -1, "b": 2, "B": -2}[ch] for ch in text]
-        assert BraidElement.parse(text).mat == raw_mat(word)
+        assert BraidElement.parse(text).image == raw_mat(word)
 
 
 def test_braid_powers():
@@ -175,3 +177,22 @@ def test_braid_powers():
         for _ in range(abs(k)):
             product = product * (u if k > 0 else u.inv())
         assert u ** k == product
+
+
+def test_braid_eq_separates_powers_of_delta():
+    # Delta^4 and Delta^2 have the images I and -I, so only the exponent sum
+    # separates these; no word of at most 5 letters reaches Delta^4
+    powers = [BraidElement.parse(w) for w in ("aba" * 4, "aba" * 2, "ABA" * 2, "")]
+    for i, u in enumerate(powers):
+        for j, v in enumerate(powers):
+            assert braid_eq(u, v) == (i == j)
+    assert braid_eq(powers[0], BraidElement.parse("bab" * 4))
+    assert braid_eq(powers[0] * powers[2], powers[1])
+
+
+def test_longitude_powers_have_the_closed_form_image():
+    lam, identity = longitude(), BraidElement.identity()
+    for k in range(-8, 9):
+        sign = (-1) ** k
+        assert (lam ** k).image == (sign, -6 * k * sign, 0, sign)
+        assert braid_eq(lam ** k, identity) == (k == 0)

@@ -128,6 +128,23 @@ def test_exit_code_internal_errors(monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_text_word_commands_skip_the_other_route(monkeypatch):
+    """Text mode prints one route's answer, so it never runs the other;
+    --json still does, for its payload."""
+    import trefoil.cli as cli
+
+    def broken(word):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "normalize", broken)
+    assert go("word2frac", "bAAAbb") == (0, "7/3\n", "")
+    assert go("--json", "word2frac", "bAAAbb") == (3, "", "internal error: RuntimeError: boom\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "word_to_frac", broken)
+    assert go("normalize", "bAAAbb") == (0, "bAAAbb\n", "")
+    assert go("--json", "normalize", "bAAAbb")[0] == 3
+
+
 def test_json_output_matches_library_bytes():
     cases = [
         (("--json", "op", "0/1", "1/0"),

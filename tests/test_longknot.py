@@ -4,6 +4,7 @@ import pytest
 
 from trefoil import (
     BraidElement,
+    CoveredElement,
     FiberMismatchError,
     braid_eq,
     covering_p,
@@ -159,6 +160,17 @@ def test_fiber_compare_rejects_different_fibres():
     assert not braid_eq(covering_p(p), covering_p(q))
     with pytest.raises(FiberMismatchError):
         fiber_compare(p, q)
+
+
+def test_fiber_compare_rejects_a_non_power():
+    # second slots that qt_new would refuse, over the same point m: the
+    # quotient a has exponent sum 1, and Delta^4 has the image of lambda^0
+    p = base_point()
+    for g in ("a", "aba" * 4):
+        q = CoveredElement(BraidElement.parse(g))
+        assert covering_p(q) == covering_p(p)
+        with pytest.raises(AssertionError):
+            fiber_compare(p, q)
 
 
 def test_connectedness_witness(pool):
