@@ -363,8 +363,9 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
 
     rng = random.Random(1009)
     pool = sample_covered_pool(rng, 20, 12)
+    pairs, closed_k, free_k, free_cases, fiber_k, fiber_cases = 1000, 64, 5, 100, 1000, 100
 
-    for _ in range(1000):
+    for _ in range(pairs):
         p, q = rng.choice(pool), rng.choice(pool)
         f1, f2 = qt_op_second_slot_forms(p, q)
         if not braid_eq(f1, f2):
@@ -373,33 +374,41 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
         if not braid_eq(g1, g2):
             return False, f"the two displayed *̄ second slots disagree at {p}, {q}"
 
-    for _ in range(1000):
+    for _ in range(pairs):
         anchor, base = rng.choice(pool), rng.choice(pool)
         mate = lambda_act(rng.randint(-2, 2), base)
         if qt_op(anchor, base) != qt_op(anchor, mate):
             return False, "covering property fails: fibre mates act differently"
 
-    for _ in range(1000):
+    for _ in range(pairs):
         p, q = rng.choice(pool), rng.choice(pool)
         lhs = covering_p(qt_op(p, q))
         rhs = covering_p(q).inv() * covering_p(p) * covering_p(q)
         if not braid_eq(lhs, rhs):
             return False, f"representation property fails at {p}, {q}"
 
-    for _ in range(100):
+    base = qt_new(BraidElement.identity())
+    closed = range(-closed_k, closed_k + 1)
+    for k in closed:
+        if lambda_act(k, base).g != lam ** k:
+            return False, f"lambda_act's closed form differs from lambda^{k}"
+
+    for _ in range(free_cases):
         p = rng.choice(pool)
-        for k in range(-5, 6):
+        for k in range(-free_k, free_k + 1):
             if (lambda_act(k, p) == p) != (k == 0):
                 return False, f"longitude action is not free at k = {k}"
 
-    for _ in range(100):
+    planted = [-fiber_k, fiber_k] + [rng.randint(-fiber_k, fiber_k) for _ in range(fiber_cases - 2)]
+    for k in planted:
         p = rng.choice(pool)
-        k = rng.randint(-3, 3)
         if fiber_compare(p, lambda_act(k, p)) != k:
             return False, f"fiber_compare failed to recover k = {k}"
-    return True, ("second-slot forms agree (10^3); covering and representation "
-                  "properties hold (10^3 each); longitude checks exact; "
-                  "freeness |k|<=5 and fiber_compare k in [-3,3] pass")
+    return True, (f"second-slot forms agree ({pairs} pairs); covering and representation "
+                  f"properties hold ({pairs} each); longitude checks exact; "
+                  f"lambda^k closed form for |k|<={closed_k} ({len(closed)} powers); "
+                  f"freeness |k|<={free_k} ({free_cases} elements); "
+                  f"fiber_compare recovers {len(planted)} planted k with |k|<={fiber_k}")
 
 
 def _criterion_symplectic_footnote() -> tuple[bool, str]:

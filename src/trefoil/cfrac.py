@@ -127,6 +127,17 @@ def cf_expand(r: Rational) -> ContinuedFraction:
         p, q = r.numerator, r.denominator
     else:
         raise TypeError(f"cf_expand takes an int or a Fraction, not {type(r).__name__}")
+    # Euclid's terms are valid, so __post_init__ does not check them again
+    cf = object.__new__(ContinuedFraction)
+    object.__setattr__(cf, "terms", _expand_terms(p, q))
+    return cf
+
+
+def _expand_terms(p: int, q: int) -> tuple[int, ...]:
+    """The continued-fraction terms of p/q for q > 0, by cf_expand's
+    Euclid.  They are valid by construction: after the first divmod every
+    pair has p > q > 0, so each later term p // q is positive, and the last
+    one, where q divides p, is at least 2."""
     budget = 2 * q.bit_length() + 2
     k, rem = divmod(p, q)
     terms: list[int] = [k]
@@ -140,7 +151,7 @@ def cf_expand(r: Rational) -> ContinuedFraction:
         terms.append(k)
         assert len(terms) <= budget, "continued-fraction expansion exceeded Euclidean bound"
         p, q = q, rem
-    return ContinuedFraction(tuple(terms))
+    return tuple(terms)
 
 
 def _euclid_batch(p: int, q: int) -> tuple[list[int], int, int]:

@@ -10,6 +10,7 @@ orbit graphs can be emitted as DOT.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -49,7 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in the parser, only in the namespace it returns."""
     parser = _Parser(prog="trefoil", description="Exact trefoil-quandle arithmetic")
     parser.add_argument("--json", action="store_true", help="emit machine JSON")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,8 +13,14 @@ where *̄ uses the self-consistent displayed form; both operations also have
 an alternative displayed form, exposed for the agreement tests.  The
 infinite cyclic group generated by the longitude acts on second slots,
 freely and transitively on each fibre of the covering map (x, g') -> x.
-lambda^k has exponent sum 0 and Burau image at t = -1 equal to
-(-1)^k [[1, -6k], [0, 1]], which fiber_compare reads k from.
+
+The deck layer needs no Garside products beyond lambda_act's one.  The
+longitude is lambda = Delta^2 a^-6 with Delta^2 central, so lambda^k has a
+closed Garside form.  Its Burau image at t = -1 is (-1)^k [[1, -6k], [0, 1]]
+and its exponent sum 0.  Two slots g'_1, g'_2 lie over the same point
+exactly when their quotient commutes with m, which the images decide
+alone: an image commuting with that of m leaves a commutator in the
+kernel <Delta^4> with exponent sum 0, hence trivial.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .braid import BraidElement, longitude, meridian
+from .braid import BraidElement, meridian
 
 
 class FiberMismatchError(ValueError):
@@ -93,8 +99,14 @@ def covering_p(p: CoveredElement) -> BraidElement:
 
 def lambda_act(k: int, p: CoveredElement) -> CoveredElement:
     """The deck transformation: multiply the second slot by lambda^k on the
-    left.  The covering image is unchanged."""
-    return qt_new(longitude() ** k * p.g)
+    left.  The covering image is unchanged.  lambda^k = Delta^2k a^-6k is
+    Delta^-4k (baab)^3k for k >= 0, as a^-1 = Delta^-1 ab and the Delta^-1
+    moves left by swapping a and b, and Delta^2k a^6|k| for k < 0."""
+    if k >= 0:
+        power = BraidElement(-4 * k, "baab" * (3 * k))
+    else:
+        power = BraidElement(2 * k, "a" * (-6 * k))
+    return qt_new(power * p.g)
 
 
 def pi1_act(p: CoveredElement, h: BraidElement) -> CoveredElement:
@@ -105,16 +117,23 @@ def pi1_act(p: CoveredElement, h: BraidElement) -> CoveredElement:
 
 def fiber_compare(p1: CoveredElement, p2: CoveredElement) -> int:
     """The unique k with g'_2 = lambda^k g'_1, for two elements of the same
-    fibre, read off the top-right entry -6k (-1)^k of the t = -1 image of
-    g'_2 g'_1^-1.  That quotient is lambda^k exactly when its exponent sum
-    is 0 and its whole image is (-1)^k [[1, -6k], [0, 1]], because the
-    image and the exponent sum together are faithful."""
-    if covering_p(p1) != covering_p(p2):
+    fibre, from one product of the cached t = -1 images: Q = G_2 G_1^-1,
+    with G^-1 = [[d, -b], [-c, a]] for G = [[a, b], [c, d]].
+
+    The elements lie over the same point, g'_1^-1 m g'_1 = g'_2^-1 m g'_2,
+    exactly when g'_2 g'_1^-1 commutes with m, that is when Q commutes with
+    [[1, 1], [0, 1]]: Q = +-[[1, t], [0, 1]].  The quotient is then lambda^k
+    exactly when Q = (-1)^k [[1, -6k], [0, 1]] and the exponent sums agree,
+    because the image and the exponent sum together are faithful."""
+    a, b, c, d = p1.g.image
+    e, f, g, h = p2.g.image
+    # Q = [[e, f], [g, h]] [[d, -b], [-c, a]]; with its bottom-left entry
+    # 0, det Q = 1 makes both diagonal entries equal to diag = +-1
+    if g * d - h * c:
         raise FiberMismatchError("elements lie in different fibres")
-    diff = p2.g * p1.g.inv()
-    p, q = diff.image[:2]
-    k = -q * p // 6
+    diag, top = e * d - f * c, f * a - e * b
+    k = -top * diag // 6
     sign = -1 if k % 2 else 1
-    if diff.eps == 0 and diff.image == (sign, -6 * k * sign, 0, sign):
+    if p1.g.eps == p2.g.eps and (diag, top) == (sign, -6 * k * sign):
         return k
-    raise AssertionError(f"{diff} over one fibre is not a power of the longitude")
+    raise AssertionError(f"{p2.g} over the fibre of {p1.g} is not a longitude power of it")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .cfrac import ContinuedFraction, cf_expand, cf_validate
+from .cfrac import ContinuedFraction, _expand_terms, cf_validate
 from .pfrac import PF_INFINITY, PF_ZERO, PFrac, pf_op, pf_op_inv
 
 LETTERS = "abAB"
@@ -300,10 +300,13 @@ def word_to_frac(w: WordLike) -> PFrac:
 
 def frac_to_word(x: PFrac) -> NormalForm:
     """The inverse route: 1/0 is the generator b; any finite fraction's
-    normal form has the continued-fraction terms as its exponent vector."""
-    if x.is_infinity:
-        return NormalForm(())
-    return NormalForm(cf_expand(x.to_fraction()).terms)
+    normal form has the continued-fraction terms as its exponent vector.
+    Euclid's terms are valid by construction, so they are checked neither
+    as a ContinuedFraction nor as a NormalForm."""
+    exponents = () if x.is_infinity else _expand_terms(x.p, x.q)
+    nf = object.__new__(NormalForm)
+    object.__setattr__(nf, "exponents", exponents)
+    return nf
 
 
 def words_equal(w1: WordLike, w2: WordLike) -> bool:

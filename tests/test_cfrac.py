@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trefoil import ContinuedFraction, cf_eval, cf_expand, cf_validate
+from trefoil import (
+    PF_INFINITY,
+    ContinuedFraction,
+    NormalForm,
+    cf_eval,
+    cf_expand,
+    cf_validate,
+    frac_to_word,
+    pf_new,
+)
 from trefoil.cfrac import _BATCH_MIN_BITS, _TREE_LEAF, _euclid_batch
 
 
@@ -56,6 +65,19 @@ def test_kernels_match_fraction_reference():
             prev = fraction_eval(terms[:-1])
             det = r.numerator * prev.denominator - prev.numerator * r.denominator
             assert det == (-1) ** len(terms)
+
+
+def test_unchecked_results_pass_the_public_checks():
+    # cf_expand and frac_to_word build their results without validating
+    # them; the public constructors must accept those results unchanged
+    for r in random_rationals():
+        cf = cf_expand(r)
+        assert type(cf.terms) is tuple and cf_validate(cf.terms)
+        assert ContinuedFraction(cf.terms) == cf
+        nf = frac_to_word(pf_new(r.numerator, r.denominator))
+        assert NormalForm(nf.exponents) == nf
+        assert nf.exponents == cf.terms
+    assert NormalForm(frac_to_word(PF_INFINITY).exponents) == frac_to_word(PF_INFINITY)
 
 
 def assert_kernels_match(r):

@@ -1,9 +1,11 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 
+import trefoil
 from trefoil import (
     BraidElement,
     ContinuedFraction,
@@ -237,3 +239,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/1\n"
+
+
+def test_one_process_matches_fresh_interpreters():
+    # the parser is built once per process; no call may leave state behind
+    # for the next one, so each answer equals that of a fresh interpreter
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(trefoil.__file__))}
+    calls = (
+        ("op", "0/1"),
+        ("orbit", "1/1", "--bound", "3", "--dot"),
+        ("orbit", "1/1", "--bound", "3"),
+        ("--json", "cf", "expand", "7/3"),
+        ("cf", "expand", "7/3"),
+    )
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "trefoil", *argv],
+                              capture_output=True, text=True, env=env)
+        assert go(*argv) == (proc.returncode, proc.stdout, proc.stderr), argv

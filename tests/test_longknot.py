@@ -148,10 +148,32 @@ def test_fiber_compare_recovers_planted_powers(pool):
         p = rng.choice(pool)
         k = rng.randint(-3, 3)
         assert fiber_compare(p, lambda_act(k, p)) == k
-    for k in (-1000, -999, -256, 255, 999, 1000):
+    for k in (-10**4, -1000, -999, -256, 255, 999, 1000, 10**4):
         p = rng.choice(pool)
         assert fiber_compare(p, lambda_act(k, p)) == k
         assert fiber_compare(lambda_act(k, p), p) == -k
+
+
+def test_lambda_act_has_the_closed_form():
+    base = base_point()
+    for k in range(-300, 301):
+        assert lambda_act(k, base).g == longitude() ** k
+
+
+def test_fiber_compare_partitions_fibres_like_covering_p():
+    pool = sample_covered_pool(random.Random(41), 40, 12)
+    points = [lambda_act(k, p) for p in pool for k in (0, 1, -2)]
+    mismatches = 0
+    for p in points:
+        for q in points:
+            if covering_p(p) != covering_p(q):
+                mismatches += 1
+                with pytest.raises(FiberMismatchError):
+                    fiber_compare(p, q)
+            else:
+                assert lambda_act(fiber_compare(p, q), p) == q
+    # every element shares its fibre with its own two mates at least
+    assert 0 < mismatches <= len(points) ** 2 - 9 * len(pool)
 
 
 def test_fiber_compare_rejects_different_fibres():
