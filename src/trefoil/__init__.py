@@ -8,6 +8,11 @@ the projective primitive pairs of Z⊕Z.  Continued fractions provide the
 bijection between fractions and normal-form words.  A fourth structure,
 the covering quandle of the long trefoil, is built over the braid group B3
 with a decidable word problem.
+
+Each value type is checked once.  Public constructors keep every check and
+coerce nothing (a bool, float or str is not an int); values the library
+builds from values valid by an argument stated where they are built go
+through the one private constructor `_trusted` and are never checked again.
 """
 
 from .braid import (

@@ -24,6 +24,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._trusted import _trusted
+
 
 # ---------------------------------------------------------------------------
 # braid elements in Garside form
@@ -45,8 +47,8 @@ _GEN_TO_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
 _CANCEL = {"a": "AB", "b": "BA", "ab": "A", "ba": "B"}
 
 
-def _times(d: int, w: str, letters: str) -> tuple[int, str]:
-    """Delta^d w times `letters` (a, b and D = Delta^-1), as (d, w) again.
+def _times(d: int, w: str, letters: str) -> "BraidElement":
+    """Delta^d w times `letters` (a, b and D = Delta^-1), in Garside form.
 
     Only the last two letters can complete an aba or bab; that Delta then
     moves left past the rest.  The letters kept are tau^flip of the true
@@ -67,16 +69,24 @@ def _times(d: int, w: str, letters: str) -> tuple[int, str]:
         else:
             out.append(c)
     w = "".join(out)
-    return d, w.translate(_TAU) if flip else w
+    return _trusted(BraidElement, d=d, w=w.translate(_TAU) if flip else w)
 
 
 @dataclass(frozen=True)
 class BraidElement:
     """The braid Delta^d w in Garside form; build it with parse, from_word
-    or the group operations.  Equality and hashing compare (d, w)."""
+    or the group operations.  BraidElement(d, w) checks that w is a
+    positive word free of aba and bab.  Equality and hashing compare (d, w)."""
 
     d: int
     w: str
+
+    def __post_init__(self) -> None:
+        if type(self.d) is not int:
+            raise ValueError(f"the power of Delta must be an int, got {self.d!r}")
+        w = self.w
+        if type(w) is not str or w.strip("ab") or "aba" in w or "bab" in w:
+            raise ValueError(f"{w!r} is not a positive word free of aba and bab")
 
     @classmethod
     def from_word(cls, word: Iterable[int]) -> "BraidElement":
@@ -84,18 +94,18 @@ class BraidElement:
             text = "".join(_GEN_TO_LETTER[g] for g in word)
         except KeyError as exc:
             raise ValueError(f"illegal generator {exc.args[0]}") from None
-        return cls(*_times(0, "", text.translate(_EXPAND)))
+        return _times(0, "", text.translate(_EXPAND))
 
     @classmethod
     def parse(cls, text: str) -> "BraidElement":
         bad = next((ch for ch in text if ch not in "abAB"), None)
         if bad is not None:
             raise ValueError(f"illegal braid letter {bad!r}")
-        return cls(*_times(0, "", text.translate(_EXPAND)))
+        return _times(0, "", text.translate(_EXPAND))
 
     @classmethod
     def identity(cls) -> "BraidElement":
-        return cls(0, "")
+        return _trusted(cls, d=0, w="")
 
     @property
     def eps(self) -> int:
@@ -120,12 +130,12 @@ class BraidElement:
     def __mul__(self, other: "BraidElement") -> "BraidElement":
         # Delta^d w Delta^e v = Delta^(d+e) tau^e(w) v
         w = self.w.translate(_TAU) if other.d % 2 else self.w
-        return BraidElement(*_times(self.d + other.d, w, other.w))
+        return _times(self.d + other.d, w, other.w)
 
     def inv(self) -> "BraidElement":
         # (Delta^d w)^-1 = w^-1 Delta^-d = Delta^-d tau^d(w)^-1
         w = self.w.translate(_TAU) if self.d % 2 else self.w
-        return BraidElement(*_times(-self.d, "", w[::-1].upper().translate(_EXPAND)))
+        return _times(-self.d, "", w[::-1].upper().translate(_EXPAND))
 
     def __pow__(self, k: int) -> "BraidElement":
         if k < 0:

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-Rational = Union[Fraction, int]
+from ._trusted import _trusted
+from .pfrac import PFrac
+
+Rational = Union[Fraction, int, PFrac]
 
 _CF_RE = re.compile(r"^\[\s*([+-]?\d+)\s*(?:;(.*))?\]$")
 
@@ -96,9 +99,10 @@ _TREE_LEAF = 32
 
 
 def cf_expand(r: Rational) -> ContinuedFraction:
-    """Expand a rational by the floor algorithm: k = floor(r), recurse on the
-    reciprocal of the remainder until it vanishes.  This is Euclid's
-    algorithm on the numerator and the (positive) denominator.
+    """Expand a rational (an int, a Fraction or a finite PFrac) by the floor
+    algorithm: k = floor(r), recurse on the reciprocal of the remainder
+    until it vanishes.  This is Euclid's algorithm on the numerator and the
+    (positive) denominator.
 
     The first term is one divmod.  After it the pair (p, q) has p > q >= 0,
     and while q is large the terms come in batches (Lehmer 1938): Euclid on
@@ -120,24 +124,18 @@ def cf_expand(r: Rational) -> ContinuedFraction:
     Once q is short, each term is one divmod.
 
     The step count is Euclidean, at most 2*bit_length(denominator) + 2.
+    The terms are valid by construction: after the first divmod every pair
+    has p > q > 0, so each later term p // q is positive, and the last one,
+    where q divides p, is at least 2.
     """
-    if isinstance(r, int):
-        p, q = r, 1
-    elif isinstance(r, Fraction):
+    if isinstance(r, PFrac):
+        if not r.q:
+            raise ValueError("1/0 is not a finite rational")
+        p, q = r.p, r.q
+    elif isinstance(r, (int, Fraction)):
         p, q = r.numerator, r.denominator
     else:
-        raise TypeError(f"cf_expand takes an int or a Fraction, not {type(r).__name__}")
-    # Euclid's terms are valid, so __post_init__ does not check them again
-    cf = object.__new__(ContinuedFraction)
-    object.__setattr__(cf, "terms", _expand_terms(p, q))
-    return cf
-
-
-def _expand_terms(p: int, q: int) -> tuple[int, ...]:
-    """The continued-fraction terms of p/q for q > 0, by cf_expand's
-    Euclid.  They are valid by construction: after the first divmod every
-    pair has p > q > 0, so each later term p // q is positive, and the last
-    one, where q divides p, is at least 2."""
+        raise TypeError(f"cf_expand takes an int, a Fraction or a PFrac, not {type(r).__name__}")
     budget = 2 * q.bit_length() + 2
     k, rem = divmod(p, q)
     terms: list[int] = [k]
@@ -151,7 +149,7 @@ def _expand_terms(p: int, q: int) -> tuple[int, ...]:
         terms.append(k)
         assert len(terms) <= budget, "continued-fraction expansion exceeded Euclidean bound"
         p, q = q, rem
-    return tuple(terms)
+    return _trusted(ContinuedFraction, terms=tuple(terms))
 
 
 def _euclid_batch(p: int, q: int) -> tuple[list[int], int, int]:

@@ -177,6 +177,24 @@ def _word_payload(input_text: str, nf, frac) -> dict:
 def run(argv: Optional[Sequence[str]] = None,
         stdout: Optional[TextIO] = None,
         stderr: Optional[TextIO] = None) -> int:
+    """Run one command.  Exact results of valid input can have more digits
+    than CPython's int/str conversion limit allows (CVE-2020-10735), so the
+    limit is lifted while the command runs and then restored; interpreters
+    without the limit have nothing to lift."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        return _run(argv, stdout, stderr)
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv, stdout, stderr)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _run(argv: Optional[Sequence[str]],
+         stdout: Optional[TextIO],
+         stderr: Optional[TextIO]) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = build_parser()
@@ -218,7 +236,7 @@ def run(argv: Optional[Sequence[str]] = None,
                 payload = _word_payload(args.frac, nf, frac)
         elif args.command == "cf":
             if args.cf_command == "expand":
-                cf = cf_expand(PFrac.parse(args.frac).to_fraction())
+                cf = cf_expand(PFrac.parse(args.frac))
                 payload, text = cf.to_json(), str(cf)
             else:
                 value = cf_eval(ContinuedFraction.parse(args.cf))

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from ._trusted import _trusted
 from .braid import BraidElement, meridian
 
 
@@ -103,9 +104,9 @@ def lambda_act(k: int, p: CoveredElement) -> CoveredElement:
     Delta^-4k (baab)^3k for k >= 0, as a^-1 = Delta^-1 ab and the Delta^-1
     moves left by swapping a and b, and Delta^2k a^6|k| for k < 0."""
     if k >= 0:
-        power = BraidElement(-4 * k, "baab" * (3 * k))
+        power = _trusted(BraidElement, d=-4 * k, w="baab" * (3 * k))
     else:
-        power = BraidElement(2 * k, "a" * (-6 * k))
+        power = _trusted(BraidElement, d=2 * k, w="a" * (-6 * k))
     return qt_new(power * p.g)
 
 

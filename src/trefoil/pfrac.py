@@ -20,11 +20,20 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Union
+
+from ._trusted import _trusted
 
 IntPair = tuple[int, int]
 
 _FRAC_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+
+def _require_ints(*values: object) -> None:
+    """Reject a bool, float or str where an int is required."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"expected ints, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,7 @@ class PFrac:
     q: int
 
     def __post_init__(self) -> None:
+        _require_ints(self.p, self.q)
         if (self.p, self.q) == (0, 0):
             raise ValueError("the zero pair has no projective class")
         if gcd(abs(self.p), abs(self.q)) != 1:
@@ -63,8 +73,11 @@ class PFrac:
         return pf_new(int(data["p"]), int(data["q"]))
 
     @classmethod
-    def from_fraction(cls, r: Fraction) -> "PFrac":
-        return pf_new(r.numerator, r.denominator)
+    def from_fraction(cls, r: Union[Fraction, int]) -> "PFrac":
+        """A Fraction is already reduced, with a positive denominator."""
+        if not (isinstance(r, Fraction) or type(r) is int):
+            raise TypeError(f"from_fraction takes a Fraction or an int, not {type(r).__name__}")
+        return _trusted(cls, p=r.numerator, q=r.denominator)
 
     @classmethod
     def parse(cls, text: str) -> "PFrac":
@@ -78,6 +91,7 @@ class PFrac:
 
 def pf_new(p: int, q: int) -> PFrac:
     """Reduce and canonically sign an integer pair; the zero pair is an error."""
+    _require_ints(p, q)
     if p == 0 and q == 0:
         raise ValueError("the zero pair has no projective class")
     g = gcd(p, q)
@@ -90,14 +104,10 @@ def pf_new(p: int, q: int) -> PFrac:
 def _pf_signed(p: int, q: int) -> PFrac:
     """Canonically sign a pair already known to be primitive: the image of a
     primitive pair under a determinant-one integer map is primitive, since
-    the inverse map is integral too, so pf_new's gcd would be 1.  Everything
-    else PFrac.__post_init__ checks holds too, so it is not run again."""
+    the inverse map is integral too, so pf_new's gcd would be 1."""
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
-    x = object.__new__(PFrac)
-    object.__setattr__(x, "p", p)
-    object.__setattr__(x, "q", q)
-    return x
+    return _trusted(PFrac, p=p, q=q)
 
 
 PF_ZERO = pf_new(0, 1)
@@ -122,6 +132,7 @@ def pf_op_pow(x: PFrac, y: PFrac, k: int) -> PFrac:
     Equals k-fold application of pf_op for k > 0, of pf_op_inv for k < 0,
     and x for k = 0.
     """
+    _require_ints(k)
     d = x.p * y.q - x.q * y.p
     return _pf_signed(x.p - k * d * y.p, x.q - k * d * y.q)
 
@@ -154,11 +165,12 @@ def is_primitive(x: IntPair) -> bool:
 
 def projectivize(x: IntPair) -> PFrac:
     """The projective class of a primitive nonzero pair."""
+    _require_ints(*x)
     if x == (0, 0):
         raise ValueError("the zero vector has no projective class")
     if not is_primitive(x):
         raise ValueError(f"{x} is not primitive")
-    return pf_new(x[0], x[1])
+    return _pf_signed(x[0], x[1])
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +188,7 @@ class TransvectionMatrix:
     d: int
 
     def __post_init__(self) -> None:
+        _require_ints(self.a, self.b, self.c, self.d)
         if self.det() != 1:
             raise ValueError(f"determinant must be 1, got {self.det()}")
 
@@ -207,17 +220,11 @@ class TransvectionMatrix:
 def transvection_matrix(y: PFrac) -> TransvectionMatrix:
     """The matrix of *y for y = (c, d): [[1 - dc, c^2], [-d^2, 1 + dc]].
 
-    Its determinant (1 - dc)(1 + dc) + c^2 d^2 is 1 identically, so the
-    instance is built without TransvectionMatrix.__post_init__'s check.
+    Its determinant (1 - dc)(1 + dc) + c^2 d^2 is 1 identically.
     """
     c, d = y.p, y.q
     dc = d * c
-    m = object.__new__(TransvectionMatrix)
-    object.__setattr__(m, "a", 1 - dc)
-    object.__setattr__(m, "b", c * c)
-    object.__setattr__(m, "c", -d * d)
-    object.__setattr__(m, "d", 1 + dc)
-    return m
+    return _trusted(TransvectionMatrix, a=1 - dc, b=c * c, c=-d * d, d=1 + dc)
 
 
 def apply_matrix(m: TransvectionMatrix, x: PFrac) -> PFrac:

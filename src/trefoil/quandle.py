@@ -12,9 +12,21 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
+from ._trusted import _trusted
 
-def _freeze_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in table)
+
+def _freeze_table(table: Sequence[Sequence[int]], size: int) -> tuple[tuple[int, ...], ...]:
+    """The table as a tuple of rows, checked to be size x size over [0, size)."""
+    frozen = tuple(tuple(row) for row in table)
+    if len(frozen) != size:
+        raise ValueError(f"table has {len(frozen)} rows, expected {size}")
+    for i, row in enumerate(frozen):
+        if len(row) != size:
+            raise ValueError(f"table row {i} has length {len(row)}, expected {size}")
+        for x in row:
+            if type(x) is not int or not 0 <= x < size:
+                raise ValueError(f"table entry {x!r} is not an int in [0, {size})")
+    return frozen
 
 
 @dataclass(frozen=True)
@@ -30,17 +42,9 @@ class FiniteQuandle:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", _freeze_table(self.table))
-        if self.size <= 0:
-            raise ValueError(f"size must be positive, got {self.size}")
-        if len(self.table) != self.size:
-            raise ValueError(f"table has {len(self.table)} rows, expected {self.size}")
-        for i, row in enumerate(self.table):
-            if len(row) != self.size:
-                raise ValueError(f"table row {i} has length {len(row)}, expected {self.size}")
-            for x in row:
-                if not 0 <= x < self.size:
-                    raise ValueError(f"table entry {x} out of range [0, {self.size})")
+        if type(self.size) is not int or self.size <= 0:
+            raise ValueError(f"size must be a positive int, got {self.size!r}")
+        object.__setattr__(self, "table", _freeze_table(self.table, self.size))
 
     def op(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -50,7 +54,7 @@ class FiniteQuandle:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteQuandle":
-        return cls(int(data["size"]), _freeze_table(data["table"]))
+        return cls(data["size"], data["table"])
 
 
 @dataclass(frozen=True)
@@ -176,35 +180,17 @@ class FiniteGroup:
     identity: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", _freeze_table(self.table))
-        object.__setattr__(self, "inverse", tuple(int(x) for x in self.inverse))
-        n = self.size
-        if n <= 0:
-            raise ValueError("group order must be positive")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        # identity and inverses are unique, so they must be those found here
+        found = FiniteGroup.from_table(self.table)
+        if type(self.size) is not int or self.size != found.size:
             raise ValueError("multiplication table shape does not match order")
-        for row in self.table:
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValueError(f"table entry {x} out of range")
-        e = self.identity
-        if not 0 <= e < n:
-            raise ValueError("identity index out of range")
-        for a in range(n):
-            if self.table[e][a] != a or self.table[a][e] != a:
-                raise ValueError(f"element {e} is not an identity")
-        if len(self.inverse) != n:
-            raise ValueError("inverse table length does not match order")
-        for a in range(n):
-            b = self.inverse[a]
-            if self.table[a][b] != e or self.table[b][a] != e:
-                raise ValueError(f"inverse table wrong at element {a}")
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+        if type(self.identity) is not int or self.identity != found.identity:
+            raise ValueError(f"element {self.identity!r} is not the identity")
+        inverse = tuple(self.inverse)
+        if any(type(x) is not int for x in inverse) or inverse != found.inverse:
+            raise ValueError("inverse table wrong")
+        object.__setattr__(self, "table", found.table)
+        object.__setattr__(self, "inverse", found.inverse)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -215,22 +201,14 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.size)
 
-    @property
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.size)
-            for b in range(self.size)
-        )
-
     def to_json(self) -> dict:
         return {"size": self.size, "table": [list(row) for row in self.table]}
 
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]]) -> "FiniteGroup":
         """Build a group from a bare multiplication table, locating the
-        identity and inverses (then validating everything)."""
-        frozen = _freeze_table(table)
+        identity and inverses (then checking associativity)."""
+        frozen = _freeze_table(table, len(table))
         n = len(frozen)
         identity = None
         for e in range(n):
@@ -249,7 +227,13 @@ class FiniteGroup:
             if found is None:
                 raise ValueError(f"element {a} has no inverse")
             inverse.append(found)
-        return cls(n, frozen, tuple(inverse), identity)
+        for a in range(n):
+            for b in range(n):
+                ab = frozen[a][b]
+                for c in range(n):
+                    if frozen[ab][c] != frozen[a][frozen[b][c]]:
+                        raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+        return _trusted(cls, size=n, table=frozen, inverse=tuple(inverse), identity=identity)
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
@@ -319,10 +303,10 @@ def klein_four_group() -> FiniteGroup:
 
 def dihedral_quandle(n: int) -> FiniteQuandle:
     """The dihedral quandle R_n: i * j = 2j - i (mod n)."""
-    if n <= 0:
-        raise ValueError("order must be positive")
+    if type(n) is not int or n <= 0:
+        raise ValueError(f"order must be a positive int, got {n!r}")
     table = [[(2 * j - i) % n for j in range(n)] for i in range(n)]
-    return FiniteQuandle(n, table)
+    return _trusted(FiniteQuandle, size=n, table=tuple(map(tuple, table)))
 
 
 def conj_quandle(g: FiniteGroup) -> FiniteQuandle:
@@ -331,7 +315,7 @@ def conj_quandle(g: FiniteGroup) -> FiniteQuandle:
         [g.mul(g.mul(g.inv(b), a), b) for b in g.elements()]
         for a in g.elements()
     ]
-    return FiniteQuandle(g.size, table)
+    return _trusted(FiniteQuandle, size=g.size, table=tuple(map(tuple, table)))
 
 
 def core_quandle(g: FiniteGroup) -> FiniteQuandle:
@@ -340,14 +324,14 @@ def core_quandle(g: FiniteGroup) -> FiniteQuandle:
         [g.mul(g.mul(b, g.inv(a)), b) for b in g.elements()]
         for a in g.elements()
     ]
-    return FiniteQuandle(g.size, table)
+    return _trusted(FiniteQuandle, size=g.size, table=tuple(map(tuple, table)))
 
 
 def automorphism_quandle(g: FiniteGroup, tau: Sequence[int]) -> FiniteQuandle:
     """The quandle g * h = tau(g h^-1) h for a group automorphism tau,
     given as a permutation of element indices."""
-    tau = tuple(int(x) for x in tau)
-    if sorted(tau) != list(range(g.size)):
+    tau = tuple(tau)
+    if any(type(x) is not int for x in tau) or sorted(tau) != list(range(g.size)):
         raise ValueError("tau is not a permutation of the group elements")
     for a in g.elements():
         for b in g.elements():
@@ -357,7 +341,7 @@ def automorphism_quandle(g: FiniteGroup, tau: Sequence[int]) -> FiniteQuandle:
         [g.mul(tau[g.mul(a, g.inv(b))], b) for b in g.elements()]
         for a in g.elements()
     ]
-    return FiniteQuandle(g.size, table)
+    return _trusted(FiniteQuandle, size=g.size, table=tuple(map(tuple, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +369,13 @@ class LaurentQuotientRing:
     h: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "h", tuple(int(c) % self.modulus for c in self.h))
-        if self.modulus <= 0:
-            raise ValueError("modulus must be positive")
-        h = self.h
+        if type(self.modulus) is not int or self.modulus <= 0:
+            raise ValueError(f"modulus must be a positive int, got {self.modulus!r}")
+        if any(type(c) is not int for c in self.h):
+            raise ValueError(f"coefficients of h must be ints, got {self.h!r}")
+        h = tuple(c % self.modulus for c in self.h)
         while h and h[-1] % self.modulus == 0 and len(h) > 1:
             h = h[:-1]
-        object.__setattr__(self, "h", h)
         if len(h) < 2:
             raise ValueError("h(t) must have degree at least 1")
         if self.modulus > 1 and gcd(h[-1], self.modulus) != 1:
@@ -421,9 +405,6 @@ class LaurentQuotientRing:
             for v in itertools.product(range(self.modulus), repeat=self.degree)
         ]
 
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.degree
-
     def t(self) -> tuple[int, ...]:
         v = [0] * self.degree
         if self.degree == 1:
@@ -435,9 +416,6 @@ class LaurentQuotientRing:
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return tuple((x + y) % self.modulus for x, y in zip(a, b))
-
-    def scalar(self, c: int, a: Sequence[int]) -> tuple[int, ...]:
-        return tuple((c * x) % self.modulus for x in a)
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         d = self.degree
@@ -478,7 +456,7 @@ def alexander_quandle(ring: LaurentQuotientRing) -> FiniteQuandle:
         ta = ring.mul(t, a)
         row = [index[ring.add(ta, ring.mul(one_minus_t, b))] for b in elems]
         table.append(row)
-    return FiniteQuandle(len(elems), table)
+    return _trusted(FiniteQuandle, size=len(elems), table=tuple(map(tuple, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -538,4 +516,4 @@ def transvection_quandle(modulus: int, gram: Sequence[Sequence[int]]) -> FiniteQ
             d = form_value(gram, x, y, modulus)
             row.append(index[tuple((xi - d * yi) % modulus for xi, yi in zip(x, y))])
         table.append(row)
-    return FiniteQuandle(len(vectors), table)
+    return _trusted(FiniteQuandle, size=len(vectors), table=tuple(map(tuple, table)))

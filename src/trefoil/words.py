@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .cfrac import ContinuedFraction, _expand_terms, cf_validate
+from ._trusted import _trusted
+from .cfrac import ContinuedFraction, cf_expand, cf_validate
 from .pfrac import PF_INFINITY, PF_ZERO, PFrac, pf_op, pf_op_inv
 
 LETTERS = "abAB"
@@ -49,15 +50,23 @@ class QWord:
     def __post_init__(self) -> None:
         if self.base not in ("a", "b"):
             raise ValueError(f"base generator must be 'a' or 'b', got {self.base!r}")
-        for ch in self.tail:
-            if ch not in LETTERS:
-                raise ValueError(f"illegal operator letter {ch!r}")
+        _check_letters(self.tail)
 
     def __str__(self) -> str:
         return self.base + self.tail
 
     def extended(self, letters: str) -> "QWord":
-        return QWord(self.base, self.tail + letters)
+        """The word with `letters` appended; only they are checked."""
+        _check_letters(letters)
+        return _trusted(QWord, base=self.base, tail=self.tail + letters)
+
+
+def _check_letters(letters: str) -> None:
+    if type(letters) is not str:
+        raise ValueError(f"operator letters must be a str, got {letters!r}")
+    bad = letters.strip(LETTERS)  # starts at the first illegal letter
+    if bad:
+        raise ValueError(f"illegal operator letter {bad[0]!r}")
 
 
 WordLike = Union[QWord, str]
@@ -68,8 +77,6 @@ def parse_word(text: str) -> QWord:
     remaining characters in {a, b, A, B}."""
     if not text:
         raise ValueError("empty word")
-    if text[0] not in ("a", "b"):
-        raise ValueError(f"word must start with a lowercase generator, got {text[0]!r}")
     return QWord(text[0], text[1:])
 
 
@@ -91,19 +98,19 @@ def free_reduce(w: WordLike) -> QWord:
             out.pop()
         else:
             out.append(ch)
-    return QWord(w.base, "".join(out))
+    return _trusted(QWord, base=w.base, tail="".join(out))
 
 
 def word_op(u: WordLike, v: WordLike) -> QWord:
     """The quandle operation at the word level: u * v appends the operator
     expansion of v (inverse tail, base, tail) to u."""
     u, v = _as_word(u), _as_word(v)
-    return u.extended(_invert_letters(v.tail) + v.base + v.tail)
+    return _trusted(QWord, base=u.base, tail=u.tail + _invert_letters(v.tail) + v.base + v.tail)
 
 
 def word_op_inv(u: WordLike, v: WordLike) -> QWord:
     u, v = _as_word(u), _as_word(v)
-    return u.extended(_invert_letters(v.tail) + v.base.upper() + v.tail)
+    return _trusted(QWord, base=u.base, tail=u.tail + _invert_letters(v.tail) + v.base.upper() + v.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +162,13 @@ class NormalForm:
         return self.render()
 
     def to_word(self) -> QWord:
-        return parse_word(self.render())
+        text = self.render()
+        return _trusted(QWord, base=text[0], tail=text[1:])
 
     def to_continued_fraction(self) -> ContinuedFraction:
         if not self.exponents:
             raise ValueError("the generator b maps to 1/0, which has no expansion")
-        return ContinuedFraction(self.exponents)
+        return _trusted(ContinuedFraction, terms=self.exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +308,9 @@ def word_to_frac(w: WordLike) -> PFrac:
 
 def frac_to_word(x: PFrac) -> NormalForm:
     """The inverse route: 1/0 is the generator b; any finite fraction's
-    normal form has the continued-fraction terms as its exponent vector.
-    Euclid's terms are valid by construction, so they are checked neither
-    as a ContinuedFraction nor as a NormalForm."""
-    exponents = () if x.is_infinity else _expand_terms(x.p, x.q)
-    nf = object.__new__(NormalForm)
-    object.__setattr__(nf, "exponents", exponents)
-    return nf
+    normal form has the continued-fraction terms as its exponent vector."""
+    exponents = cf_expand(x).terms if x.q else ()
+    return _trusted(NormalForm, exponents=exponents)
 
 
 def words_equal(w1: WordLike, w2: WordLike) -> bool:

@@ -120,6 +120,20 @@ def test_parse_and_render():
         BraidElement.parse("axb")
 
 
+def test_constructor_takes_only_garside_forms():
+    # (d, w) is the unique Garside form, so equal braids compare and hash alike
+    for d, w in ((0, "aba"), (0, "bab"), (2, "aabab"), (0, "abA"), (0, "x"),
+                 (True, ""), (0.0, "a"), ("1", ""), (0, ["a"]), (0, b"a")):
+        with pytest.raises(ValueError):
+            BraidElement(d, w)
+    for d, w in ((0, ""), (-3, "abbaab"), (5, "bbbaa")):
+        u = BraidElement(d, w)
+        assert (u.d, u.w) == (d, w)
+    u = BraidElement(1, "")
+    assert u == BraidElement.parse("aba") == BraidElement.parse("bab")
+    assert hash(u) == hash(BraidElement.parse("aba"))
+
+
 def test_garside_identity_and_delta():
     def form(word):
         u = BraidElement.from_word(word)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 from math import floor, gcd
@@ -9,13 +10,41 @@ from hypothesis import strategies as st
 
 from trefoil import (
     PF_INFINITY,
+    PF_ZERO,
+    BraidElement,
     ContinuedFraction,
-    NormalForm,
+    LaurentQuotientRing,
+    PFrac,
+    alexander_quandle,
+    apply_matrix,
+    automorphism_quandle,
     cf_eval,
     cf_expand,
     cf_validate,
+    conj_quandle,
+    core_quandle,
+    cyclic_group,
+    dihedral_group,
+    dihedral_quandle,
     frac_to_word,
+    free_reduce,
+    klein_four_group,
+    lambda_act,
+    parse_word,
     pf_new,
+    pf_op,
+    pf_op_inv,
+    pf_op_pow,
+    pi1_act,
+    projectivize,
+    qt_new,
+    qt_op,
+    qt_op_inv,
+    symmetric_group,
+    transvection_matrix,
+    transvection_quandle,
+    word_op,
+    word_op_inv,
 )
 from trefoil.cfrac import _BATCH_MIN_BITS, _TREE_LEAF, _euclid_batch
 
@@ -67,17 +96,59 @@ def test_kernels_match_fraction_reference():
             assert det == (-1) ** len(terms)
 
 
+def assert_passes_public_checks(x):
+    """x, built without its class's checks, rebuilt through the public
+    constructor: the same value, with the same hash."""
+    y = type(x)(*(getattr(x, f.name) for f in fields(x)))
+    assert y == x and hash(y) == hash(x)
+
+
 def test_unchecked_results_pass_the_public_checks():
-    # cf_expand and frac_to_word build their results without validating
-    # them; the public constructors must accept those results unchanged
+    # every result built without its class's checks, as one more input
+    rng = random.Random(47)
     for r in random_rationals():
         cf = cf_expand(r)
         assert type(cf.terms) is tuple and cf_validate(cf.terms)
-        assert ContinuedFraction(cf.terms) == cf
-        nf = frac_to_word(pf_new(r.numerator, r.denominator))
-        assert NormalForm(nf.exponents) == nf
-        assert nf.exponents == cf.terms
-    assert NormalForm(frac_to_word(PF_INFINITY).exponents) == frac_to_word(PF_INFINITY)
+        x = pf_new(r.numerator, r.denominator)
+        y = pf_new(rng.randint(-99, 99), rng.randint(1, 99))
+        nf = frac_to_word(x)
+        assert nf.exponents == cf.terms == cf_expand(x).terms
+        results = [cf, cf_expand(r.numerator), cf_expand(x), nf,
+                   nf.to_continued_fraction(), frac_to_word(y).to_word(), PFrac.from_fraction(r),
+                   PFrac.from_fraction(r.numerator), projectivize((r.numerator, r.denominator)),
+                   pf_op(x, y), pf_op_inv(x, y), pf_op_pow(x, y, -3), pf_op(y, PF_INFINITY),
+                   transvection_matrix(x), apply_matrix(transvection_matrix(y), x)]
+        for z in results:
+            assert_passes_public_checks(z)
+    for x in (PF_INFINITY, PF_ZERO):
+        assert_passes_public_checks(frac_to_word(x))
+        assert_passes_public_checks(frac_to_word(x).to_word())
+    for _ in range(50):
+        u, v = (parse_word(rng.choice("ab") + "".join(rng.choice("abAB") for _ in range(12)))
+                for _ in range(2))
+        for w in (u.extended(v.tail), free_reduce(u), word_op(u, v), word_op_inv(u, v)):
+            assert_passes_public_checks(w)
+        g, h = (BraidElement.parse("".join(rng.choice("abAB") for _ in range(12)))
+                for _ in range(2))
+        for b in (g, BraidElement.from_word([1, -2, 2, 1, 1]), BraidElement.identity(),
+                  g * h, g.inv(), h ** 3):
+            assert_passes_public_checks(b)
+    # the operations on covered elements give second slots in Garside form
+    pool = [qt_new(BraidElement.parse(w)) for w in ("", "aB", "AAAAbaab", "abABbA")]
+    for p in pool:
+        for k in (-2, 0, 3, rng.randint(-99, 99)):
+            assert_passes_public_checks(lambda_act(k, p).g)
+        for q in pool:
+            for c in (qt_op(p, q), qt_op_inv(p, q), pi1_act(p, q.x)):
+                assert_passes_public_checks(c.g)
+    # the stock quandles and groups
+    groups = [cyclic_group(6), dihedral_group(4), symmetric_group(3), klein_four_group()]
+    quandles = [dihedral_quandle(7), alexander_quandle(LaurentQuotientRing(3, (2, 0, 1))),
+                transvection_quandle(3, [[0, 1], [-1, 0]]),
+                automorphism_quandle(cyclic_group(5), [0, 2, 4, 1, 3])]
+    quandles += [make(g) for g in groups for make in (conj_quandle, core_quandle)]
+    for z in groups + quandles:
+        assert_passes_public_checks(z)
 
 
 def assert_kernels_match(r):

@@ -15,6 +15,7 @@ from trefoil import (
     dihedral_quandle,
     frac_to_word,
     normalize,
+    pf_new,
     pf_op,
     pf_op_pow,
     qt_new,
@@ -65,6 +66,28 @@ def test_cf_commands():
     assert go("cf", "expand", "7/3") == (0, "[2;3]\n", "")
     assert go("cf", "expand", "-1/2") == (0, "[-1;2]\n", "")
     assert go("cf", "eval", "[2;3]") == (0, "7/3\n", "")
+
+
+def test_results_beyond_the_int_str_digit_limit():
+    # 7000-bit inputs print in about 2100 digits, but the product has about
+    # 21000 bits, more digits than CPython's default int/str limit of 4300
+    rng = random.Random(10)
+    x, y = (pf_new(rng.getrandbits(7000) | 1 << 6999, rng.getrandbits(7000) | 1 << 6999)
+            for _ in range(2))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    runs = [go("op", str(x), str(y)), go("--json", "matrix", str(x)), go("cf", "expand", str(x))]
+    assert limit() == before
+    if before is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        m = transvection_matrix(x)
+        assert runs == [(0, f"{pf_op(x, y)}\n", ""),
+                        (0, json.dumps({"matrix": m.rows(), "det": m.det()}) + "\n", ""),
+                        (0, f"{cf_expand(x)}\n", "")]
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
 
 
 def test_axioms_command():

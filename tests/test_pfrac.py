@@ -45,9 +45,22 @@ def test_pf_new_rejects_zero_pair():
 
 
 def test_canonical_constructor_rejects_raw_pairs():
-    for p, q in ((2, 4), (1, -2), (-1, 0), (0, 0), (0, 2), (0, -1), (3, 0)):
+    for p, q in ((2, 4), (1, -2), (-1, 0), (0, 0), (0, 2), (0, -1), (3, 0),
+                 (True, 1), (1, True), (1.0, 1), (0, 1.0), ("1", 1)):
         with pytest.raises(ValueError):
             PFrac(p, q)
+    # bools, floats and strs are not coerced to ints on any public path
+    for p, q in ((True, 1), (0, True), (1.0, 2), (1, "2")):
+        with pytest.raises(ValueError):
+            pf_new(p, q)
+        with pytest.raises(ValueError):
+            projectivize((p, q))
+    for k in (1.5, 2.0, True, "2"):
+        with pytest.raises(ValueError):
+            pf_op_pow(PF_ZERO, PF_INFINITY, k)
+    for r in (0.5, True, "1"):
+        with pytest.raises(TypeError):
+            PFrac.from_fraction(r)
 
 
 def test_pf_new_reduces_scaled_pairs():
@@ -225,6 +238,9 @@ def test_matrix_rejects_bad_determinant():
         TransvectionMatrix(1, 0, 0, 0)
     with pytest.raises(ValueError):
         TransvectionMatrix(0, 1, 1, 0)  # determinant -1
+    for entries in ((1.0, 0, 0, 1.0), (True, 0, 0, True), (1, 0, 0.0, 1), (1, "0", 0, 1)):
+        with pytest.raises(ValueError):
+            TransvectionMatrix(*entries)
 
 
 def test_sympl_examples():

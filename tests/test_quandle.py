@@ -33,8 +33,9 @@ def test_dihedral_values():
 
 
 def test_dihedral_rejects_zero():
-    with pytest.raises(ValueError):
-        dihedral_quandle(0)
+    for n in (0, True, 3.0):
+        with pytest.raises(ValueError):
+            dihedral_quandle(n)
 
 
 def test_dihedral_axioms():
@@ -63,6 +64,13 @@ def test_malformed_table_rejected():
         FiniteQuandle(2, [[0, 2], [0, 1]])
     with pytest.raises(ValueError):
         FiniteQuandle(2, [[0, 1]])
+    for size, table in ((2, [[0, 1.9], [True, "1"]]), (2, [[0, 1.0], [1, 1]]),
+                        (2, [[0, 1], [True, 1]]), (2, [[0, "1"], [1, 1]]),
+                        (True, [[0]]), (1.0, [[0]]), ("1", [[0]])):
+        with pytest.raises(ValueError):
+            FiniteQuandle(size, table)
+    with pytest.raises(ValueError):
+        FiniteQuandle.from_json({"size": 2, "table": [[0, 1.0], [1, 1]]})
 
 
 def test_counterexample_reproduces_each_axiom():
@@ -145,6 +153,9 @@ def test_automorphism_quandle_rejects_non_automorphism():
         automorphism_quandle(cyclic_group(4), [1, 0, 2, 3])
     with pytest.raises(ValueError):
         automorphism_quandle(cyclic_group(3), [0, 0, 1])
+    for tau in ([0, 1.2, 2.0], [0, 1.0, 2], [0, True, 2], [0, "1", 2]):
+        with pytest.raises(ValueError):
+            automorphism_quandle(cyclic_group(3), tau)
 
 
 def test_inversion_tau_gives_core_on_abelian_groups():
@@ -186,6 +197,10 @@ def test_ring_rejects_bad_leading_or_degree():
         LaurentQuotientRing(4, (1, 2))  # leading coefficient not a unit
     with pytest.raises(ValueError):
         LaurentQuotientRing(3, (1,))  # degree zero
+    for modulus, h in ((3, (1.0, 1)), (3, (True, 1)), (3, (1, "1")), (3.0, (1, 1)),
+                       (True, (1, 1)), (0, (1, 1)), (-3, (1, 1))):
+        with pytest.raises(ValueError):
+            LaurentQuotientRing(modulus, h)
 
 
 def test_ring_t_inverse():
@@ -206,6 +221,16 @@ def test_group_validation_rejects_bad_tables():
         FiniteGroup.from_table([[0, 1], [1, 1]])  # not a latin square / no inverse
     with pytest.raises(ValueError):
         FiniteGroup(2, [[0, 1], [1, 0]], [0, 0], 0)  # wrong inverse table
+    for table in ([[0, 1.0], [1, 0]], [[0, 1], [1]], [[0, 1], [1, 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            FiniteGroup.from_table(table)
+    # an inverse of -1 would index the last element
+    for size, inverse, identity in ((2, [0, -1], 0), (2, [0, 1.0], 0), (2, [0, True], 0),
+                                    (2, [0, 1], False), (2, [0, 1], 0.0), (2.0, [0, 1], 0),
+                                    (3, [0, 1], 0), (2, [0, 1], -2)):
+        with pytest.raises(ValueError):
+            FiniteGroup(size, [[0, 1], [1, 0]], inverse, identity)
+    assert FiniteGroup(2, [[0, 1], [1, 0]], [0, 1], 0) == cyclic_group(2)
 
 
 def test_group_json_round_trip():

@@ -37,6 +37,12 @@ def test_parse_errors():
     for bad in ("", "Xa", "Ab", "ax b", "a-b"):
         with pytest.raises(ValueError):
             parse_word(bad)
+    for base, tail in (("A", ""), ("c", "ab"), ("a", "abx"), ("b", "-"), ("a", ["b"]), ("a", None)):
+        with pytest.raises(ValueError):
+            QWord(base, tail)
+    for letters in ("x", "abAc", "a b", ["a"]):
+        with pytest.raises(ValueError):
+            parse_word("ab").extended(letters)
 
 
 def test_render_parse_round_trip():
