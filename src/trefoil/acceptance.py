@@ -171,23 +171,35 @@ def _conj_core_groups():
 
 
 def _criterion_axioms() -> tuple[bool, str]:
+    checked = {"dihedral": 0, "alexander": 0, "conj": 0, "core": 0}
+    largest = dict.fromkeys(checked, 0)
+    cells = 0
+
+    def is_quandle(family: str, q) -> bool:
+        nonlocal cells
+        checked[family] += 1
+        largest[family] = max(largest[family], q.size)
+        cells += q.size ** 3
+        return check_quandle(q).is_quandle
+
     for n in range(1, 65):
-        if not check_quandle(dihedral_quandle(n)).is_quandle:
+        if not is_quandle("dihedral", dihedral_quandle(n)):
             return False, f"dihedral quandle of order {n} failed"
     for modulus, h in _ALEXANDER_RINGS:
         ring = LaurentQuotientRing(modulus, h)
         assert ring.size <= 64
-        if not check_quandle(alexander_quandle(ring)).is_quandle:
+        if not is_quandle("alexander", alexander_quandle(ring)):
             return False, f"alexander quandle over Z/{modulus} mod {list(h)} failed"
     for g in _conj_core_groups():
         assert g.size <= 24
-        if not check_quandle(conj_quandle(g)).is_quandle:
+        if not is_quandle("conj", conj_quandle(g)):
             return False, f"conjugation quandle of group order {g.size} failed"
-        if not check_quandle(core_quandle(g)).is_quandle:
+        if not is_quandle("core", core_quandle(g)):
             return False, f"core quandle of group order {g.size} failed"
 
+    fraction_triples, covered_triples = 10_000, 10_000
     rng = random.Random(1003)
-    for _ in range(10_000):
+    for _ in range(fraction_triples):
         x = random_pfrac(rng, 10**6)
         y = random_pfrac(rng, 10**6)
         z = random_pfrac(rng, 10**6)
@@ -211,7 +223,7 @@ def _criterion_axioms() -> tuple[bool, str]:
         if qt_op(p, p) != p:
             return False, f"covered-quandle idempotence fails at pool element {i}"
     checked_pairs = set()
-    for _ in range(10_000):
+    for _ in range(covered_triples):
         i, j, k = rng.randrange(24), rng.randrange(24), rng.randrange(24)
         if (i, j) not in checked_pairs:
             checked_pairs.add((i, j))
@@ -223,8 +235,10 @@ def _criterion_axioms() -> tuple[bool, str]:
         rhs = qt_op(pooled_op(i, k), pooled_op(j, k))
         if lhs != rhs:
             return False, f"covered-quandle distributivity fails at ({i}, {j}, {k})"
-    return True, ("exhaustive: dihedral n<=64, alexander order<=64, conj/core order<=24; "
-                  "randomized: 10^4 fraction triples and 10^4 covered triples, zero failures")
+    families = ", ".join(f"{checked[f]} {f} (order <= {largest[f]})" for f in checked)
+    return True, (f"exhaustive: {families}, {cells} cells compared (n^3 per quandle); "
+                  f"randomized: {fraction_triples} fraction triples and {covered_triples} "
+                  f"covered triples, zero failures")
 
 
 def _criterion_isomorphism_certificate() -> tuple[bool, str]:

@@ -102,12 +102,19 @@ def lambda_act(k: int, p: CoveredElement) -> CoveredElement:
     """The deck transformation: multiply the second slot by lambda^k on the
     left.  The covering image is unchanged.  lambda^k = Delta^2k a^-6k is
     Delta^-4k (baab)^3k for k >= 0, as a^-1 = Delta^-1 ab and the Delta^-1
-    moves left by swapping a and b, and Delta^2k a^6|k| for k < 0."""
+    moves left by swapping a and b, and Delta^2k a^6|k| for k < 0.  The
+    result's t = -1 image is the image of lambda^k times that of g', not
+    recomputed over the 12|k| letters of lambda^k."""
     if k >= 0:
         power = _trusted(BraidElement, d=-4 * k, w="baab" * (3 * k))
     else:
         power = _trusted(BraidElement, d=2 * k, w="a" * (-6 * k))
-    return qt_new(power * p.g)
+    g = power * p.g
+    # seed the cached t = -1 image: (-1)^k [[1, -6k], [0, 1]] image(g')
+    a, b, c, d = p.g.image
+    s = -1 if k % 2 else 1
+    g.__dict__["image"] = (s * (a - 6 * k * c), s * (b - 6 * k * d), s * c, s * d)
+    return qt_new(g)
 
 
 def pi1_act(p: CoveredElement, h: BraidElement) -> CoveredElement:

@@ -236,12 +236,18 @@ def apply_matrix(m: TransvectionMatrix, x: PFrac) -> PFrac:
 # orbit exploration from the two generators
 # ---------------------------------------------------------------------------
 
-_GENERATOR_STEPS = (
-    ("a", PF_ZERO, pf_op),
-    ("A", PF_ZERO, pf_op_inv),
-    ("b", PF_INFINITY, pf_op),
-    ("B", PF_INFINITY, pf_op_inv),
-)
+def _signed_pair(u: int, v: int) -> IntPair:
+    """The canonical sign of a primitive pair: v > 0, or (u, v) = (1, 0).
+    _pf_signed applies the same rule inline, as it runs on every operation."""
+    return (-u, -v) if v < 0 or (v == 0 and u < 0) else (u, v)
+
+
+def _generator_steps(p: int, q: int) -> tuple[tuple[str, IntPair], ...]:
+    """The four generator steps from the canonical pair (p, q) in closed
+    form, canonically signed: * 0/1 sends p/q to p/(q - p), *̄ 0/1 to
+    p/(q + p), * 1/0 to (p + q)/q and *̄ 1/0 to (p - q)/q."""
+    return (("a", _signed_pair(p, q - p)), ("A", _signed_pair(p, q + p)),
+            ("b", _signed_pair(p + q, q)), ("B", _signed_pair(p - q, q)))
 
 
 @dataclass(frozen=True)
@@ -272,24 +278,27 @@ class OrbitReport:
 def orbit_bfs(targets: Iterable[PFrac], bound: int) -> OrbitReport:
     """Explore the orbit of {0/1, 1/0} under * and *̄ by 0/1 and 1/0,
     visiting only fractions with |p|, |q| <= bound, and report which targets
-    were reached together with a witness word for each."""
+    were reached together with a witness word for each.
+
+    The search runs on canonical integer pairs with the generator steps in
+    closed form; each explored fraction becomes a PFrac once, at the end."""
+    _require_ints(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
     targets = tuple(targets)
-    witnesses: dict[PFrac, str] = {PF_ZERO: "a", PF_INFINITY: "b"}
-    edges: list[tuple[PFrac, str, PFrac]] = []
-    queue = deque([PF_ZERO, PF_INFINITY])
+    words: dict[IntPair, str] = {(0, 1): "a", (1, 0): "b"}
+    steps: list[tuple[IntPair, str, IntPair]] = []
+    queue = deque(words)
     while queue:
         x = queue.popleft()
-        word = witnesses[x]
-        for letter, gen, step in _GENERATOR_STEPS:
-            y = step(x, gen)
-            if abs(y.p) > bound or abs(y.q) > bound:
-                continue
-            if y not in witnesses:
-                witnesses[y] = word + letter
-                edges.append((x, letter, y))
+        word = words[x]
+        for letter, y in _generator_steps(*x):
+            if abs(y[0]) <= bound and y[1] <= bound and y not in words:
+                words[y] = word + letter
+                steps.append((x, letter, y))
                 queue.append(y)
+    fracs = {x: _trusted(PFrac, p=x[0], q=x[1]) for x in words}
+    witnesses = {fracs[x]: word for x, word in words.items()}
     reached = {t: witnesses[t] for t in targets if t in witnesses}
     unreached = tuple(t for t in targets if t not in witnesses)
     return OrbitReport(
@@ -298,5 +307,5 @@ def orbit_bfs(targets: Iterable[PFrac], bound: int) -> OrbitReport:
         witnesses=witnesses,
         reached=reached,
         unreached=unreached,
-        edges=tuple(edges),
+        edges=tuple((fracs[x], letter, fracs[y]) for x, letter, y in steps),
     )

@@ -1,8 +1,18 @@
 """Finite quandles and racks: exhaustive axiom checking and the stock constructions.
 
 Carriers are index sets 0..size-1 with dense operation tables, so every axiom
-can be checked by brute force.  Groups enter the same way, as validated
+can be checked on every cell.  Groups enter the same way, as validated
 multiplication tables.
+
+The scans compare whole rows rather than looping over cells in Python.  Each
+is built on one primitive, gather(m, s) = (m[s[0]], m[s[1]], ...): for fixed
+c, right distributivity compares col[T[a][b]] with T[col[a]][col[b]] over
+all (a, b) at once, with col the column of c, and for fixed a associativity
+compares T[T[a][b]][c] with T[a][T[b][c]] over all (b, c).  Tables of order
+up to 256 are bytes and gather is bytes.translate; larger ones are tuples
+and gather is an itemgetter.  A failure is located in the order of the
+scalar scan (c, a, b for distributivity; a, b, c for associativity), so the
+first counterexample found is the one a cell-by-cell loop would find.
 """
 
 from __future__ import annotations
@@ -10,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from ._trusted import _trusted
@@ -103,6 +114,33 @@ class AxiomReport:
         }
 
 
+def _encode(table: Sequence[Sequence[int]], n: int) -> tuple:
+    """The rows of an n x n table over [0, n), the same cells as one flat
+    row-major sequence, and the one primitive the scans are built on:
+    gather(m, s), the sequence m[s[i]] for every i, with join, which
+    concatenates rows.  Up to order 256 rows are bytes and gather is one
+    bytes.translate through m padded to 256 entries; above, rows are tuples
+    and gather is an itemgetter, whose s here always has at least n > 256
+    indices (with one index an itemgetter returns a scalar, not a tuple)."""
+    if n <= 256:
+        pad = bytes(256 - n)
+        rows = [bytes(row) for row in table]
+        return rows, b"".join(rows), lambda m, s: s.translate(m + pad), b"".join
+    rows = [tuple(row) for row in table]
+    chained = itertools.chain.from_iterable
+    return (rows, tuple(chained(rows)), lambda m, s: itemgetter(*s)(m),
+            lambda seqs: tuple(chained(seqs)))
+
+
+def _first_difference(x: Sequence[int], y: Sequence[int], n: int) -> tuple[int, int]:
+    """The first cell (i, j), in row-major order, where two unequal flat
+    n x n sequences differ."""
+    for i in range(0, n * n, n):
+        row_x, row_y = x[i:i + n], y[i:i + n]
+        if row_x != row_y:
+            return i // n, next(j for j in range(n) if row_x[j] != row_y[j])
+
+
 def _idempotence_failure(q: FiniteQuandle) -> Optional[tuple[int, int, int]]:
     for i in range(q.size):
         if q.table[i][i] != i:
@@ -110,35 +148,38 @@ def _idempotence_failure(q: FiniteQuandle) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _bijectivity_failure(q: FiniteQuandle) -> Optional[tuple[int, int, int]]:
-    for k in range(q.size):
-        seen: dict[int, int] = {}
-        for i in range(q.size):
-            v = q.table[i][k]
-            if v in seen:
-                return (seen[v], i, k)
-            seen[v] = i
+def _bijectivity_failure(flat: Sequence[int], n: int) -> Optional[tuple[int, int, int]]:
+    """(i, j, k) for the first column k that is not a permutation: j is the
+    first row whose value in column k repeats an earlier row's, and i the
+    first row holding that value."""
+    for k in range(n):
+        col = flat[k::n]
+        if len(set(col)) != n:
+            j = next(j for j in range(n) if col[j] in col[:j])
+            return (col.index(col[j]), j, k)
     return None
 
 
-def _distributivity_failure(q: FiniteQuandle) -> Optional[tuple[int, int, int]]:
-    n = q.size
-    table = q.table
+def _distributivity_failure(rows, flat, gather, join, n: int) -> Optional[tuple[int, int, int]]:
+    """The first (a, b, c) with (a*b)*c != (a*c)*(b*c), scanning c slowest,
+    then a, then b.  For fixed c, with col the column of c, the
+    left sides over all (a, b) are col gathered along the flat table and the
+    right sides are row col[a] gathered along col, joined over a."""
     for c in range(n):
-        col = [table[x][c] for x in range(n)]
-        for a in range(n):
-            row_a = table[a]
-            row_ac = table[col[a]]
-            for b in range(n):
-                if col[row_a[b]] != row_ac[col[b]]:
-                    return (a, b, c)
+        col = flat[c::n]
+        left = gather(col, flat)
+        right = join([gather(rows[x], col) for x in col])
+        if left != right:
+            return (*_first_difference(left, right, n), c)
     return None
 
 
 def _scan(q: FiniteQuandle, rack_first: bool) -> AxiomReport:
+    n = q.size
+    rows, flat, gather, join = _encode(q.table, n)
     idem = _idempotence_failure(q)
-    bij = _bijectivity_failure(q)
-    dist = _distributivity_failure(q)
+    bij = _bijectivity_failure(flat, n)
+    dist = _distributivity_failure(rows, flat, gather, join, n)
     if rack_first:
         witness = bij if bij is not None else dist if dist is not None else idem
     else:
@@ -227,12 +268,14 @@ class FiniteGroup:
             if found is None:
                 raise ValueError(f"element {a} has no inverse")
             inverse.append(found)
-        for a in range(n):
-            for b in range(n):
-                ab = frozen[a][b]
-                for c in range(n):
-                    if frozen[ab][c] != frozen[a][frozen[b][c]]:
-                        raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+        # for fixed a, (ab)c over all (b, c) is row ab joined over b, and
+        # a(bc) is row a gathered along the flat table
+        rows, flat, gather, join = _encode(frozen, n)
+        for a, row_a in enumerate(rows):
+            left, right = join([rows[x] for x in row_a]), gather(row_a, flat)
+            if left != right:
+                b, c = _first_difference(left, right, n)
+                raise ValueError(f"associativity fails at ({a}, {b}, {c})")
         return _trusted(cls, size=n, table=frozen, inverse=tuple(inverse), identity=identity)
 
     @classmethod
@@ -242,8 +285,8 @@ class FiniteGroup:
 
 def cyclic_group(n: int) -> FiniteGroup:
     """The cyclic group Z/n in additive notation."""
-    if n <= 0:
-        raise ValueError("order must be positive")
+    if type(n) is not int or n <= 0:
+        raise ValueError(f"order must be a positive int, got {n!r}")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroup.from_table(table)
 
@@ -251,13 +294,13 @@ def cyclic_group(n: int) -> FiniteGroup:
 def symmetric_group(n: int) -> FiniteGroup:
     """The symmetric group on n letters (n small), elements ordered
     lexicographically as mapping tuples."""
-    if not 1 <= n <= 5:
-        raise ValueError("symmetric_group supports 1 <= n <= 5")
+    if type(n) is not int or not 1 <= n <= 5:
+        raise ValueError(f"symmetric_group supports ints 1 <= n <= 5, got {n!r}")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     # product a*b applies a first, then b
     table = [
-        [index[tuple(b[a[i]] for i in range(n))] for b in perms]
+        [index[tuple(map(b.__getitem__, a))] for b in perms]
         for a in perms
     ]
     return FiniteGroup.from_table(table)
@@ -265,8 +308,8 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """The dihedral group of order 2n: rotations 0..n-1, reflections n..2n-1."""
-    if n <= 0:
-        raise ValueError("order must be positive")
+    if type(n) is not int or n <= 0:
+        raise ValueError(f"order must be a positive int, got {n!r}")
 
     def mul(a: int, b: int) -> int:
         ra, fa = a % n, a // n
@@ -504,8 +547,8 @@ def module_vectors(modulus: int, rank: int) -> list[tuple[int, ...]]:
 def transvection_quandle(modulus: int, gram: Sequence[Sequence[int]]) -> FiniteQuandle:
     """The operation x * y = x - <x, y> y on (Z/n)^rank for the bilinear form
     with the given Gram matrix.  No axiom is assumed; run the checkers."""
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
+    if type(modulus) is not int or modulus <= 0:
+        raise ValueError(f"modulus must be a positive int, got {modulus!r}")
     rank = len(gram)
     vectors = module_vectors(modulus, rank)
     index = {v: i for i, v in enumerate(vectors)}

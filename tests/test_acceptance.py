@@ -11,7 +11,7 @@ its own test below and in tests/test_quandle.py.
 
 import pytest
 
-from trefoil.acceptance import CRITERIA, run_criterion
+from trefoil.acceptance import _ALEXANDER_RINGS, CRITERIA, _conj_core_groups, run_criterion
 from trefoil.quandle import check_quandle, transvection_quandle
 
 _EXPECTED_GREEN = [c for c in CRITERIA if c[0] != 10]
@@ -59,3 +59,16 @@ def test_criterion_10_reports_refuted_as_expected():
     assert result.status == "REFUTED-AS-EXPECTED"
     assert result.to_json()["status"] == "REFUTED-AS-EXPECTED"
     assert result.line().startswith("REFUTED-AS-EXPECTED  10  symplectic-footnote")
+
+
+def test_criterion_3_counts_its_cases():
+    result = run_criterion(3)
+    groups = _conj_core_groups()
+    orders = list(range(1, 65)) + [m ** (len(h) - 1) for m, h in _ALEXANDER_RINGS]
+    orders += [g.size for g in groups] * 2
+    assert result.ok
+    assert result.detail.startswith(
+        f"exhaustive: 64 dihedral (order <= 64), {len(_ALEXANDER_RINGS)} alexander "
+        f"(order <= 64), {len(groups)} conj (order <= 24), {len(groups)} core (order <= 24), "
+        f"{sum(n ** 3 for n in orders)} cells compared")
+    assert "10000 fraction triples and 10000 covered triples" in result.detail

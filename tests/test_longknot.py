@@ -160,6 +160,17 @@ def test_lambda_act_has_the_closed_form():
         assert lambda_act(k, base).g == longitude() ** k
 
 
+def test_lambda_act_seeds_the_image_of_its_result(pool):
+    # varied g': the base point, odd and even powers of Delta, long slots
+    slots = [base_point()] + pool[:3] + [lambda_act(5, pool[3]), pi1_act(pool[4], meridian())]
+    assert len({p.g.d % 4 for p in slots}) > 1
+    for p in slots:
+        for k in range(-300, 301, 7 if p.g.d else 1):
+            g = lambda_act(k, p).g
+            assert "image" in vars(g)
+            assert g.image == BraidElement(g.d, g.w).image, (k, p)
+
+
 def test_fiber_compare_partitions_fibres_like_covering_p():
     pool = sample_covered_pool(random.Random(41), 40, 12)
     points = [lambda_act(k, p) for p in pool for k in (0, 1, -2)]

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import deque
 from math import gcd
 
 import pytest
@@ -23,6 +24,7 @@ from trefoil import (
     sympl_op_inv,
     transvection_matrix,
 )
+from trefoil.pfrac import _generator_steps
 
 pairs = st.tuples(
     st.integers(min_value=-10**6, max_value=10**6),
@@ -295,8 +297,55 @@ def test_orbit_bfs_respects_bound():
 
 
 def test_orbit_bfs_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        orbit_bfs([PF_ZERO], bound=0)
+    for bound in (0, -3, 2.5, 30.0, True, "30"):
+        with pytest.raises(ValueError):
+            orbit_bfs([PF_ZERO], bound=bound)
+
+
+def _orbit_by_operations(targets, bound):
+    """orbit_bfs as a search over PFrac with pf_op and pf_op_inv: the oracle."""
+    steps = (("a", PF_ZERO, pf_op), ("A", PF_ZERO, pf_op_inv),
+             ("b", PF_INFINITY, pf_op), ("B", PF_INFINITY, pf_op_inv))
+    witnesses = {PF_ZERO: "a", PF_INFINITY: "b"}
+    edges = []
+    queue = deque([PF_ZERO, PF_INFINITY])
+    while queue:
+        x = queue.popleft()
+        for letter, gen, step in steps:
+            y = step(x, gen)
+            if abs(y.p) <= bound and abs(y.q) <= bound and y not in witnesses:
+                witnesses[y] = witnesses[x] + letter
+                edges.append((x, letter, y))
+                queue.append(y)
+    return witnesses, tuple(edges)
+
+
+def test_orbit_bfs_matches_the_operation_search():
+    rng = random.Random(17)
+    for bound in range(1, 41):
+        box = bound + 2
+        targets = [PF_INFINITY, pf_new(bound + 1, 1)] + [
+            pf_new(rng.randint(-box, box), rng.randint(1, box)) for _ in range(20)]
+        report = orbit_bfs(targets, bound)
+        witnesses, edges = _orbit_by_operations(targets, bound)
+        assert list(report.witnesses.items()) == list(witnesses.items())
+        assert all(type(x) is PFrac and type(y) is PFrac for x, _, y in report.edges)
+        assert report.edges == edges
+        assert report.explored == len(witnesses)
+        reached = {t: witnesses[t] for t in targets if t in witnesses}
+        assert list(report.reached.items()) == list(reached.items())
+        assert report.unreached == tuple(t for t in targets if t not in witnesses)
+        assert pf_new(bound + 1, 1) in report.unreached
+
+
+def test_generator_steps_are_the_operations():
+    steps = (("a", PF_ZERO, pf_op), ("A", PF_ZERO, pf_op_inv),
+             ("b", PF_INFINITY, pf_op), ("B", PF_INFINITY, pf_op_inv))
+    points = [PF_ZERO, PF_INFINITY] + [pf_new(p, q) for p in range(-9, 10) for q in range(1, 10)]
+    for x in points:
+        expected = tuple((letter, (y.p, y.q)) for letter, y in
+                         ((letter, step(x, gen)) for letter, gen, step in steps))
+        assert _generator_steps(x.p, x.q) == expected
 
 
 def test_orbit_dot_output():

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from trefoil import (
+    AxiomReport,
     FiniteGroup,
     FiniteQuandle,
     LaurentQuotientRing,
@@ -13,12 +15,14 @@ from trefoil import (
     conj_quandle,
     core_quandle,
     cyclic_group,
+    dihedral_group,
     dihedral_quandle,
     direct_product,
     klein_four_group,
     symmetric_group,
     transvection_quandle,
 )
+from trefoil.acceptance import _ALEXANDER_RINGS, _conj_core_groups
 from trefoil.quandle import form_is_alternating, form_is_antisymmetric, module_vectors
 
 
@@ -291,3 +295,170 @@ def test_symplectic_table_over_z2_counterexample_witness():
     assert not report.idempotent
     i, j, k = report.counterexample
     assert (i, j, k) == (1, 1, 1)
+
+
+# --- the whole-row scans against the scalar loops they replaced ---------------
+
+def _scalar_report(q, rack_first):
+    """check_rack / check_quandle as cell-by-cell loops: the oracle."""
+    n, t = q.size, q.table
+    idem = next(((i, i, i) for i in range(n) if t[i][i] != i), None)
+    bij = None
+    for k in range(n):
+        seen = {}
+        for i in range(n):
+            if t[i][k] in seen:
+                bij = (seen[t[i][k]], i, k)
+                break
+            seen[t[i][k]] = i
+        if bij is not None:
+            break
+    dist = next(((a, b, c) for c in range(n) for a in range(n) for b in range(n)
+                 if t[t[a][b]][c] != t[t[a][c]][t[b][c]]), None)
+    first = (bij, dist, idem) if rack_first else (idem, bij, dist)
+    return AxiomReport(idem is None, bij is None, dist is None,
+                       next((w for w in first if w is not None), None))
+
+
+def _scalar_from_table(table):
+    """FiniteGroup.from_table's search as cell-by-cell loops: the
+    (identity, inverse) it finds, or the text of its ValueError."""
+    n = len(table)
+    identity = next((e for e in range(n)
+                     if all(table[e][a] == a and table[a][e] == a for a in range(n))), None)
+    if identity is None:
+        return "table has no identity element"
+    inverse = []
+    for a in range(n):
+        b = next((b for b in range(n)
+                  if table[a][b] == identity and table[b][a] == identity), None)
+        if b is None:
+            return f"element {a} has no inverse"
+        inverse.append(b)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return f"associativity fails at ({a}, {b}, {c})"
+    return identity, tuple(inverse)
+
+
+def _from_table_outcome(table):
+    try:
+        g = FiniteGroup.from_table(table)
+    except ValueError as exc:
+        return str(exc)
+    return g.identity, g.inverse
+
+
+def _assert_scans_match(q):
+    for rack_first, check in ((True, check_rack), (False, check_quandle)):
+        report = check(q)
+        assert report == _scalar_report(q, rack_first), (q.size, rack_first)
+        assert report.reproduces(q)
+
+
+def _stock_quandles():
+    """Every stock quandle the acceptance criterion checks, order <= 64."""
+    quandles = [dihedral_quandle(n) for n in range(1, 65)]
+    quandles += [alexander_quandle(LaurentQuotientRing(m, h)) for m, h in _ALEXANDER_RINGS]
+    for g in _conj_core_groups():
+        quandles += [conj_quandle(g), core_quandle(g)]
+    return quandles
+
+
+def _perturbed(q, rng):
+    """Two one-cell edits of q: a new value in one cell, which breaks the
+    bijectivity of its column, and a swap of two cells in one column, which
+    keeps every column bijective."""
+    n = q.size
+    rows = [list(row) for row in q.table]
+    i, k = rng.randrange(n), rng.randrange(n)
+    rows[i][k] = (rows[i][k] + rng.randrange(1, n)) % n if n > 1 else 0
+    swapped = [list(row) for row in q.table]
+    i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    swapped[i][k], swapped[j][k] = swapped[j][k], swapped[i][k]
+    return FiniteQuandle(n, rows), FiniteQuandle(n, swapped)
+
+
+def test_scans_match_scalar_loops_on_random_tables():
+    rng = random.Random(901)
+    for n in range(1, 9):
+        for _ in range(40):
+            arbitrary = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            # columns that are permutations reach the distributivity witness
+            cols = [rng.sample(range(n), n) for _ in range(n)]
+            bijective = [[cols[k][i] for k in range(n)] for i in range(n)]
+            for i in range(n):
+                if rng.random() < 0.8:
+                    # make i idempotent by relabelling column i's values
+                    v = bijective[i][i]
+                    for row in bijective:
+                        row[i] = i if row[i] == v else v if row[i] == i else row[i]
+            for table in (arbitrary, bijective):
+                _assert_scans_match(FiniteQuandle(n, table))
+
+
+def test_scans_match_scalar_loops_on_perturbed_stock_quandles():
+    rng = random.Random(902)
+    distributivity_witnesses = 0
+    for q in _stock_quandles():
+        assert check_quandle(q) == AxiomReport(True, True, True, None)
+        for edited in _perturbed(q, rng):
+            _assert_scans_match(edited)
+            report = check_rack(edited)
+            distributivity_witnesses += report.right_translations_bijective and not report.is_rack
+    # the column swaps do exercise the located distributivity witness
+    assert distributivity_witnesses > 50
+
+
+def test_scans_at_both_encodings():
+    # order 256 is the largest in bytes, order 257 the smallest in tuples
+    for n in (256, 257):
+        q = dihedral_quandle(n)
+        assert check_quandle(q) == check_rack(q) == AxiomReport(True, True, True, None)
+        rows = [list(row) for row in q.table]
+        # a swap in column 0 keeps the columns bijective and breaks
+        # distributivity at c = 0; a new value in a cell breaks bijectivity
+        rows[3][0], rows[5][0] = rows[5][0], rows[3][0]
+        _assert_scans_match(FiniteQuandle(n, rows))
+        rows[7][9] = (rows[7][9] + 1) % n
+        _assert_scans_match(FiniteQuandle(n, rows))
+        rows[2][2] = 0
+        _assert_scans_match(FiniteQuandle(n, rows))
+
+
+def test_from_table_matches_scalar_loops():
+    rng = random.Random(903)
+    groups = [cyclic_group(n) for n in range(1, 13)] + [
+        symmetric_group(3), symmetric_group(4), klein_four_group(), dihedral_group(4),
+        dihedral_group(6), direct_product(cyclic_group(2), cyclic_group(3))]
+    messages = set()
+    for g in groups:
+        table = [list(row) for row in g.table]
+        assert _from_table_outcome(table) == _scalar_from_table(table) == (g.identity, g.inverse)
+        n = g.size
+        for _ in range(30):
+            edited = [list(row) for row in table]
+            i, j = rng.randrange(n), rng.randrange(n)
+            edited[i][j] = rng.randrange(n)
+            outcome = _from_table_outcome(edited)
+            assert outcome == _scalar_from_table(edited)
+            if isinstance(outcome, str):
+                messages.add(outcome.split(" at ")[0])
+    assert "associativity fails" in messages
+    # order 257: the tuple encoding
+    table = [list(row) for row in cyclic_group(257).table]
+    table[1][1] = 5
+    expected = "associativity fails at (1, 1, 2)"
+    assert _from_table_outcome(table) == _scalar_from_table(table) == expected
+
+
+def test_group_constructors_reject_non_ints():
+    for n in (True, False, 2.0, 2.5, "3"):
+        for build in (cyclic_group, dihedral_group, symmetric_group):
+            with pytest.raises(ValueError):
+                build(n)
+        with pytest.raises(ValueError):
+            transvection_quandle(n, [[1]])
+    assert cyclic_group(1).size == symmetric_group(1).size == 1
