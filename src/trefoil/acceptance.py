@@ -135,15 +135,17 @@ def _criterion_transvection_matrices() -> tuple[bool, str]:
     if m_a.rows() != [[1, 0], [-1, 1]]:
         return False, f"matrix of *(0/1) is {m_a}, expected [[1,0],[-1,1]]"
     rng = random.Random(1002)
-    for _ in range(10_000):
-        x = random_pfrac(rng, 1000)
-        y = random_pfrac(rng, 1000)
+    pairs, bound = 10_000, 1000
+    for _ in range(pairs):
+        x = random_pfrac(rng, bound)
+        y = random_pfrac(rng, bound)
         m = transvection_matrix(y)
         if m.det() != 1:
             return False, f"det of matrix for {y} is {m.det()}"
         if apply_matrix(m, x) != pf_op(x, y):
             return False, f"matrix action and * disagree at x={x}, y={y}"
-    return True, "exact generators; 10^4 random matrix/operation agreements; unit determinants"
+    return True, (f"exact generators; {pairs} random pairs with |p|,|q| <= {bound}: "
+                  f"matrix action equals *, every determinant 1")
 
 
 _ALEXANDER_RINGS = [
@@ -243,8 +245,13 @@ def _criterion_axioms() -> tuple[bool, str]:
 
 def _criterion_isomorphism_certificate() -> tuple[bool, str]:
     rng = random.Random(1004)
-    for _ in range(1000):
-        w = random_qword(rng, 30)
+    short_words, short_max, long_words, long_len = 1000, 30, 4, 10_000
+    words = [random_qword(rng, short_max) for _ in range(short_words)]
+    words += [QWord(rng.choice("ab"), "".join(rng.choices("abAB", k=long_len)))
+              for _ in range(long_words)]
+    letters = 0
+    for w in words:
+        letters += len(w.tail)
         nf = normalize(w)
         image = word_to_frac(w)
         if word_to_frac(nf.to_word()) != image:
@@ -253,19 +260,26 @@ def _criterion_isomorphism_certificate() -> tuple[bool, str]:
             return False, f"the two canonicalization routes disagree on {w}"
         if not normal_form_valid(nf.exponents):
             return False, f"normalize({w}) violates the normal-form constraints"
-    return True, "10^3 random words: rewriting is sound, both routes agree, all outputs valid"
+    return True, (f"{short_words} random words of <= {short_max} letters and {long_words} of "
+                  f"{long_len} letters ({letters} letters): rewriting is sound, both routes "
+                  f"agree, all outputs valid")
 
 
 def _criterion_continued_fractions() -> tuple[bool, str]:
-    for q in range(1, 201):
-        for p in range(-200, 201):
+    bound, term_max, random_lists = 200, 12, 20_000
+    fractions = lists = 0
+    for q in range(1, bound + 1):
+        for p in range(-bound, bound + 1):
             if gcd(abs(p), q) != 1:
                 continue
+            fractions += 1
             r = Fraction(p, q)
             if cf_eval(cf_expand(r)) != r:
                 return False, f"eval(expand({p}/{q})) != {p}/{q}"
 
     def check(terms: tuple[int, ...]) -> Optional[str]:
+        nonlocal lists
+        lists += 1
         cf = ContinuedFraction(terms)
         if cf_expand(cf_eval(cf)) != cf:
             return f"expand(eval({list(terms)})) != {list(terms)}"
@@ -273,50 +287,55 @@ def _criterion_continued_fractions() -> tuple[bool, str]:
 
     # exhaustive over the full coefficient ranges for n <= 4; the literal
     # n <= 8 grid has ~8.6e8 lists, far beyond the runtime budget, so the
-    # longer lengths are covered by 2e4 random draws from the same ranges
-    for k1 in range(-12, 13):
+    # longer lengths are covered by random draws from the same ranges
+    for k1 in range(-term_max, term_max + 1):
         err = check((k1,))
         if err:
             return False, err
-        for kn in range(2, 13):
+        for kn in range(2, term_max + 1):
             err = check((k1, kn))
             if err:
                 return False, err
-            for k2 in range(1, 13):
+            for k2 in range(1, term_max + 1):
                 err = check((k1, k2, kn))
                 if err:
                     return False, err
-                for k3 in range(1, 13):
+                for k3 in range(1, term_max + 1):
                     err = check((k1, k2, k3, kn))
                     if err:
                         return False, err
+    grid_lists = lists
     rng = random.Random(1005)
-    for _ in range(20_000):
+    for _ in range(random_lists):
         n = rng.randint(5, 8)
-        terms = [rng.randint(-12, 12)]
-        terms += [rng.randint(1, 12) for _ in range(n - 2)]
-        terms.append(rng.randint(2, 12))
+        terms = [rng.randint(-term_max, term_max)]
+        terms += [rng.randint(1, term_max) for _ in range(n - 2)]
+        terms.append(rng.randint(2, term_max))
         err = check(tuple(terms))
         if err:
             return False, err
-    return True, ("all |p|,|q| <= 200 round-trip; exhaustive term grid for n <= 4 "
-                  "plus 2x10^4 random lists for n in 5..8 (full grid infeasible in budget)")
+    return True, (f"{fractions} fractions with |p|,|q| <= {bound} round-trip; exhaustive "
+                  f"term grid for n <= 4, |k| <= {term_max} ({grid_lists} lists) plus "
+                  f"{lists - grid_lists} random lists for n in 5..8 (full grid infeasible "
+                  f"in budget)")
 
 
 def _criterion_braid_relation() -> tuple[bool, str]:
     rng = random.Random(1006)
     a, b = PF_ZERO, PF_INFINITY
-    for _ in range(10_000):
-        x = random_pfrac(rng, 10**6)
+    fractions, bound, words, max_tail = 10_000, 10**6, 100, 30
+    for _ in range(fractions):
+        x = random_pfrac(rng, bound)
         lhs = pf_op(pf_op(pf_op(x, a), b), a)
         rhs = pf_op(pf_op(pf_op(x, b), a), b)
         if lhs != rhs:
             return False, f"x*a*b*a != x*b*a*b at x = {x}"
-    for _ in range(100):
-        w = random_qword(rng, 30)
+    for _ in range(words):
+        w = random_qword(rng, max_tail)
         if not braid_relation_holds(w):
             return False, f"braid relation fails at word {w}"
-    return True, "holds on 10^4 random fractions and 10^2 random words"
+    return True, (f"holds on {fractions} random fractions with |p|,|q| <= {bound} and "
+                  f"{words} random words of <= {max_tail} letters")
 
 
 def _criterion_orbit_surjectivity() -> tuple[bool, str]:

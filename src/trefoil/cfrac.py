@@ -30,16 +30,15 @@ _CF_RE = re.compile(r"^\[\s*([+-]?\d+)\s*(?:;(.*))?\]$")
 def cf_validate(terms: Sequence[int]) -> bool:
     """True iff the list satisfies the continued-fraction constraints.
     An empty list is an error, not merely invalid."""
-    terms = list(terms)
+    terms = tuple(terms)
     if not terms:
         raise ValueError("a continued fraction has at least one term")
-    if any(type(k) is not int for k in terms):  # not bool, float or str
+    if type(terms[0]) is not int:  # not bool, float or str
         return False
-    if any(k < 1 for k in terms[1:]):
-        return False
-    if len(terms) >= 2 and terms[-1] == 1:
-        return False
-    return True
+    for k in terms[1:]:
+        if type(k) is not int or k < 1:
+            return False
+    return len(terms) == 1 or terms[-1] != 1
 
 
 @dataclass(frozen=True)

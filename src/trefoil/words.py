@@ -7,13 +7,14 @@ The presentation is {a, b | a*b*a = b, b*a*b = a}.
 
 Route one, :func:`normalize`, rewrites a word to its unique normal form
 using only the presentation relations, free reduction and idempotence:
-letters are appended one at a time to a normal word and the shape is
-restored after each append.  Route two goes through the fraction quandle:
-:func:`word_to_frac` evaluates the word at phi(a) = 0/1, phi(b) = 1/0, and
-:func:`frac_to_word` reads the normal form off the continued-fraction
-expansion of the image.  The two routes agreeing on arbitrary words is the
-machine-checked certificate that the word quandle and the fraction quandle
-are isomorphic.
+letters are appended one at a time to a normal word, and each append
+restores the normal shape by at most one block move, a constant number of
+integer edits to the last exponents.  Route two goes through the fraction
+quandle: :func:`word_to_frac` evaluates the word at phi(a) = 0/1,
+phi(b) = 1/0 on a plain integer pair, and :func:`frac_to_word` reads the
+normal form off the continued-fraction expansion of the image.  The two
+routes agreeing on arbitrary words is the machine-checked certificate that
+the word quandle and the fraction quandle are isomorphic.
 
 Normal forms alternate positive b-blocks and inverse a-blocks:
 
@@ -32,7 +33,7 @@ from typing import Sequence, Union
 
 from ._trusted import _trusted
 from .cfrac import ContinuedFraction, cf_expand, cf_validate
-from .pfrac import PF_INFINITY, PF_ZERO, PFrac, pf_op, pf_op_inv
+from .pfrac import PFrac, _pf_signed
 
 LETTERS = "abAB"
 
@@ -176,27 +177,31 @@ class NormalForm:
 # ---------------------------------------------------------------------------
 #
 # State: the exponent vector of a normal word stored reversed, e = [kn, ...,
-# k2, k1], so that every rule edits the end of the list (n = 0 is the bare
+# k2, k1], so that every edit touches the end of the list (n = 0 is the bare
 # generator b, n = 1 with k1 = 0 the bare generator a).  One letter is
-# appended at a time and the normal shape restored.  Every branch below is
-# one of: free reduction, idempotence x*x = x (and its inverse form), the
-# presentation relations a*b*a = b / b*a*b = a and their one-step
-# consequences
+# appended at a time and the normal shape restored by O(1) integer edits of
+# the last few entries: appending b or B adjusts k1, and an appended a or A
+# applies at most one block move to whole blocks.  Each block move is an
+# identity of operator words, the composite of the presentation relations,
+# free reduction and idempotence, for t >= 1 and s >= 1 (s >= 2 in the
+# last).  The operator form of the relations is the braid relation
+# A b a = b a B, and (b a b)^2 = 1, since b a b swaps a and b:
 #
-#     b a = a B,   b A = a b,   a B A = b,   a b A ... = b A A ...,
+#     A B^s a   ->  b A^s B          (A B a = b A B, the braid relation inverted)
+#     b b a     ->  A B B            (a b b a b b = (a b a)(b a b) = 1)
+#     b A^t b a ->  A B^(t+2)        (A b a -> b a B, t times, then b b a)
+#     b A^t B A ->  A B^t            (b A^t = A B^t a b by the first move,
+#                                     then free reduction)
+#     A B^s A   ->  b A^(s-2) b      (B B A = a b b by the second move, then
+#                                     the first)
 #
-# or one of the three block moves for an appended a/A next to a b-block,
-# each the composite of the operator-level relations
+# A move whose left side begins with a letter the word lacks borrows it from
+# the base: a = a A and b = b b by idempotence.  The element relations
 #
-#     A b^s a   ->  b a^s B        (consuming the A)
-#     A B^s a   ->  b A^s B        (consuming one preceding A)
-#     b A^t     ->  A B^t a b
-#     a B^s     ->  B A^s b a      (at the head, via idempotence)
+#     b a = a B,   b A = a b,   a b a = b,   a B A = b
 #
-# Appending b or B only adjusts k1.  The two hard cases replace the end of
-# the word by a strictly shorter normal prefix and push the rest of their
-# right-hand side back onto the stack of pending letters, so the loop does
-# the length induction without recursing.
+# handle the bare generators.  After a move :func:`_canon` squashes the
+# empty blocks and the kn = 1 head it may leave.
 
 def _canon(e: list[int]) -> None:
     """Squash empty blocks and eliminate kn = 1 heads.
@@ -211,82 +216,87 @@ def _canon(e: list[int]) -> None:
         if e[0] == 0:
             del e[:2]
             continue
-        # Only k2..k4 can be zero: they are the only entries a rule
-        # decrements, and a merge of two positive blocks is positive.
-        for i in range(max(1, len(e) - 4), len(e) - 1):
-            if e[i] == 0:
-                e[i - 1 : i + 2] = [e[i - 1] + e[i + 1]]
-                break
-        else:
-            if e[0] != 1:
-                return
+        # Only k2..k4 can be zero: they are the only entries a move
+        # decrements or writes as s - 2, and a merge of two positive blocks
+        # is positive.
+        inner = e[-4:-1]
+        if 0 in inner:
+            i = len(e) - 1 - len(inner) + inner.index(0)
+            e[i - 1 : i + 2] = [e[i - 1] + e[i + 1]]
+        elif e[0] == 1:
             del e[0]
             e[0] += 1
+        else:
+            return
+
+
+def _last_b_to(e: list[int], m: int) -> None:
+    """... b^k3 A^k2 b^k1 becomes ... b^(k3-1) A B^m: the right sides of
+    b A^t b a and b A^t B A, whose leading b is the last of the k3-block or,
+    when there is none (base b), the base itself."""
+    if len(e) > 2:
+        e[-3:] = [e[-3] - 1, 1, -m]
+    else:
+        e[:] = [1, -m]
+    _canon(e)
 
 
 def normalize(w: WordLike) -> NormalForm:
     """Rewrite a word to its unique normal form, one appended letter at a
-    time, using only the presentation relations, free reduction and
-    idempotence.  Total on arbitrary words."""
+    time, each by at most one block move composed of the presentation
+    relations, free reduction and idempotence.  Total on arbitrary words,
+    in time linear in their length."""
     w = _as_word(w)
     e = [0] if w.base == "a" else []
-    # letters still to append, the next one last; a right-hand side goes
-    # back on reversed
-    pending = list(reversed(w.tail))
-    while pending:
-        ch = pending.pop()
-        if not e:
-            if ch == "a":
-                e = [-1]  # b a = a B
-            elif ch == "A":
-                e = [1]  # b A = a b
-            continue
-        k1 = e[-1]
+    for ch in w.tail:
         if ch == "b":
-            e[-1] += 1
+            if e:  # else b b = b
+                e[-1] += 1
         elif ch == "B":
-            e[-1] -= 1
+            if e:  # else b B = b
+                e[-1] -= 1
+        elif not e:
+            e = [-1] if ch == "a" else [1]  # b a = a B, b A = a b
         elif ch == "a":
-            if k1 == 0:
-                # a a = a; otherwise the word ends in A and free reduction
-                # shortens the a-block
-                if len(e) > 1:
-                    e[-2] -= 1
-                    _canon(e)
+            k1 = e[-1]
+            if k1 >= 2:
+                e[-1:] = [k1 - 2, 1, -2]  # move: b b a -> A B B
+                _canon(e)
+            elif k1 == 1:
+                if len(e) == 1:
+                    e.clear()  # a b a = b
+                else:
+                    _last_b_to(e, e[-2] + 2)  # move: b A^t b a -> A B^(t+2)
             elif k1 < 0:
-                # ... A B^s a -> ... b A^s B, consuming one A of the
-                # k2-block (at the bare head a B^s a = a b A^s B by
-                # idempotence at the base)
+                # move: A B^s a -> b A^s B, the A from the k2-block or the base
                 if len(e) > 1:
                     e[-2] -= 1
                 e[-1:] = [1, -k1, -1]
                 _canon(e)
-            elif len(e) == 1 and k1 == 1:
-                e.clear()  # a b a = b
+            elif len(e) > 1:
+                e[-2] -= 1  # A a: free reduction
+                _canon(e)
+            # else a a = a
+        else:  # ch == "A"
+            k1 = e[-1]
+            if k1 > 0:
+                e += [1, 0]  # a fresh A-block; k1 may legally be 0
+                _canon(e)
+            elif k1 == 0:
+                if len(e) > 1:
+                    e[-2] += 1  # else a A = a
+            elif k1 == -1:
+                if len(e) == 1:
+                    e.clear()  # a B A = b
+                else:
+                    _last_b_to(e, e[-2])  # move: b A^t B A -> A B^t
             else:
-                # ... A b^s a -> ... b a^s B: the b becomes k1 and a^s B go
-                # back on the stack; idempotence at the base supplies the
-                # consumed A of a bare head
-                e[-1] = 1
+                # move: A B^s A -> b A^(s-2) b, the A from the k2-block or
+                # the base
                 if len(e) > 1:
                     e[-2] -= 1
-                    _canon(e)
-                pending += "B" + "a" * k1
-        # from here on ch is "A"
-        elif k1 > 0:
-            e += [1, 0]  # a fresh a-block opens; k1 may legally be 0
-            _canon(e)
-        elif k1 == 0:
-            if len(e) > 1:
-                e[-2] += 1  # else a A = a
-        elif len(e) == 1:
-            e[:] = [-k1 - 1, 1]  # a B^s A = (a B A) A^(s-1) b = b A^(s-1) b
-            _canon(e)
-        else:
-            # ... b^k3 A^k2 B^s A = ... b^(k3-1) A B^(k2+1) A^(s-1) b
-            k2 = e[-2]
-            del e[-2:]
-            pending += "b" + "A" * (-k1 - 1) + "B" * (k2 + 1) + "AB"
+                e[-1:] = [1, -k1 - 2, 1]
+                _canon(e)
     return NormalForm(tuple(reversed(e)))
 
 
@@ -297,13 +307,22 @@ def normalize(w: WordLike) -> NormalForm:
 def word_to_frac(w: WordLike) -> PFrac:
     """Evaluate a word in the fraction quandle: the base maps to 0/1 (a) or
     1/0 (b), then each tail letter acts by * or *̄ with that generator's
-    image."""
+    image, in closed form on the pair (p, q): * 0/1 subtracts p from q,
+    *̄ 0/1 adds it, * 1/0 adds q to p and *̄ 1/0 subtracts it.  The steps
+    are determinant-one maps, so the pair stays primitive and is signed once,
+    at the end."""
     w = _as_word(w)
-    x = PF_ZERO if w.base == "a" else PF_INFINITY
+    p, q = (0, 1) if w.base == "a" else (1, 0)
     for ch in w.tail:
-        y = PF_ZERO if ch in "aA" else PF_INFINITY
-        x = pf_op(x, y) if ch.islower() else pf_op_inv(x, y)
-    return x
+        if ch == "a":
+            q -= p
+        elif ch == "A":
+            q += p
+        elif ch == "b":
+            p += q
+        else:
+            p -= q
+    return _pf_signed(p, q)
 
 
 def frac_to_word(x: PFrac) -> NormalForm:

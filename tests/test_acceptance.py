@@ -9,6 +9,9 @@ expected failure rather than weakened; the computed behaviour is pinned by
 its own test below and in tests/test_quandle.py.
 """
 
+import re
+from math import gcd
+
 import pytest
 
 from trefoil.acceptance import _ALEXANDER_RINGS, CRITERIA, _conj_core_groups, run_criterion
@@ -72,3 +75,24 @@ def test_criterion_3_counts_its_cases():
         f"(order <= 64), {len(groups)} conj (order <= 24), {len(groups)} core (order <= 24), "
         f"{sum(n ** 3 for n in orders)} cells compared")
     assert "10000 fraction triples and 10000 covered triples" in result.detail
+
+
+def test_criteria_2_4_5_6_count_their_cases():
+    assert run_criterion(2).detail == (
+        "exact generators; 10000 random pairs with |p|,|q| <= 1000: matrix action "
+        "equals *, every determinant 1")
+    detail = run_criterion(4).detail
+    m = re.fullmatch(r"1000 random words of <= 30 letters and 4 of 10000 letters "
+                     r"\((\d+) letters\): rewriting is sound, both routes agree, "
+                     r"all outputs valid", detail)
+    assert m, detail
+    assert 40_000 <= int(m.group(1)) <= 40_000 + 1000 * 30
+    fractions = sum(gcd(abs(p), q) == 1 for q in range(1, 201) for p in range(-200, 201))
+    grid = 25 * sum(11 * 12 ** (n - 2) if n >= 2 else 1 for n in range(1, 5))
+    assert run_criterion(5).detail == (
+        f"{fractions} fractions with |p|,|q| <= 200 round-trip; exhaustive term grid for "
+        f"n <= 4, |k| <= 12 ({grid} lists) plus 20000 random lists for n in 5..8 "
+        f"(full grid infeasible in budget)")
+    assert run_criterion(6).detail == (
+        "holds on 10000 random fractions with |p|,|q| <= 1000000 and 100 random words "
+        "of <= 30 letters")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import fields
 from decimal import Decimal
@@ -257,6 +258,37 @@ def test_validate_examples():
     assert not cf_validate([1, -3])
     with pytest.raises(ValueError):
         cf_validate([])
+
+
+def three_pass_validate(terms):
+    """The list copy and two generator passes cf_validate replaced: the oracle
+    for its one-pass loop."""
+    terms = list(terms)
+    if not terms:
+        raise ValueError("a continued fraction has at least one term")
+    if any(type(k) is not int for k in terms):
+        return False
+    if any(k < 1 for k in terms[1:]):
+        return False
+    if len(terms) >= 2 and terms[-1] == 1:
+        return False
+    return True
+
+
+def test_validate_matches_the_three_pass_oracle_exhaustively():
+    entries = (-2, -1, 0, 1, 2, 3, True, False, 1.0, 2.5, "1", "2")
+    count = 0
+    for n in range(1, 5):
+        for terms in itertools.product(entries, repeat=n):
+            expected = three_pass_validate(terms)
+            assert cf_validate(terms) is expected, terms
+            assert cf_validate(list(terms)) is expected, terms
+            assert cf_validate(iter(terms)) is expected, terms
+            count += 1
+    assert count == sum(len(entries) ** n for n in range(1, 5))
+    for empty in ((), [], iter(())):
+        with pytest.raises(ValueError):
+            cf_validate(empty)
 
 
 def test_eval_rejects_invalid_lists():

@@ -62,6 +62,20 @@ def test_word_commands_on_long_words():
     assert go("word2frac", w) == (0, f"{frac}\n", "")
 
 
+def test_word_commands_on_words_of_10_5_letters():
+    rng = random.Random(15)
+    w = "b" + "".join(rng.choices("abAB", k=100_000))
+    code, normal_form, err = go("normalize", w)
+    assert (code, err) == (0, "")
+    code, fraction, err = go("word2frac", w)
+    assert (code, err) == (0, "")
+    normal_form, fraction = normal_form.rstrip("\n"), fraction.rstrip("\n")
+    expected = json.dumps({"input": w, "normal_form": normal_form, "fraction": fraction}) + "\n"
+    assert go("--json", "normalize", w) == (0, expected, "")
+    assert go("--json", "word2frac", w) == (0, expected, "")
+    assert go("frac2word", fraction) == (0, normal_form + "\n", "")
+
+
 def test_cf_commands():
     assert go("cf", "expand", "7/3") == (0, "[2;3]\n", "")
     assert go("cf", "expand", "-1/2") == (0, "[-1;2]\n", "")

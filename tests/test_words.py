@@ -1,9 +1,14 @@
+import inspect
 import itertools
 import random
+import re
 
 import pytest
 
+import trefoil.words
 from trefoil import (
+    PF_INFINITY,
+    PF_ZERO,
     NormalForm,
     QWord,
     braid_relation_holds,
@@ -24,6 +29,29 @@ from trefoil import (
 
 def random_word(rng, max_tail=30):
     return QWord(rng.choice("ab"), "".join(rng.choice("abAB") for _ in range(rng.randint(0, max_tail))))
+
+
+def fold_word_to_frac(w):
+    """The letter-by-letter fold through pf_op and pf_op_inv that word_to_frac
+    replaced: the oracle for its integer-pair loop."""
+    x = PF_ZERO if w.base == "a" else PF_INFINITY
+    for ch in w.tail:
+        y = PF_ZERO if ch in "aA" else PF_INFINITY
+        x = pf_op(x, y) if ch.islower() else pf_op_inv(x, y)
+    return x
+
+
+# The block moves of normalize, as operator identities: the least block
+# length each applies to, and its two sides as strings of operator letters
+# for a block length s (the t of a move is its s).  The key is the name
+# normalize's comments use.
+BLOCK_MOVES = {
+    "A B^s a -> b A^s B": (1, lambda s: ("A" + "B" * s + "a", "b" + "A" * s + "B")),
+    "b b a -> A B B": (1, lambda s: ("bba", "ABB")),
+    "b A^t b a -> A B^(t+2)": (1, lambda s: ("b" + "A" * s + "ba", "A" + "B" * (s + 2))),
+    "b A^t B A -> A B^t": (1, lambda s: ("b" + "A" * s + "BA", "A" + "B" * s)),
+    "A B^s A -> b A^(s-2) b": (2, lambda s: ("A" + "B" * s + "A", "b" + "A" * (s - 2) + "b")),
+}
 
 
 def test_parse_examples():
@@ -103,21 +131,55 @@ def test_normalize_soundness_and_completeness():
 
 def test_normalize_matches_fraction_route_exhaustively():
     count = 0
-    for n in range(7):
+    for n in range(8):
         for letters in itertools.product("abAB", repeat=n):
             for base in "ab":
                 w = QWord(base, "".join(letters))
-                assert normalize(w) == frac_to_word(word_to_frac(w)), w
+                image = word_to_frac(w)
+                assert image == fold_word_to_frac(w), w
+                assert normalize(w) == frac_to_word(image), w
                 count += 1
-    assert count == 10_922
+    assert count == 43_690
+
+
+def test_normalize_matches_fraction_route_on_random_words():
+    rng = random.Random(12)
+    for _ in range(10_000):
+        w = QWord(rng.choice("ab"), "".join(rng.choices("abAB", k=rng.randint(0, 1000))))
+        assert normalize(w) == frac_to_word(word_to_frac(w)), w
 
 
 def test_normalize_long_words():
-    # far beyond the depth a normalizer recursing once per rewrite reaches
+    # a normalizer doing more than O(1) work per letter is slow here
     rng = random.Random(8)
     for _ in range(2):
-        w = QWord(rng.choice("ab"), "".join(rng.choice("abAB") for _ in range(4000)))
+        w = QWord(rng.choice("ab"), "".join(rng.choices("abAB", k=100_000)))
         assert normalize(w) == frac_to_word(word_to_frac(w))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MOVES))
+def test_block_moves_are_operator_identities(name):
+    rng = random.Random(13)
+    prefixes = [QWord("a", ""), QWord("b", "")] + [random_word(rng, 12) for _ in range(8)]
+    least, sides = BLOCK_MOVES[name]
+    for s in range(least, 51):
+        lhs, rhs = sides(s)
+        for x in prefixes:
+            assert word_to_frac(x.extended(lhs)) == word_to_frac(x.extended(rhs)), (name, s, x)
+
+
+def test_normalize_names_only_verified_block_moves():
+    source = inspect.getsource(trefoil.words.normalize)
+    named = set(re.findall(r"# move: (.+?)(?:,|$)", source, re.M))
+    assert named == set(BLOCK_MOVES)
+
+
+def test_word_to_frac_matches_the_pf_op_fold_on_random_words():
+    rng = random.Random(14)
+    for length in (0, 1, 10, 100, 1000, 10_000):
+        for _ in range(3):
+            w = QWord(rng.choice("ab"), "".join(rng.choices("abAB", k=length)))
+            assert word_to_frac(w) == fold_word_to_frac(w)
 
 
 def test_word_to_frac_examples():
