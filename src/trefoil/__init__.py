@@ -9,10 +9,13 @@ bijection between fractions and normal-form words.  A fourth structure,
 the covering quandle of the long trefoil, is built over the braid group B3
 with a decidable word problem.
 
-Each value type is checked once.  Public constructors keep every check and
-coerce nothing (a bool, float or str is not an int); values the library
-builds from values valid by an argument stated where they are built go
-through the one private constructor `_trusted` and are never checked again.
+Each value type is a frozen dataclass on slots, checked once.  Public
+constructors keep every check and coerce nothing (a bool, float or str is
+not an int); values the library builds from values valid by an argument
+stated where they are built go through the class's one trusted builder,
+`cls._trusted(*fields)`, generated by `_trusted.value_type`, and are never
+checked again.  A braid carries its Burau image at t = -1 as a field, set
+in closed form by whichever operation builds the braid.
 """
 
 from .braid import (

@@ -9,7 +9,10 @@ the Burau representation at t = -1,
 
     a -> [[1, 1], [0, 1]]        b -> [[1, 0], [-1, 1]]
 
-computed from (d, w) on first use, together with the exponent sum.  This
+stored with every braid as the field `image`, together with the exponent
+sum.  Each way of building a braid sets the image in closed form: one
+column add per letter of w for a parsed or checked braid, the product of
+the factors' images for a product, the adjugate for an inverse.  This
 map sends B3 onto SL(2, Z) with kernel <Delta^4> (Milnor 1971; Kassel-Turaev,
 Braid Groups, 2008), and eps(Delta^4) = 12, so two braids with equal images
 and equal exponent sums differ by Delta^(4k) with 12k = 0: they are equal.
@@ -21,10 +24,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import field
 from typing import Iterable
 
-from ._trusted import _trusted
+from ._trusted import value_type
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +50,7 @@ _GEN_TO_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
 _CANCEL = {"a": "AB", "b": "BA", "ab": "A", "ba": "B"}
 
 
-def _times(d: int, w: str, letters: str) -> "BraidElement":
+def _times(d: int, w: str, letters: str) -> tuple[int, str]:
     """Delta^d w times `letters` (a, b and D = Delta^-1), in Garside form.
 
     Only the last two letters can complete an aba or bab; that Delta then
@@ -69,17 +72,39 @@ def _times(d: int, w: str, letters: str) -> "BraidElement":
         else:
             out.append(c)
     w = "".join(out)
-    return _trusted(BraidElement, d=d, w=w.translate(_TAU) if flip else w)
+    return d, w.translate(_TAU) if flip else w
 
 
-@dataclass(frozen=True)
+def _image(d: int, w: str) -> tuple[int, int, int, int]:
+    """The Burau image at t = -1 of Delta^d w as [[p, q], [r, s]]:
+    Delta^(d mod 4) from the table, then one column add per letter of w."""
+    p, q, r, s = _DELTA_POWERS[d % 4]
+    for c in w:
+        if c == "a":  # [[p, q], [r, s]] [[1, 1], [0, 1]]
+            q += p
+            s += r
+        else:  # [[p, q], [r, s]] [[1, 0], [-1, 1]]
+            p -= q
+            r -= s
+    return p, q, r, s
+
+
+def _from_letters(letters: str) -> "BraidElement":
+    d, w = _times(0, "", letters.translate(_EXPAND))
+    return BraidElement._trusted(d, w, _image(d, w))
+
+
+@value_type
 class BraidElement:
     """The braid Delta^d w in Garside form; build it with parse, from_word
     or the group operations.  BraidElement(d, w) checks that w is a
-    positive word free of aba and bab.  Equality and hashing compare (d, w)."""
+    positive word free of aba and bab.  Equality and hashing compare (d, w);
+    image, the Burau image at t = -1 as (p, q, r, s) = [[p, q], [r, s]], is
+    set with them."""
 
     d: int
     w: str
+    image: tuple[int, int, int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if type(self.d) is not int:
@@ -87,6 +112,7 @@ class BraidElement:
         w = self.w
         if type(w) is not str or w.strip("ab") or "aba" in w or "bab" in w:
             raise ValueError(f"{w!r} is not a positive word free of aba and bab")
+        object.__setattr__(self, "image", _image(self.d, w))
 
     @classmethod
     def from_word(cls, word: Iterable[int]) -> "BraidElement":
@@ -94,18 +120,18 @@ class BraidElement:
             text = "".join(_GEN_TO_LETTER[g] for g in word)
         except KeyError as exc:
             raise ValueError(f"illegal generator {exc.args[0]}") from None
-        return _times(0, "", text.translate(_EXPAND))
+        return _from_letters(text)
 
     @classmethod
     def parse(cls, text: str) -> "BraidElement":
         bad = next((ch for ch in text if ch not in "abAB"), None)
         if bad is not None:
             raise ValueError(f"illegal braid letter {bad!r}")
-        return _times(0, "", text.translate(_EXPAND))
+        return _from_letters(text)
 
     @classmethod
     def identity(cls) -> "BraidElement":
-        return _trusted(cls, d=0, w="")
+        return cls._trusted(0, "", (1, 0, 0, 1))
 
     @property
     def eps(self) -> int:
@@ -113,29 +139,22 @@ class BraidElement:
         generator to 1."""
         return 3 * self.d + len(self.w)
 
-    @functools.cached_property
-    def image(self) -> tuple[int, int, int, int]:
-        """The Burau image at t = -1 as [[p, q], [r, s]]: Delta^(d mod 4)
-        from the table, then one column add per letter of w."""
-        p, q, r, s = _DELTA_POWERS[self.d % 4]
-        for c in self.w:
-            if c == "a":  # [[p, q], [r, s]] [[1, 1], [0, 1]]
-                q += p
-                s += r
-            else:  # [[p, q], [r, s]] [[1, 0], [-1, 1]]
-                p -= q
-                r -= s
-        return p, q, r, s
-
     def __mul__(self, other: "BraidElement") -> "BraidElement":
         # Delta^d w Delta^e v = Delta^(d+e) tau^e(w) v
         w = self.w.translate(_TAU) if other.d % 2 else self.w
-        return _times(self.d + other.d, w, other.w)
+        d, w = _times(self.d + other.d, w, other.w)
+        p, q, r, s = self.image
+        e, f, g, h = other.image
+        image = (p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h)
+        return BraidElement._trusted(d, w, image)
 
     def inv(self) -> "BraidElement":
-        # (Delta^d w)^-1 = w^-1 Delta^-d = Delta^-d tau^d(w)^-1
+        # (Delta^d w)^-1 = w^-1 Delta^-d = Delta^-d tau^d(w)^-1, and the
+        # inverse of a determinant-one image is its adjugate
         w = self.w.translate(_TAU) if self.d % 2 else self.w
-        return _times(-self.d, "", w[::-1].upper().translate(_EXPAND))
+        d, w = _times(-self.d, "", w[::-1].upper().translate(_EXPAND))
+        p, q, r, s = self.image
+        return BraidElement._trusted(d, w, (s, -q, -r, p))
 
     def __pow__(self, k: int) -> "BraidElement":
         if k < 0:
@@ -193,3 +212,17 @@ def longitude() -> BraidElement:
     """The longitude of the trefoil, a^-4 b a a b: exponent sum zero and
     commuting with the meridian."""
     return BraidElement.parse("AAAAbaab")
+
+
+def longitude_power(k: int) -> BraidElement:
+    """lambda^k in closed form.  lambda = Delta^2 a^-6 with Delta^2 central,
+    so lambda^k = Delta^2k a^-6k: Delta^-4k (baab)^3k for k >= 0, as
+    a^-1 = Delta^-1 ab and the Delta^-1 moves left by swapping a and b, and
+    Delta^2k a^6|k| for k < 0.  Its image is (-1)^k [[1, -6k], [0, 1]]."""
+    if type(k) is not int:
+        raise ValueError(f"the power of the longitude must be an int, got {k!r}")
+    sign = -1 if k % 2 else 1
+    image = (sign, -6 * k * sign, 0, sign)
+    if k >= 0:
+        return BraidElement._trusted(-4 * k, "baab" * (3 * k), image)
+    return BraidElement._trusted(2 * k, "a" * (-6 * k), image)

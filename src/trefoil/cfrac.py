@@ -15,11 +15,10 @@ long pairs (Lehmer), and evaluation multiplies the term matrices
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from ._trusted import _trusted
+from ._trusted import value_type
 from .pfrac import PFrac
 
 Rational = Union[Fraction, int, PFrac]
@@ -41,7 +40,7 @@ def cf_validate(terms: Sequence[int]) -> bool:
     return len(terms) == 1 or terms[-1] != 1
 
 
-@dataclass(frozen=True)
+@value_type
 class ContinuedFraction:
     """A validated finite continued fraction."""
 
@@ -148,7 +147,7 @@ def cf_expand(r: Rational) -> ContinuedFraction:
         terms.append(k)
         assert len(terms) <= budget, "continued-fraction expansion exceeded Euclidean bound"
         p, q = q, rem
-    return _trusted(ContinuedFraction, terms=tuple(terms))
+    return ContinuedFraction._trusted(tuple(terms))
 
 
 def _euclid_batch(p: int, q: int) -> tuple[list[int], int, int]:

@@ -2,9 +2,9 @@
 commutator subgroup of B3 and x = m^{g'} the corresponding meridian
 conjugate.
 
-g' is the source of truth; x is derived from it on demand, so the defining
-constraint can never drift, and equality compares the Garside forms of the
-second slots.  The quandle operations are
+g' is the source of truth; x is derived from it on first use and kept, so
+the defining constraint can never drift, and equality compares the Garside
+forms of the second slots.  The quandle operations are
 
     (x, g') *  (y, h') = (y^-1 x y, g' x^-1 y)
     (x, g') *̄ (y, h') = (y x y^-1, m g' h'^-1 m^-1 h')
@@ -16,38 +16,42 @@ freely and transitively on each fibre of the covering map (x, g') -> x.
 
 The deck layer needs no Garside products beyond lambda_act's one.  The
 longitude is lambda = Delta^2 a^-6 with Delta^2 central, so lambda^k has a
-closed Garside form.  Its Burau image at t = -1 is (-1)^k [[1, -6k], [0, 1]]
-and its exponent sum 0.  Two slots g'_1, g'_2 lie over the same point
-exactly when their quotient commutes with m, which the images decide
-alone: an image commuting with that of m leaves a commutator in the
-kernel <Delta^4> with exponent sum 0, hence trivial.
+closed Garside form (braid.longitude_power).  Its Burau image at t = -1 is
+(-1)^k [[1, -6k], [0, 1]] and its exponent sum 0.  Two slots g'_1, g'_2 lie
+over the same point exactly when their quotient commutes with m, which the
+images decide alone: an image commuting with that of m leaves a commutator
+in the kernel <Delta^4> with exponent sum 0, hence trivial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import field
+from typing import Optional
 
-from ._trusted import _trusted
-from .braid import BraidElement, meridian
+from ._trusted import value_type
+from .braid import BraidElement, longitude_power, meridian
 
 
 class FiberMismatchError(ValueError):
     """The two elements lie over different meridian conjugates."""
 
 
-@dataclass(frozen=True)
+@value_type
 class CoveredElement:
     """A point of the long-trefoil quandle: the exponent-zero slot g' plus
-    its meridian conjugate x = g'^-1 m g', derived and cached on first use.
-    g' determines x, so equality and hashing compare g' alone."""
+    its meridian conjugate x = g'^-1 m g', derived on first use and kept in
+    the slot _x.  g' determines x, so equality and hashing compare g' alone."""
 
     g: BraidElement
+    _x: Optional[BraidElement] = field(default=None, init=False, compare=False, repr=False)
 
-    @cached_property
+    @property
     def x(self) -> BraidElement:
-        x = self.g.inv() * meridian() * self.g
-        assert x.eps == 1
+        x = self._x
+        if x is None:
+            x = self.g.inv() * meridian() * self.g
+            assert x.eps == 1
+            object.__setattr__(self, "_x", x)
         return x
 
     def to_json(self) -> dict:
@@ -61,7 +65,7 @@ def qt_new(g: BraidElement) -> CoveredElement:
     """Build the covered element over g', which must have exponent sum zero."""
     if g.eps != 0:
         raise ValueError(f"second slot must have exponent sum 0, got {g.eps}")
-    return CoveredElement(g)
+    return CoveredElement._trusted(g, None)
 
 
 def qt_op(p: CoveredElement, q: CoveredElement) -> CoveredElement:
@@ -100,21 +104,10 @@ def covering_p(p: CoveredElement) -> BraidElement:
 
 def lambda_act(k: int, p: CoveredElement) -> CoveredElement:
     """The deck transformation: multiply the second slot by lambda^k on the
-    left.  The covering image is unchanged.  lambda^k = Delta^2k a^-6k is
-    Delta^-4k (baab)^3k for k >= 0, as a^-1 = Delta^-1 ab and the Delta^-1
-    moves left by swapping a and b, and Delta^2k a^6|k| for k < 0.  The
-    result's t = -1 image is the image of lambda^k times that of g', not
-    recomputed over the 12|k| letters of lambda^k."""
-    if k >= 0:
-        power = _trusted(BraidElement, d=-4 * k, w="baab" * (3 * k))
-    else:
-        power = _trusted(BraidElement, d=2 * k, w="a" * (-6 * k))
-    g = power * p.g
-    # seed the cached t = -1 image: (-1)^k [[1, -6k], [0, 1]] image(g')
-    a, b, c, d = p.g.image
-    s = -1 if k % 2 else 1
-    g.__dict__["image"] = (s * (a - 6 * k * c), s * (b - 6 * k * d), s * c, s * d)
-    return qt_new(g)
+    left; k must be an int.  The covering image is unchanged.  lambda^k
+    comes in closed form, its t = -1 image included, so the one product
+    never walks the 12|k| letters of lambda^k."""
+    return qt_new(longitude_power(k) * p.g)
 
 
 def pi1_act(p: CoveredElement, h: BraidElement) -> CoveredElement:
@@ -125,7 +118,7 @@ def pi1_act(p: CoveredElement, h: BraidElement) -> CoveredElement:
 
 def fiber_compare(p1: CoveredElement, p2: CoveredElement) -> int:
     """The unique k with g'_2 = lambda^k g'_1, for two elements of the same
-    fibre, from one product of the cached t = -1 images: Q = G_2 G_1^-1,
+    fibre, from one product of the stored t = -1 images: Q = G_2 G_1^-1,
     with G^-1 = [[d, -b], [-c, a]] for G = [[a, b], [c, d]].
 
     The elements lie over the same point, g'_1^-1 m g'_1 = g'_2^-1 m g'_2,

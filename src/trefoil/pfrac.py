@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
 
-from ._trusted import _trusted
+from ._trusted import value_type
 
 IntPair = tuple[int, int]
 
@@ -36,7 +35,7 @@ def _require_ints(*values: object) -> None:
             raise ValueError(f"expected ints, got {values!r}")
 
 
-@dataclass(frozen=True)
+@value_type
 class PFrac:
     """A canonical projective primitive pair: gcd(|p|, |q|) = 1 and either
     q > 0 or (q, p) = (0, 1).  The point 1/0 is infinity; 0 is 0/1."""
@@ -77,7 +76,7 @@ class PFrac:
         """A Fraction is already reduced, with a positive denominator."""
         if not (isinstance(r, Fraction) or type(r) is int):
             raise TypeError(f"from_fraction takes a Fraction or an int, not {type(r).__name__}")
-        return _trusted(cls, p=r.numerator, q=r.denominator)
+        return cls._trusted(r.numerator, r.denominator)
 
     @classmethod
     def parse(cls, text: str) -> "PFrac":
@@ -107,7 +106,7 @@ def _pf_signed(p: int, q: int) -> PFrac:
     the inverse map is integral too, so pf_new's gcd would be 1."""
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
-    return _trusted(PFrac, p=p, q=q)
+    return PFrac._trusted(p, q)
 
 
 PF_ZERO = pf_new(0, 1)
@@ -177,7 +176,7 @@ def projectivize(x: IntPair) -> PFrac:
 # transvection matrices in PSL(2, Z)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class TransvectionMatrix:
     """A determinant-one integer 2x2 matrix, compared as a class in
     PSL(2, Z): a matrix and its negation are equal."""
@@ -224,7 +223,7 @@ def transvection_matrix(y: PFrac) -> TransvectionMatrix:
     """
     c, d = y.p, y.q
     dc = d * c
-    return _trusted(TransvectionMatrix, a=1 - dc, b=c * c, c=-d * d, d=1 + dc)
+    return TransvectionMatrix._trusted(1 - dc, c * c, -d * d, 1 + dc)
 
 
 def apply_matrix(m: TransvectionMatrix, x: PFrac) -> PFrac:
@@ -250,7 +249,7 @@ def _generator_steps(p: int, q: int) -> tuple[tuple[str, IntPair], ...]:
             ("b", _signed_pair(p + q, q)), ("B", _signed_pair(p - q, q)))
 
 
-@dataclass(frozen=True)
+@value_type
 class OrbitReport:
     """Breadth-first closure of {0/1, 1/0} under the four generator steps,
     restricted to canonical representatives with |p|, |q| <= bound."""
@@ -297,7 +296,7 @@ def orbit_bfs(targets: Iterable[PFrac], bound: int) -> OrbitReport:
                 words[y] = word + letter
                 steps.append((x, letter, y))
                 queue.append(y)
-    fracs = {x: _trusted(PFrac, p=x[0], q=x[1]) for x in words}
+    fracs = {x: PFrac._trusted(x[0], x[1]) for x in words}
     witnesses = {fracs[x]: word for x, word in words.items()}
     reached = {t: witnesses[t] for t in targets if t in witnesses}
     unreached = tuple(t for t in targets if t not in witnesses)

@@ -18,12 +18,11 @@ first counterexample found is the one a cell-by-cell loop would find.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from ._trusted import _trusted
+from ._trusted import value_type
 
 
 def _freeze_table(table: Sequence[Sequence[int]], size: int) -> tuple[tuple[int, ...], ...]:
@@ -40,7 +39,7 @@ def _freeze_table(table: Sequence[Sequence[int]], size: int) -> tuple[tuple[int,
     return frozen
 
 
-@dataclass(frozen=True)
+@value_type
 class FiniteQuandle:
     """A binary operation on {0, ..., size-1} given by a dense table.
 
@@ -68,7 +67,7 @@ class FiniteQuandle:
         return cls(data["size"], data["table"])
 
 
-@dataclass(frozen=True)
+@value_type
 class AxiomReport:
     """Outcome of an exhaustive axiom scan over a finite operation table.
 
@@ -210,7 +209,7 @@ def check_quandle(q: FiniteQuandle) -> AxiomReport:
 # groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class FiniteGroup:
     """A finite group on {0, ..., size-1}; the group axioms are verified
     exhaustively at construction."""
@@ -276,7 +275,7 @@ class FiniteGroup:
             if left != right:
                 b, c = _first_difference(left, right, n)
                 raise ValueError(f"associativity fails at ({a}, {b}, {c})")
-        return _trusted(cls, size=n, table=frozen, inverse=tuple(inverse), identity=identity)
+        return cls._trusted(n, frozen, tuple(inverse), identity)
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
@@ -349,7 +348,7 @@ def dihedral_quandle(n: int) -> FiniteQuandle:
     if type(n) is not int or n <= 0:
         raise ValueError(f"order must be a positive int, got {n!r}")
     table = [[(2 * j - i) % n for j in range(n)] for i in range(n)]
-    return _trusted(FiniteQuandle, size=n, table=tuple(map(tuple, table)))
+    return FiniteQuandle._trusted(n, tuple(map(tuple, table)))
 
 
 def conj_quandle(g: FiniteGroup) -> FiniteQuandle:
@@ -358,7 +357,7 @@ def conj_quandle(g: FiniteGroup) -> FiniteQuandle:
         [g.mul(g.mul(g.inv(b), a), b) for b in g.elements()]
         for a in g.elements()
     ]
-    return _trusted(FiniteQuandle, size=g.size, table=tuple(map(tuple, table)))
+    return FiniteQuandle._trusted(g.size, tuple(map(tuple, table)))
 
 
 def core_quandle(g: FiniteGroup) -> FiniteQuandle:
@@ -367,7 +366,7 @@ def core_quandle(g: FiniteGroup) -> FiniteQuandle:
         [g.mul(g.mul(b, g.inv(a)), b) for b in g.elements()]
         for a in g.elements()
     ]
-    return _trusted(FiniteQuandle, size=g.size, table=tuple(map(tuple, table)))
+    return FiniteQuandle._trusted(g.size, tuple(map(tuple, table)))
 
 
 def automorphism_quandle(g: FiniteGroup, tau: Sequence[int]) -> FiniteQuandle:
@@ -384,7 +383,7 @@ def automorphism_quandle(g: FiniteGroup, tau: Sequence[int]) -> FiniteQuandle:
         [g.mul(tau[g.mul(a, g.inv(b))], b) for b in g.elements()]
         for a in g.elements()
     ]
-    return _trusted(FiniteQuandle, size=g.size, table=tuple(map(tuple, table)))
+    return FiniteQuandle._trusted(g.size, tuple(map(tuple, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +397,7 @@ def _mod_inverse(a: int, n: int) -> int:
     return pow(a, -1, n)
 
 
-@dataclass(frozen=True)
+@value_type
 class LaurentQuotientRing:
     """The quotient Z/n[t, 1/t] / (h(t)) with h given by ascending coefficients.
 
@@ -499,7 +498,7 @@ def alexander_quandle(ring: LaurentQuotientRing) -> FiniteQuandle:
         ta = ring.mul(t, a)
         row = [index[ring.add(ta, ring.mul(one_minus_t, b))] for b in elems]
         table.append(row)
-    return _trusted(FiniteQuandle, size=len(elems), table=tuple(map(tuple, table)))
+    return FiniteQuandle._trusted(len(elems), tuple(map(tuple, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +545,14 @@ def module_vectors(modulus: int, rank: int) -> list[tuple[int, ...]]:
 
 def transvection_quandle(modulus: int, gram: Sequence[Sequence[int]]) -> FiniteQuandle:
     """The operation x * y = x - <x, y> y on (Z/n)^rank for the bilinear form
-    with the given Gram matrix.  No axiom is assumed; run the checkers."""
+    with the given Gram matrix, a square list or tuple of rows of ints.  No
+    axiom is assumed; run the checkers."""
     if type(modulus) is not int or modulus <= 0:
         raise ValueError(f"modulus must be a positive int, got {modulus!r}")
+    if not isinstance(gram, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and len(row) == len(gram)
+            and all(type(c) is int for c in row) for row in gram):
+        raise ValueError(f"gram must be a square matrix of ints, got {gram!r}")
     rank = len(gram)
     vectors = module_vectors(modulus, rank)
     index = {v: i for i, v in enumerate(vectors)}
@@ -559,4 +563,4 @@ def transvection_quandle(modulus: int, gram: Sequence[Sequence[int]]) -> FiniteQ
             d = form_value(gram, x, y, modulus)
             row.append(index[tuple((xi - d * yi) % modulus for xi, yi in zip(x, y))])
         table.append(row)
-    return _trusted(FiniteQuandle, size=len(vectors), table=tuple(map(tuple, table)))
+    return FiniteQuandle._trusted(len(vectors), tuple(map(tuple, table)))

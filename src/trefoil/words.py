@@ -28,10 +28,9 @@ continued-fraction terms of the word's fraction image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
-from ._trusted import _trusted
+from ._trusted import value_type
 from .cfrac import ContinuedFraction, cf_expand, cf_validate
 from .pfrac import PFrac, _pf_signed
 
@@ -40,7 +39,7 @@ LETTERS = "abAB"
 _SPECIAL_RENDER = {(): "b", (0,): "a", (1,): "ab", (-1,): "ba"}
 
 
-@dataclass(frozen=True)
+@value_type
 class QWord:
     """A raw word: base generator plus a (possibly empty) tail of operator
     letters.  No relation is applied; arbitrary words are legal."""
@@ -59,7 +58,7 @@ class QWord:
     def extended(self, letters: str) -> "QWord":
         """The word with `letters` appended; only they are checked."""
         _check_letters(letters)
-        return _trusted(QWord, base=self.base, tail=self.tail + letters)
+        return QWord._trusted(self.base, self.tail + letters)
 
 
 def _check_letters(letters: str) -> None:
@@ -99,19 +98,19 @@ def free_reduce(w: WordLike) -> QWord:
             out.pop()
         else:
             out.append(ch)
-    return _trusted(QWord, base=w.base, tail="".join(out))
+    return QWord._trusted(w.base, "".join(out))
 
 
 def word_op(u: WordLike, v: WordLike) -> QWord:
     """The quandle operation at the word level: u * v appends the operator
     expansion of v (inverse tail, base, tail) to u."""
     u, v = _as_word(u), _as_word(v)
-    return _trusted(QWord, base=u.base, tail=u.tail + _invert_letters(v.tail) + v.base + v.tail)
+    return QWord._trusted(u.base, u.tail + _invert_letters(v.tail) + v.base + v.tail)
 
 
 def word_op_inv(u: WordLike, v: WordLike) -> QWord:
     u, v = _as_word(u), _as_word(v)
-    return _trusted(QWord, base=u.base, tail=u.tail + _invert_letters(v.tail) + v.base.upper() + v.tail)
+    return QWord._trusted(u.base, u.tail + _invert_letters(v.tail) + v.base.upper() + v.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def normal_form_valid(exponents: Sequence[int]) -> bool:
     return not exponents or cf_validate(exponents)
 
 
-@dataclass(frozen=True)
+@value_type
 class NormalForm:
     """A canonical word, stored as its exponent vector (k1, ..., kn).
 
@@ -164,12 +163,12 @@ class NormalForm:
 
     def to_word(self) -> QWord:
         text = self.render()
-        return _trusted(QWord, base=text[0], tail=text[1:])
+        return QWord._trusted(text[0], text[1:])
 
     def to_continued_fraction(self) -> ContinuedFraction:
         if not self.exponents:
             raise ValueError("the generator b maps to 1/0, which has no expansion")
-        return _trusted(ContinuedFraction, terms=self.exponents)
+        return ContinuedFraction._trusted(self.exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,7 @@ def frac_to_word(x: PFrac) -> NormalForm:
     """The inverse route: 1/0 is the generator b; any finite fraction's
     normal form has the continued-fraction terms as its exponent vector."""
     exponents = cf_expand(x).terms if x.q else ()
-    return _trusted(NormalForm, exponents=exponents)
+    return NormalForm._trusted(exponents)
 
 
 def words_equal(w1: WordLike, w2: WordLike) -> bool:

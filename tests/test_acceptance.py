@@ -96,3 +96,15 @@ def test_criteria_2_4_5_6_count_their_cases():
     assert run_criterion(6).detail == (
         "holds on 10000 random fractions with |p|,|q| <= 1000000 and 100 random words "
         "of <= 30 letters")
+
+
+def test_criteria_1_7_8_count_their_cases():
+    assert run_criterion(1).detail == (
+        "both displayed product chains reproduce exactly (4 products)")
+    targets = 1 + sum(gcd(abs(p), q) == 1 for q in range(1, 31) for p in range(-30, 31))
+    assert run_criterion(7).detail == (
+        f"all {targets} fractions with |p|,|q| <= 30 reached; all {targets} witness words verify")
+    assert run_criterion(8).detail == (
+        "closed form matches iteration for |k| <= 20 on 1000 random pairs with |p|,|q| <= 100 "
+        "(41000 powers); 4 special cases (0/1 and 1/0, k > 0 and k < 0) match their closed "
+        "forms on 1000 fractions each with |p|,|q| <= 1000")

@@ -12,6 +12,7 @@ from trefoil import (
     meridian,
     render_braid,
 )
+from trefoil.braid import longitude_power
 
 # the Burau images at t = -1 of a, a^-1, b, b^-1, as (p, q, r, s) = [[p, q], [r, s]]
 _GENS = {1: (1, 1, 0, 1), -1: (1, -1, 0, 1), 2: (1, 0, -1, 1), -2: (1, 0, 1, 1)}
@@ -210,3 +211,30 @@ def test_longitude_powers_have_the_closed_form_image():
         sign = (-1) ** k
         assert (lam ** k).image == (sign, -6 * k * sign, 0, sign)
         assert braid_eq(lam ** k, identity) == (k == 0)
+
+
+def test_built_images_match_raw_word_products():
+    # products, inverses and powers set their images in closed form, from
+    # the operands' images; each must be the product over the raw word
+    rng = random.Random(27)
+    for _ in range(200):
+        wu, wv = random_word(rng, 0, 12), random_word(rng, 0, 12)
+        u, v = BraidElement.from_word(wu), BraidElement.from_word(wv)
+        inv_u, inv_v = (tuple(-g for g in reversed(w)) for w in (wu, wv))
+        k = rng.randint(-6, 6)
+        assert (u * v).image == raw_mat(wu + wv)
+        assert u.inv().image == raw_mat(inv_u)
+        assert (u ** k).image == raw_mat((wu if k >= 0 else inv_u) * abs(k))
+        assert (u * v.inv() * u).image == raw_mat(wu + inv_v + wu)
+    assert BraidElement.identity().image == _IDENTITY
+
+
+def test_longitude_power_is_the_power_of_the_longitude():
+    word = (-1, -1, -1, -1, 2, 1, 1, 2)
+    for k in range(-9, 10):
+        power = longitude_power(k)
+        assert power == longitude() ** k
+        assert power.image == raw_mat((word if k >= 0 else tuple(-g for g in reversed(word))) * abs(k))
+    for k in (True, 1.0, "1"):
+        with pytest.raises(ValueError):
+            longitude_power(k)

@@ -99,9 +99,13 @@ def test_kernels_match_fraction_reference():
 
 def assert_passes_public_checks(x):
     """x, built without its class's checks, rebuilt through the public
-    constructor: the same value, with the same hash."""
-    y = type(x)(*(getattr(x, f.name) for f in fields(x)))
+    constructor from its init fields: the same value, with the same hash,
+    and every field equal, those set in closed form (a braid's image)
+    included."""
+    y = type(x)(*(getattr(x, f.name) for f in fields(x) if f.init))
     assert y == x and hash(y) == hash(x)
+    for f in fields(x):
+        assert getattr(y, f.name) == getattr(x, f.name), f.name
 
 
 def test_unchecked_results_pass_the_public_checks():

@@ -110,6 +110,7 @@ def test_representation_property(pool):
 def test_covering_image_is_meridian_conjugate(pool):
     for p in pool:
         assert covering_p(p).eps == 1
+        assert covering_p(p) is p.x  # derived once, then kept in its slot
 
 
 def test_lambda_act_basics():
@@ -119,6 +120,13 @@ def test_lambda_act_basics():
     assert moved != p
     assert braid_eq(covering_p(moved), covering_p(p))
     assert lambda_act(-1, moved) == p
+
+
+@pytest.mark.parametrize("k", [True, 2.0])
+def test_lambda_act_rejects_a_non_int_power(k):
+    # True once acted as k = 1, and 2.0 raised TypeError
+    with pytest.raises(ValueError, match="must be an int"):
+        lambda_act(k, base_point())
 
 
 def test_lambda_act_freeness(pool):
@@ -167,7 +175,6 @@ def test_lambda_act_seeds_the_image_of_its_result(pool):
     for p in slots:
         for k in range(-300, 301, 7 if p.g.d else 1):
             g = lambda_act(k, p).g
-            assert "image" in vars(g)
             assert g.image == BraidElement(g.d, g.w).image, (k, p)
 
 

@@ -285,6 +285,18 @@ def test_z2_product_form_regression():
     assert q.op(0, 1) == q.op(1, 1) == 0
 
 
+@pytest.mark.parametrize("gram", [[[1.5]], [[1], [2]], [["1"]], [[1, 0]], [[True]], [1], "1"],
+                         ids=["float", "column", "str-entry", "row", "bool", "flat", "str"])
+def test_transvection_quandle_rejects_a_bad_gram(gram):
+    with pytest.raises(ValueError, match="square matrix of ints"):
+        transvection_quandle(3, gram)
+
+
+def test_transvection_quandle_takes_lists_and_tuples():
+    assert transvection_quandle(2, ((1,),)) == transvection_quandle(2, [[1]])
+    assert transvection_quandle(3, ([0, 1], (-1, 0))).size == 9
+
+
 def test_alternating_gram_gives_quandle():
     q = transvection_quandle(3, [[0, 1], [-1, 0]])
     assert check_quandle(q).is_quandle
