@@ -14,8 +14,8 @@ constructors keep every check and coerce nothing (a bool, float or str is
 not an int); values the library builds from values valid by an argument
 stated where they are built go through the class's one trusted builder,
 `cls._trusted(*fields)`, generated by `_trusted.value_type`, and are never
-checked again.  A braid carries its Burau image at t = -1 as a field, set
-in closed form by whichever operation builds the braid.
+checked again.  A braid's Burau image at t = -1 and a covered element's
+meridian conjugate x are fields set in closed form by each operation.
 """
 
 from .braid import (

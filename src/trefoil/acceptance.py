@@ -407,14 +407,17 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
     pool = sample_covered_pool(rng, 20, 12)
     pairs, closed_k, free_k, free_cases, fiber_k, fiber_cases = 1000, 64, 5, 100, 1000, 100
 
+    slot_checks = x_checks = 0
     for _ in range(pairs):
         p, q = rng.choice(pool), rng.choice(pool)
-        f1, f2 = qt_op_second_slot_forms(p, q)
-        if not braid_eq(f1, f2):
-            return False, f"the two displayed * second slots disagree at {p}, {q}"
-        g1, g2 = qt_op_inv_second_slot_forms(p, q)
-        if not braid_eq(g1, g2):
-            return False, f"the two displayed *̄ second slots disagree at {p}, {q}"
+        for name, op, forms in (("*", qt_op, qt_op_second_slot_forms),
+                                ("*̄", qt_op_inv, qt_op_inv_second_slot_forms)):
+            r = op(p, q)
+            if not all(braid_eq(r.g, f) for f in forms(p, q)):
+                return False, f"{name} and its two displayed second slots disagree at {p}, {q}"
+            if not braid_eq(r.x, r.g.inv() * m * r.g):
+                return False, f"the stored x of {p} {name} {q} is not its g'^-1 m g'"
+            slot_checks, x_checks = slot_checks + 2, x_checks + 1
 
     for _ in range(pairs):
         anchor, base = rng.choice(pool), rng.choice(pool)
@@ -446,8 +449,9 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
         p = rng.choice(pool)
         if fiber_compare(p, lambda_act(k, p)) != k:
             return False, f"fiber_compare failed to recover k = {k}"
-    return True, (f"second-slot forms agree ({pairs} pairs); covering and representation "
-                  f"properties hold ({pairs} each); longitude checks exact; "
+    return True, (f"* and *̄ second slots equal both displayed forms ({slot_checks} "
+                  f"comparisons), stored x equals g'^-1 m g' ({x_checks} results); covering "
+                  f"and representation properties hold ({pairs} each); longitude checks exact; "
                   f"lambda^k closed form for |k|<={closed_k} ({len(closed)} powers); "
                   f"freeness |k|<={free_k} ({free_cases} elements); "
                   f"fiber_compare recovers {len(planted)} planted k with |k|<={fiber_k}")

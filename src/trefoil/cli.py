@@ -271,20 +271,19 @@ def _run(argv: Optional[Sequence[str]],
             else:
                 text = f"reached via {witness} (explored {report.explored})"
         elif args.command == "long":
-            if args.long_command == "op":
-                result = qt_op(qt_new(BraidElement.parse(args.g1)),
-                               qt_new(BraidElement.parse(args.g2)))
-                payload = result.to_json()
-                text = f"g' = {payload['g_prime']}\nx = {payload['x']}\neps = {payload['eps']}"
-            elif args.long_command == "act":
-                result = pi1_act(qt_new(BraidElement.parse(args.g)),
-                                 BraidElement.parse(args.h))
-                payload = result.to_json()
-                text = f"g' = {payload['g_prime']}\nx = {payload['x']}\neps = {payload['eps']}"
-            else:
+            if args.long_command == "fiber":
                 k = fiber_compare(qt_new(BraidElement.parse(args.g1)),
                                   qt_new(BraidElement.parse(args.g2)))
                 payload, text = {"k": k}, f"k = {k}"
+            else:
+                if args.long_command == "op":
+                    result = qt_op(qt_new(BraidElement.parse(args.g1)),
+                                   qt_new(BraidElement.parse(args.g2)))
+                else:
+                    result = pi1_act(qt_new(BraidElement.parse(args.g)),
+                                     BraidElement.parse(args.h))
+                payload = result.to_json()
+                text = f"g' = {payload['g_prime']}\nx = {payload['x']}\neps = {payload['eps']}"
         elif args.command == "selftest":
             if args.json:
                 ok, results = run_selftest(stream=None)

@@ -2,17 +2,19 @@
 commutator subgroup of B3 and x = m^{g'} the corresponding meridian
 conjugate.
 
-g' is the source of truth; x is derived from it on first use and kept, so
-the defining constraint can never drift, and equality compares the Garside
-forms of the second slots.  The quandle operations are
+g' is the source of truth.  The public constructor checks eps(g') = 0 and
+sets x = g'^-1 m g'; every operation sets both slots in closed form, and
+equality compares the Garside forms of the second slots.  The quandle
+operations are
 
-    (x, g') *  (y, h') = (y^-1 x y, g' x^-1 y)
-    (x, g') *̄ (y, h') = (y x y^-1, m g' h'^-1 m^-1 h')
+    (x, g') *  (y, h') = (y^-1 x y, g' x^-1 y) = (y^-1 x y, m^-1 g' y)
+    (x, g') *̄ (y, h') = (y x y^-1, g' x y^-1) = (y x y^-1, m g' y^-1)
 
-where *̄ uses the self-consistent displayed form; both operations also have
-an alternative displayed form, exposed for the agreement tests.  The
-infinite cyclic group generated by the longitude acts on second slots,
-freely and transitively on each fibre of the covering map (x, g') -> x.
+since g' x^-1 = m^-1 g' and g' x = m g'.  The displayed forms in h',
+m^-1 g' h'^-1 m h' and m g' h'^-1 m^-1 h', are kept as the independent
+reference for the agreement tests.  The infinite cyclic group generated by
+the longitude acts on second slots, freely and transitively on each fibre
+of the covering map (x, g') -> x.
 
 The deck layer needs no Garside products beyond lambda_act's one.  The
 longitude is lambda = Delta^2 a^-6 with Delta^2 central, so lambda^k has a
@@ -26,10 +28,11 @@ in the kernel <Delta^4> with exponent sum 0, hence trivial.
 from __future__ import annotations
 
 from dataclasses import field
-from typing import Optional
 
 from ._trusted import value_type
 from .braid import BraidElement, longitude_power, meridian
+
+_M, _M_INV = meridian(), meridian().inv()
 
 
 class FiberMismatchError(ValueError):
@@ -38,21 +41,19 @@ class FiberMismatchError(ValueError):
 
 @value_type
 class CoveredElement:
-    """A point of the long-trefoil quandle: the exponent-zero slot g' plus
-    its meridian conjugate x = g'^-1 m g', derived on first use and kept in
-    the slot _x.  g' determines x, so equality and hashing compare g' alone."""
+    """A point (x, g') of the long-trefoil quandle.  CoveredElement(g')
+    checks that g' has exponent sum zero and sets its meridian conjugate
+    x = g'^-1 m g'.  g' determines x, so equality and hashing compare g'
+    alone."""
 
     g: BraidElement
-    _x: Optional[BraidElement] = field(default=None, init=False, compare=False, repr=False)
+    x: BraidElement = field(init=False, compare=False, repr=False)
 
-    @property
-    def x(self) -> BraidElement:
-        x = self._x
-        if x is None:
-            x = self.g.inv() * meridian() * self.g
-            assert x.eps == 1
-            object.__setattr__(self, "_x", x)
-        return x
+    def __post_init__(self) -> None:
+        g = self.g
+        if g.eps != 0:
+            raise ValueError(f"second slot must have exponent sum 0, got {g.eps}")
+        object.__setattr__(self, "x", g.inv() * _M * g)
 
     def to_json(self) -> dict:
         return {"g_prime": self.g.render(), "x": self.x.render(), "eps": self.x.eps}
@@ -63,38 +64,31 @@ class CoveredElement:
 
 def qt_new(g: BraidElement) -> CoveredElement:
     """Build the covered element over g', which must have exponent sum zero."""
-    if g.eps != 0:
-        raise ValueError(f"second slot must have exponent sum 0, got {g.eps}")
-    return CoveredElement._trusted(g, None)
+    return CoveredElement(g)
 
 
 def qt_op(p: CoveredElement, q: CoveredElement) -> CoveredElement:
-    """(x, g') * (y, h') = (x^y, g' x^-1 y)."""
-    return qt_new(p.g * p.x.inv() * q.x)
+    """(x, g') * (y, h') = (y^-1 x y, m^-1 g' y)."""
+    y = q.x
+    return CoveredElement._trusted(_M_INV * p.g * y, y.inv() * p.x * y)
 
 
 def qt_op_inv(p: CoveredElement, q: CoveredElement) -> CoveredElement:
-    """(x, g') *̄ (y, h') = (x^(y^-1), m g' h'^-1 m^-1 h')."""
-    m = meridian()
-    return qt_new(m * p.g * q.g.inv() * m.inv() * q.g)
+    """(x, g') *̄ (y, h') = (y x y^-1, m g' y^-1)."""
+    y_inv = q.x.inv()
+    return CoveredElement._trusted(_M * p.g * y_inv, q.x * p.x * y_inv)
 
 
 def qt_op_second_slot_forms(p: CoveredElement, q: CoveredElement) -> tuple[BraidElement, BraidElement]:
     """Both displayed forms of the * second slot: g' x^-1 y and
     m^-1 g' h'^-1 m h'.  They must agree on valid covered elements."""
-    m = meridian()
-    form1 = p.g * p.x.inv() * q.x
-    form2 = m.inv() * p.g * q.g.inv() * m * q.g
-    return form1, form2
+    return p.g * p.x.inv() * q.x, _M_INV * p.g * q.g.inv() * _M * q.g
 
 
 def qt_op_inv_second_slot_forms(p: CoveredElement, q: CoveredElement) -> tuple[BraidElement, BraidElement]:
     """Both displayed forms of the *̄ second slot: g' x y^-1 and
     m g' h'^-1 m^-1 h'."""
-    m = meridian()
-    form1 = p.g * p.x * q.x.inv()
-    form2 = m * p.g * q.g.inv() * m.inv() * q.g
-    return form1, form2
+    return p.g * p.x * q.x.inv(), _M * p.g * q.g.inv() * _M_INV * q.g
 
 
 def covering_p(p: CoveredElement) -> BraidElement:
@@ -106,14 +100,14 @@ def lambda_act(k: int, p: CoveredElement) -> CoveredElement:
     """The deck transformation: multiply the second slot by lambda^k on the
     left; k must be an int.  The covering image is unchanged.  lambda^k
     comes in closed form, its t = -1 image included, so the one product
-    never walks the 12|k| letters of lambda^k."""
-    return qt_new(longitude_power(k) * p.g)
+    never walks the 12|k| letters of lambda^k.  x is unchanged, as lambda
+    commutes with m."""
+    return CoveredElement._trusted(longitude_power(k) * p.g, p.x)
 
 
 def pi1_act(p: CoveredElement, h: BraidElement) -> CoveredElement:
     """The group action (m^{g'}, g')^h = (m^{g'h}, m^{-eps(h)} g' h)."""
-    m = meridian()
-    return qt_new(m ** (-h.eps) * p.g * h)
+    return CoveredElement._trusted(_M ** (-h.eps) * p.g * h, h.inv() * p.x * h)
 
 
 def fiber_compare(p1: CoveredElement, p2: CoveredElement) -> int:

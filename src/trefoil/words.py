@@ -244,7 +244,8 @@ def normalize(w: WordLike) -> NormalForm:
     """Rewrite a word to its unique normal form, one appended letter at a
     time, each by at most one block move composed of the presentation
     relations, free reduction and idempotence.  Total on arbitrary words,
-    in time linear in their length."""
+    in time linear in their length.  Every move leaves a normal exponent
+    vector, so the result is built without re-running cf_validate."""
     w = _as_word(w)
     e = [0] if w.base == "a" else []
     for ch in w.tail:
@@ -296,7 +297,7 @@ def normalize(w: WordLike) -> NormalForm:
                     e[-2] -= 1
                 e[-1:] = [1, -k1 - 2, 1]
                 _canon(e)
-    return NormalForm(tuple(reversed(e)))
+    return NormalForm._trusted(tuple(reversed(e)))
 
 
 # ---------------------------------------------------------------------------

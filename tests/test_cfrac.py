@@ -138,14 +138,18 @@ def test_unchecked_results_pass_the_public_checks():
         for b in (g, BraidElement.from_word([1, -2, 2, 1, 1]), BraidElement.identity(),
                   g * h, g.inv(), h ** 3):
             assert_passes_public_checks(b)
-    # the operations on covered elements give second slots in Garside form
+    # the operations on covered elements give both slots in Garside form,
+    # and the x each sets in closed form is the one g' determines
     pool = [qt_new(BraidElement.parse(w)) for w in ("", "aB", "AAAAbaab", "abABbA")]
     for p in pool:
         for k in (-2, 0, 3, rng.randint(-99, 99)):
+            assert_passes_public_checks(lambda_act(k, p))
             assert_passes_public_checks(lambda_act(k, p).g)
         for q in pool:
             for c in (qt_op(p, q), qt_op_inv(p, q), pi1_act(p, q.x)):
+                assert_passes_public_checks(c)
                 assert_passes_public_checks(c.g)
+                assert_passes_public_checks(c.x)
     # the stock quandles and groups
     groups = [cyclic_group(6), dihedral_group(4), symmetric_group(3), klein_four_group()]
     quandles = [dihedral_quandle(7), alexander_quandle(LaurentQuotientRing(3, (2, 0, 1))),

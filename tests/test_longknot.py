@@ -38,10 +38,11 @@ def test_qt_new_base_point():
 
 
 def test_qt_new_rejects_nonzero_exponent_sum():
-    with pytest.raises(ValueError):
-        qt_new(BraidElement.parse("a"))
-    with pytest.raises(ValueError):
-        qt_new(BraidElement.parse("ab"))
+    # CoveredElement is the same checked path; Delta^4 has the image of 1
+    for build in (qt_new, CoveredElement):
+        for g in ("a", "ab", "aba" * 4):
+            with pytest.raises(ValueError, match="exponent sum 0"):
+                build(BraidElement.parse(g))
 
 
 def test_longitude_slot_gives_fibre_mate():
@@ -84,9 +85,9 @@ def test_both_displayed_second_slot_forms_agree(pool):
     for _ in range(200):
         p, q = rng.choice(pool), rng.choice(pool)
         f1, f2 = qt_op_second_slot_forms(p, q)
-        assert braid_eq(f1, f2)
+        assert braid_eq(f1, f2) and braid_eq(qt_op(p, q).g, f1)
         g1, g2 = qt_op_inv_second_slot_forms(p, q)
-        assert braid_eq(g1, g2)
+        assert braid_eq(g1, g2) and braid_eq(qt_op_inv(p, q).g, g1)
 
 
 def test_covering_property(pool):
@@ -102,15 +103,17 @@ def test_representation_property(pool):
     rng = random.Random(36)
     for _ in range(200):
         p, q = rng.choice(pool), rng.choice(pool)
-        lhs = covering_p(qt_op(p, q))
+        pq = qt_op(p, q)
+        lhs = covering_p(pq)
         rhs = covering_p(q).inv() * covering_p(p) * covering_p(q)
         assert braid_eq(lhs, rhs)
+        assert braid_eq(lhs, pq.g.inv() * meridian() * pq.g)
 
 
 def test_covering_image_is_meridian_conjugate(pool):
     for p in pool:
         assert covering_p(p).eps == 1
-        assert covering_p(p) is p.x  # derived once, then kept in its slot
+        assert covering_p(p) is p.x  # set with g', then kept in its slot
 
 
 def test_lambda_act_basics():
@@ -203,11 +206,11 @@ def test_fiber_compare_rejects_different_fibres():
 
 
 def test_fiber_compare_rejects_a_non_power():
-    # second slots that qt_new would refuse, over the same point m: the
-    # quotient a has exponent sum 1, and Delta^4 has the image of lambda^0
+    # second slots that qt_new would refuse, planted over the same point m:
+    # the quotient a has exponent sum 1, and Delta^4 has the image of lambda^0
     p = base_point()
-    for g in ("a", "aba" * 4):
-        q = CoveredElement(BraidElement.parse(g))
+    for g in map(BraidElement.parse, ("a", "aba" * 4)):
+        q = CoveredElement._trusted(g, g.inv() * meridian() * g)
         assert covering_p(q) == covering_p(p)
         with pytest.raises(AssertionError):
             fiber_compare(p, q)

@@ -1,6 +1,8 @@
 """Every value type is a frozen dataclass on slots with one trusted builder,
-and only _trusted.py builds an instance without its class's checks."""
+only _trusted.py builds an instance without its class's checks, and a
+field is written after construction only by its class's __post_init__."""
 
+import ast
 import dataclasses
 import pathlib
 
@@ -50,3 +52,17 @@ def test_sources_keep_one_unchecked_constructor_and_no_instance_dicts():
     assert [name for name, text in sources.items() if "object.__new__" in text] == ["_trusted.py"]
     for needle in ("cached_property", "__dict__", "vars("):
         assert [name for name, text in sources.items() if needle in text] == [], needle
+
+
+def _setattr_calls(node: ast.AST) -> int:
+    return sum(isinstance(n, ast.Attribute) and n.attr == "__setattr__"
+               and isinstance(n.value, ast.Name) and n.value.id == "object"
+               for n in ast.walk(node))
+
+
+def test_object_setattr_appears_only_in_post_init():
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inits = [n for n in ast.walk(tree)
+                 if isinstance(n, ast.FunctionDef) and n.name == "__post_init__"]
+        assert _setattr_calls(tree) == sum(map(_setattr_calls, inits)), path.name
