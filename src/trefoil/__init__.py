@@ -15,7 +15,9 @@ not an int); values the library builds from values valid by an argument
 stated where they are built go through the class's one trusted builder,
 `cls._trusted(*fields)`, generated by `_trusted.value_type`, and are never
 checked again.  A braid's Burau image at t = -1 and a covered element's
-meridian conjugate x are fields set in closed form by each operation.
+meridian conjugate x are fields set in closed form by each operation, and a
+finite group's size, identity and inverses are fields its one constructor,
+FiniteGroup(table), derives from the table.
 """
 
 from .braid import (

@@ -24,6 +24,7 @@ from .longknot import (
     covering_p,
     fiber_compare,
     lambda_act,
+    pi1_act,
     qt_new,
     qt_op,
     qt_op_inv,
@@ -94,6 +95,12 @@ def random_zero_braid(rng: random.Random, length: int) -> BraidElement:
     signs = [1] * (length // 2) + [-1] * (length // 2)
     rng.shuffle(signs)
     return BraidElement.from_word(s * rng.choice((1, 2)) for s in signs)
+
+
+def random_braid(rng: random.Random, max_len: int) -> BraidElement:
+    """A braid word of up to max_len letters with any exponent sum."""
+    return BraidElement.from_word(rng.choice((1, -1, 2, -2))
+                                  for _ in range(rng.randint(0, max_len)))
 
 
 def sample_covered_pool(rng: random.Random, count: int, max_len: int) -> list[CoveredElement]:
@@ -406,6 +413,7 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
     rng = random.Random(1009)
     pool = sample_covered_pool(rng, 20, 12)
     pairs, closed_k, free_k, free_cases, fiber_k, fiber_cases = 1000, 64, 5, 100, 1000, 100
+    act_cases, act_len, random_slots = 500, 8, 100
 
     slot_checks = x_checks = 0
     for _ in range(pairs):
@@ -449,12 +457,41 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
         p = rng.choice(pool)
         if fiber_compare(p, lambda_act(k, p)) != k:
             return False, f"fiber_compare failed to recover k = {k}"
+
+    acted = 0
+    for _ in range(act_cases):
+        p, h1, h2 = rng.choice(pool), random_braid(rng, act_len), random_braid(rng, act_len)
+        r, where = pi1_act(p, h1), f"{p} and h = {h1.render() or '1'}"
+        if not braid_eq(r.x, h1.inv() * covering_p(p) * h1):
+            return False, f"pi1_act moves x to {r.x}, not to h^-1 x h, at {where}"
+        if not braid_eq(r.x, r.g.inv() * m * r.g):
+            return False, f"pi1_act stores an x other than g'^-1 m g' at {where}"
+        if pi1_act(r, h2) != pi1_act(p, h1 * h2):
+            return False, f"pi1_act does not compose at {where}, {h2.render() or '1'}"
+        acted += 1
+
+    slots = [BraidElement.parse("a"), BraidElement.parse("ab"), BraidElement.parse("aba") ** 4]
+    while len(slots) < 3 + random_slots:
+        h = random_braid(rng, act_len)
+        if h.eps != 0:
+            slots.append(h)
+    rejected = 0
+    for g in slots:
+        try:
+            CoveredElement(g)
+        except ValueError:
+            rejected += 1
+        else:
+            return False, f"CoveredElement accepted the slot {g} with exponent sum {g.eps}"
     return True, (f"* and *̄ second slots equal both displayed forms ({slot_checks} "
                   f"comparisons), stored x equals g'^-1 m g' ({x_checks} results); covering "
                   f"and representation properties hold ({pairs} each); longitude checks exact; "
                   f"lambda^k closed form for |k|<={closed_k} ({len(closed)} powers); "
                   f"freeness |k|<={free_k} ({free_cases} elements); "
-                  f"fiber_compare recovers {len(planted)} planted k with |k|<={fiber_k}")
+                  f"fiber_compare recovers {len(planted)} planted k with |k|<={fiber_k}; "
+                  f"pi1_act by braids of <= {act_len} letters moves x to h^-1 x h, keeps x "
+                  f"equal to g'^-1 m g' and composes ({acted} cases); CoveredElement "
+                  f"rejects {rejected} slots with eps != 0")
 
 
 def _criterion_symplectic_footnote() -> tuple[bool, str]:

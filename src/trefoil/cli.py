@@ -297,9 +297,6 @@ def _run(argv: Optional[Sequence[str]],
             else:
                 ok, _results = run_selftest(stream=out)
             return 0 if ok else 1
-        else:  # pragma: no cover - argparse enforces the choices
-            print(f"unknown command {args.command!r}", file=err)
-            return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=err)
         return 2

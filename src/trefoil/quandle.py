@@ -1,8 +1,10 @@
 """Finite quandles and racks: exhaustive axiom checking and the stock constructions.
 
 Carriers are index sets 0..size-1 with dense operation tables, so every axiom
-can be checked on every cell.  Groups enter the same way, as validated
-multiplication tables.
+can be checked on every cell.  Each structure is built from its defining
+data alone: a group from its multiplication table, FiniteGroup(table), which
+derives the size, identity and inverses; an Alexander quandle from the one
+linear map it uses, multiplication by t, the companion map of the monic h.
 
 The scans compare whole rows rather than looping over cells in Python.  Each
 is built on one primitive, gather(m, s) = (m[s[0]], m[s[1]], ...): for fixed
@@ -18,6 +20,7 @@ first counterexample found is the one a cell-by-cell loop would find.
 from __future__ import annotations
 
 import itertools
+from dataclasses import field
 from math import gcd
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -211,44 +214,21 @@ def check_quandle(q: FiniteQuandle) -> AxiomReport:
 
 @value_type
 class FiniteGroup:
-    """A finite group on {0, ..., size-1}; the group axioms are verified
-    exhaustively at construction."""
+    """A finite group on {0, ..., size-1}, given by its multiplication table.
 
-    size: int
+    FiniteGroup(table) is the one checked constructor: it locates the
+    identity (the first element that fixes every element from both sides)
+    and each element's inverse (the first two-sided one), then checks
+    associativity exhaustively.  size, identity and inverse are derived from
+    the table, so equality and hashing compare the table alone."""
+
     table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
-    identity: int
+    size: int = field(init=False, compare=False, repr=False)
+    identity: int = field(init=False, compare=False, repr=False)
+    inverse: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # identity and inverses are unique, so they must be those found here
-        found = FiniteGroup.from_table(self.table)
-        if type(self.size) is not int or self.size != found.size:
-            raise ValueError("multiplication table shape does not match order")
-        if type(self.identity) is not int or self.identity != found.identity:
-            raise ValueError(f"element {self.identity!r} is not the identity")
-        inverse = tuple(self.inverse)
-        if any(type(x) is not int for x in inverse) or inverse != found.inverse:
-            raise ValueError("inverse table wrong")
-        object.__setattr__(self, "table", found.table)
-        object.__setattr__(self, "inverse", found.inverse)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def to_json(self) -> dict:
-        return {"size": self.size, "table": [list(row) for row in self.table]}
-
-    @classmethod
-    def from_table(cls, table: Sequence[Sequence[int]]) -> "FiniteGroup":
-        """Build a group from a bare multiplication table, locating the
-        identity and inverses (then checking associativity)."""
-        frozen = _freeze_table(table, len(table))
+        frozen = _freeze_table(self.table, len(self.table))
         n = len(frozen)
         identity = None
         for e in range(n):
@@ -275,11 +255,26 @@ class FiniteGroup:
             if left != right:
                 b, c = _first_difference(left, right, n)
                 raise ValueError(f"associativity fails at ({a}, {b}, {c})")
-        return cls._trusted(n, frozen, tuple(inverse), identity)
+        object.__setattr__(self, "table", frozen)
+        object.__setattr__(self, "size", n)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverse", tuple(inverse))
+
+    def mul(self, a: int, b: int) -> int:
+        return self.table[a][b]
+
+    def inv(self, a: int) -> int:
+        return self.inverse[a]
+
+    def elements(self) -> range:
+        return range(self.size)
+
+    def to_json(self) -> dict:
+        return {"size": self.size, "table": [list(row) for row in self.table]}
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
-        return cls.from_table(data["table"])
+        return cls(data["table"])
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -287,7 +282,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     if type(n) is not int or n <= 0:
         raise ValueError(f"order must be a positive int, got {n!r}")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup.from_table(table)
+    return FiniteGroup(table)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -302,7 +297,7 @@ def symmetric_group(n: int) -> FiniteGroup:
         [index[tuple(map(b.__getitem__, a))] for b in perms]
         for a in perms
     ]
-    return FiniteGroup.from_table(table)
+    return FiniteGroup(table)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -318,7 +313,7 @@ def dihedral_group(n: int) -> FiniteGroup:
         return r + n * ((fa + fb) % 2)
 
     table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
-    return FiniteGroup.from_table(table)
+    return FiniteGroup(table)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -332,7 +327,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         return g.mul(a1, a2) * m + h.mul(b1, b2)
 
     table = [[mul(x, y) for y in range(size)] for x in range(size)]
-    return FiniteGroup.from_table(table)
+    return FiniteGroup(table)
 
 
 def klein_four_group() -> FiniteGroup:
@@ -390,48 +385,42 @@ def automorphism_quandle(g: FiniteGroup, tau: Sequence[int]) -> FiniteQuandle:
 # Alexander quandles over Z/n[t]/(h(t))
 # ---------------------------------------------------------------------------
 
-def _mod_inverse(a: int, n: int) -> int:
-    a %= n
-    if gcd(a, n) != 1:
-        raise ValueError(f"{a} is not invertible mod {n}")
-    return pow(a, -1, n)
-
-
 @value_type
 class LaurentQuotientRing:
     """The quotient Z/n[t, 1/t] / (h(t)) with h given by ascending coefficients.
 
-    Elements are coefficient vectors of length deg(h); arithmetic is modulo
-    (n, h).  The leading coefficient of h must be a unit mod n, and t must be
-    a unit in the quotient, which holds exactly when the constant term of h
-    is a unit mod n; construction fails otherwise.
+    Elements are coefficient vectors of length deg(h), t^0 first.  The
+    leading coefficient of h must be a unit mod n, and t must be a unit in
+    the quotient, which holds exactly when the constant term of h is a unit
+    mod n; construction fails otherwise.  h is stored monic, which leaves
+    the quotient unchanged.  The ring carries no arithmetic of its own:
+    its one use, :func:`alexander_quandle`, only multiplies by t.
     """
 
     modulus: int
     h: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.modulus) is not int or self.modulus <= 0:
-            raise ValueError(f"modulus must be a positive int, got {self.modulus!r}")
+        n = self.modulus
+        if type(n) is not int or n <= 0:
+            raise ValueError(f"modulus must be a positive int, got {n!r}")
         if any(type(c) is not int for c in self.h):
             raise ValueError(f"coefficients of h must be ints, got {self.h!r}")
-        h = tuple(c % self.modulus for c in self.h)
-        while h and h[-1] % self.modulus == 0 and len(h) > 1:
+        h = tuple(c % n for c in self.h)
+        while len(h) > 1 and h[-1] == 0:
             h = h[:-1]
+        # modulus 1 reduces every h to (0,) and fails here
         if len(h) < 2:
             raise ValueError("h(t) must have degree at least 1")
-        if self.modulus > 1 and gcd(h[-1], self.modulus) != 1:
+        if gcd(h[-1], n) != 1:
             raise ValueError("leading coefficient of h must be a unit mod n")
-        if self.modulus > 1 and gcd(h[0], self.modulus) != 1:
+        if gcd(h[0], n) != 1:
             raise ValueError(
                 "t is not a unit in the quotient (constant term of h shares a "
                 "factor with the modulus)"
             )
-        # store h monic, which leaves the quotient unchanged
-        lead_inv = 1 if self.modulus == 1 else _mod_inverse(h[-1], self.modulus)
-        object.__setattr__(
-            self, "h", tuple((c * lead_inv) % self.modulus for c in h)
-        )
+        lead_inv = pow(h[-1], -1, n)
+        object.__setattr__(self, "h", tuple(c * lead_inv % n for c in h))
 
     @property
     def degree(self) -> int:
@@ -442,63 +431,33 @@ class LaurentQuotientRing:
         return self.modulus ** self.degree
 
     def elements(self) -> list[tuple[int, ...]]:
+        """Every coefficient vector, the t^0 coefficient varying fastest."""
         return [
             tuple(reversed(v))
             for v in itertools.product(range(self.modulus), repeat=self.degree)
         ]
 
-    def t(self) -> tuple[int, ...]:
-        v = [0] * self.degree
-        if self.degree == 1:
-            # t reduces to -h[0] in degree one
-            v[0] = (-self.h[0]) % self.modulus
-        else:
-            v[1] = 1
-        return tuple(v)
-
-    def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return tuple((x + y) % self.modulus for x, y in zip(a, b))
-
-    def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        d = self.degree
-        n = self.modulus
-        prod = [0] * (2 * d - 1) if d > 0 else [0]
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % n
-        # reduce by the monic h
-        for k in range(len(prod) - 1, d - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(d):
-                    prod[k - d + j] = (prod[k - d + j] - c * self.h[j]) % n
-        return tuple(prod[:d])
-
-    def t_inverse(self) -> tuple[int, ...]:
-        """The inverse of t: from h(t) = 0, t * (h(t) - h0)/t = -h0."""
-        n = self.modulus
-        c0_inv = 1 if n == 1 else _mod_inverse(self.h[0], n)
-        coeffs = [(-c0_inv * self.h[j + 1]) % n for j in range(self.degree)]
-        return tuple(coeffs)
-
 
 def alexander_quandle(ring: LaurentQuotientRing) -> FiniteQuandle:
     """The Alexander quandle a * b = t a + (1 - t) b on the ring's elements,
-    listed in lexicographic order of coefficient vectors (low degree first)."""
+    indexed in the order of ``ring.elements()``.
+
+    The table is built from the one linear map it uses, multiplication by t.
+    On coefficient vectors that is the companion map of the monic h: shift
+    every coefficient up one degree, then subtract the overflowing top
+    coefficient times h.  Writing a * b = t a + (b - t b), t a and b - t b
+    are computed once per element, and each cell is one digitwise sum mod n
+    and one index lookup."""
+    n, h = ring.modulus, ring.h
     elems = ring.elements()
     index = {e: i for i, e in enumerate(elems)}
-    t = ring.t()
-    one_minus_t = tuple(
-        ((1 if k == 0 else 0) - t[k]) % ring.modulus for k in range(ring.degree)
+    times_t = [tuple((low - v[-1] * c) % n for low, c in zip((0, *v[:-1]), h)) for v in elems]
+    rest = [tuple((x - y) % n for x, y in zip(b, tb)) for b, tb in zip(elems, times_t)]
+    table = tuple(
+        tuple(index[tuple((x + y) % n for x, y in zip(ta, r))] for r in rest)
+        for ta in times_t
     )
-    table = []
-    for a in elems:
-        ta = ring.mul(t, a)
-        row = [index[ring.add(ta, ring.mul(one_minus_t, b))] for b in elems]
-        table.append(row)
-    return FiniteQuandle._trusted(len(elems), tuple(map(tuple, table)))
+    return FiniteQuandle._trusted(len(elems), table)
 
 
 # ---------------------------------------------------------------------------

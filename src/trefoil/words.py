@@ -36,7 +36,9 @@ from .pfrac import PFrac, _pf_signed
 
 LETTERS = "abAB"
 
-_SPECIAL_RENDER = {(): "b", (0,): "a", (1,): "ab", (-1,): "ba"}
+# the two classes the block rule does not print: b has no k1, and the rule
+# would print b*a as aB
+_SPECIAL_RENDER = {(): "b", (-1,): "ba"}
 
 
 @value_type
