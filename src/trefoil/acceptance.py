@@ -358,8 +358,17 @@ def _criterion_orbit_surjectivity() -> tuple[bool, str]:
     for target, witness in report.reached.items():
         if word_to_frac(parse_word(witness)) != target:
             return False, f"witness {witness!r} does not evaluate to {target}"
+    steps = {"a": (PF_ZERO, pf_op), "A": (PF_ZERO, pf_op_inv),
+             "b": (PF_INFINITY, pf_op), "B": (PF_INFINITY, pf_op_inv)}
+    edges = 0
+    for x, letter, y in report.edges:
+        gen, step = steps[letter]
+        if step(x, gen) != y:
+            return False, f"edge {x} -{letter}-> {y} is not the operation step"
+        edges += 1
     return True, (f"all {len(targets)} fractions with |p|,|q| <= {bound} reached; "
-                  f"all {len(report.reached)} witness words verify")
+                  f"all {len(report.reached)} witness words verify; all {edges} search "
+                  f"edges are operation steps by their generator")
 
 
 def _criterion_power_formulas() -> tuple[bool, str]:

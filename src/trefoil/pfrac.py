@@ -11,14 +11,19 @@ silently corrupt results.
 Untrusted pairs go through pf_new, which takes one gcd.  The operations
 and the matrix action are determinant-one integer maps, which send
 primitive pairs to primitive pairs, so their results are only signed.
+
+orbit_bfs witnesses that 0/1 and 1/0 generate the quandle: one
+breadth-first loop over a flat bytearray grid of signed integer pairs,
+with the four generator steps inline in closed form and each reached
+point built as a PFrac once.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Union
 
 from ._trusted import value_type
@@ -132,8 +137,8 @@ def pf_op_pow(x: PFrac, y: PFrac, k: int) -> PFrac:
     and x for k = 0.
     """
     _require_ints(k)
-    d = x.p * y.q - x.q * y.p
-    return _pf_signed(x.p - k * d * y.p, x.q - k * d * y.q)
+    kd = k * (x.p * y.q - x.q * y.p)
+    return _pf_signed(x.p - kd * y.p, x.q - kd * y.q)
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +240,6 @@ def apply_matrix(m: TransvectionMatrix, x: PFrac) -> PFrac:
 # orbit exploration from the two generators
 # ---------------------------------------------------------------------------
 
-def _signed_pair(u: int, v: int) -> IntPair:
-    """The canonical sign of a primitive pair: v > 0, or (u, v) = (1, 0).
-    _pf_signed applies the same rule inline, as it runs on every operation."""
-    return (-u, -v) if v < 0 or (v == 0 and u < 0) else (u, v)
-
-
-def _generator_steps(p: int, q: int) -> tuple[tuple[str, IntPair], ...]:
-    """The four generator steps from the canonical pair (p, q) in closed
-    form, canonically signed: * 0/1 sends p/q to p/(q - p), *̄ 0/1 to
-    p/(q + p), * 1/0 to (p + q)/q and *̄ 1/0 to (p - q)/q."""
-    return (("a", _signed_pair(p, q - p)), ("A", _signed_pair(p, q + p)),
-            ("b", _signed_pair(p + q, q)), ("B", _signed_pair(p - q, q)))
-
-
 @value_type
 class OrbitReport:
     """Breadth-first closure of {0/1, 1/0} under the four generator steps,
@@ -279,32 +270,65 @@ def orbit_bfs(targets: Iterable[PFrac], bound: int) -> OrbitReport:
     visiting only fractions with |p|, |q| <= bound, and report which targets
     were reached together with a witness word for each.
 
-    The search runs on canonical integer pairs with the generator steps in
-    closed form; each explored fraction becomes a PFrac once, at the end."""
+    One breadth-first loop over a flat grid: the pair (u, v) is cell
+    origin + u·side + v of a bytearray, for |u|, |v| <= 2·bound, which holds
+    every step from the box.  A reached point marks both of its signs, and
+    the cells outside the box are marked from the start, so a step is one
+    lookup and nothing is built for a step not taken.  The steps are inline
+    in closed form: * 0/1 sends p/q to p/(q - p), *̄ 0/1 to p/(q + p), * 1/0
+    to (p + q)/q and *̄ 1/0 to (p - q)/q; only the first two can need a sign
+    change, as q >= 0 and q = 0 only at 1/0.  A point becomes a PFrac once,
+    when it is first reached.  The list of reached points is the queue, and
+    the letter order a, A, b, B decides which shortest word wins."""
     _require_ints(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
     targets = tuple(targets)
-    words: dict[IntPair, str] = {(0, 1): "a", (1, 0): "b"}
-    steps: list[tuple[IntPair, str, IntPair]] = []
-    queue = deque(words)
-    while queue:
-        x = queue.popleft()
-        word = words[x]
-        for letter, y in _generator_steps(*x):
-            if abs(y[0]) <= bound and y[1] <= bound and y not in words:
-                words[y] = word + letter
-                steps.append((x, letter, y))
-                queue.append(y)
-    fracs = {x: PFrac._trusted(x[0], x[1]) for x in words}
-    witnesses = {fracs[x]: word for x, word in words.items()}
-    reached = {t: witnesses[t] for t in targets if t in witnesses}
-    unreached = tuple(t for t in targets if t not in witnesses)
+    new = PFrac._trusted
+    side = 4 * bound + 1
+    last = side * side - 1  # cell c holds (u, v) and cell last - c (-u, -v)
+    origin = last // 2      # the cell of (0, 0)
+    wall = b"\x01" * side
+    row = b"\x01" * bound + bytes(2 * bound + 1) + b"\x01" * bound
+    seen = bytearray(wall * bound + row * (2 * bound + 1) + wall * bound)
+    nodes = [(new(0, 1), "a", None, origin + 1), (new(1, 0), "b", None, origin + side)]
+    for _, _, _, c in nodes:
+        seen[c] = seen[last - c] = 1
+    push = nodes.append
+    for x, word, _, cell in nodes:  # nodes grows as it is read: it is the queue
+        p = x.p
+        q = x.q
+        c = cell - p  # a: p/(q - p)
+        if not seen[c]:
+            seen[c] = seen[last - c] = 1
+            if q >= p:
+                push((new(p, q - p), word + "a", x, c))
+            else:
+                push((new(-p, p - q), word + "a", x, last - c))
+        c = cell + p  # A: p/(q + p)
+        if not seen[c]:
+            seen[c] = seen[last - c] = 1
+            if q + p > 0:
+                push((new(p, q + p), word + "A", x, c))
+            else:
+                push((new(-p, -q - p), word + "A", x, last - c))
+        shift = q * side
+        c = cell + shift  # b: (p + q)/q
+        if not seen[c]:
+            seen[c] = seen[last - c] = 1
+            push((new(p + q, q), word + "b", x, c))
+        c = cell - shift  # B: (p - q)/q
+        if not seen[c]:
+            seen[c] = seen[last - c] = 1
+            push((new(p - q, q), word + "B", x, c))
+    fracs, words, parents, _ = zip(*nodes)
+    witnesses = dict(zip(fracs, words))
+    reached = {t: w for t in targets if (w := witnesses.get(t)) is not None}
     return OrbitReport(
         bound=bound,
-        explored=len(witnesses),
+        explored=len(fracs),
         witnesses=witnesses,
         reached=reached,
-        unreached=unreached,
-        edges=tuple((fracs[x], letter, fracs[y]) for x, letter, y in steps),
+        unreached=tuple(t for t in targets if t not in reached),
+        edges=tuple(zip(parents[2:], map(itemgetter(-1), words[2:]), fracs[2:])),
     )

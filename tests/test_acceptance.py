@@ -103,7 +103,8 @@ def test_criteria_1_7_8_count_their_cases():
         "both displayed product chains reproduce exactly (4 products)")
     targets = 1 + sum(gcd(abs(p), q) == 1 for q in range(1, 31) for p in range(-30, 31))
     assert run_criterion(7).detail == (
-        f"all {targets} fractions with |p|,|q| <= 30 reached; all {targets} witness words verify")
+        f"all {targets} fractions with |p|,|q| <= 30 reached; all {targets} witness words "
+        f"verify; all {targets - 2} search edges are operation steps by their generator")
     assert run_criterion(8).detail == (
         "closed form matches iteration for |k| <= 20 on 1000 random pairs with |p|,|q| <= 100 "
         "(41000 powers); 4 special cases (0/1 and 1/0, k > 0 and k < 0) match their closed "

@@ -24,7 +24,6 @@ from trefoil import (
     sympl_op_inv,
     transvection_matrix,
 )
-from trefoil.pfrac import _generator_steps
 
 pairs = st.tuples(
     st.integers(min_value=-10**6, max_value=10**6),
@@ -320,9 +319,15 @@ def _orbit_by_operations(targets, bound):
     return witnesses, tuple(edges)
 
 
+def _box_size(bound):
+    """Canonical primitive pairs with |p|, |q| <= bound, counted by gcd."""
+    return 1 + sum(1 for q in range(1, bound + 1) for p in range(-bound, bound + 1)
+                   if gcd(abs(p), q) == 1)
+
+
 def test_orbit_bfs_matches_the_operation_search():
     rng = random.Random(17)
-    for bound in range(1, 41):
+    for bound in range(1, 61):
         box = bound + 2
         targets = [PF_INFINITY, pf_new(bound + 1, 1)] + [
             pf_new(rng.randint(-box, box), rng.randint(1, box)) for _ in range(20)]
@@ -331,7 +336,7 @@ def test_orbit_bfs_matches_the_operation_search():
         assert list(report.witnesses.items()) == list(witnesses.items())
         assert all(type(x) is PFrac and type(y) is PFrac for x, _, y in report.edges)
         assert report.edges == edges
-        assert report.explored == len(witnesses)
+        assert report.explored == len(witnesses) == _box_size(bound)
         reached = {t: witnesses[t] for t in targets if t in witnesses}
         assert list(report.reached.items()) == list(reached.items())
         assert report.unreached == tuple(t for t in targets if t not in witnesses)
@@ -339,13 +344,18 @@ def test_orbit_bfs_matches_the_operation_search():
 
 
 def test_generator_steps_are_the_operations():
-    steps = (("a", PF_ZERO, pf_op), ("A", PF_ZERO, pf_op_inv),
-             ("b", PF_INFINITY, pf_op), ("B", PF_INFINITY, pf_op_inv))
-    points = [PF_ZERO, PF_INFINITY] + [pf_new(p, q) for p in range(-9, 10) for q in range(1, 10)]
-    for x in points:
-        expected = tuple((letter, (y.p, y.q)) for letter, y in
-                         ((letter, step(x, gen)) for letter, gen, step in steps))
-        assert _generator_steps(x.p, x.q) == expected
+    # every edge orbit_bfs reports is one operation step by the generator
+    # its letter names, and each reached point but the two roots is the
+    # target of exactly one edge
+    steps = {"a": (PF_ZERO, pf_op), "A": (PF_ZERO, pf_op_inv),
+             "b": (PF_INFINITY, pf_op), "B": (PF_INFINITY, pf_op_inv)}
+    for bound in range(1, 61):
+        report = orbit_bfs([], bound)
+        for x, letter, y in report.edges:
+            gen, step = steps[letter]
+            assert step(x, gen) == y
+            assert report.witnesses[y] == report.witnesses[x] + letter
+        assert [y for _, _, y in report.edges] == list(report.witnesses)[2:]
 
 
 def test_orbit_dot_output():
