@@ -97,6 +97,11 @@ def random_zero_braid(rng: random.Random, length: int) -> BraidElement:
     return BraidElement.from_word(s * rng.choice((1, 2)) for s in signs)
 
 
+def random_braid_text(rng: random.Random, max_len: int) -> str:
+    """A raw braid text of up to max_len letters a, b, A = a^-1 and B = b^-1."""
+    return "".join(rng.choice("abAB") for _ in range(rng.randint(0, max_len)))
+
+
 def random_braid(rng: random.Random, max_len: int) -> BraidElement:
     """A braid word of up to max_len letters with any exponent sum."""
     return BraidElement.from_word(rng.choice((1, -1, 2, -2))
@@ -422,7 +427,7 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
     rng = random.Random(1009)
     pool = sample_covered_pool(rng, 20, 12)
     pairs, closed_k, free_k, free_cases, fiber_k, fiber_cases = 1000, 64, 5, 100, 1000, 100
-    act_cases, act_len, random_slots = 500, 8, 100
+    act_cases, act_len, random_slots, text_pairs, text_len = 500, 8, 100, 300, 200
 
     slot_checks = x_checks = 0
     for _ in range(pairs):
@@ -479,6 +484,18 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
             return False, f"pi1_act does not compose at {where}, {h2.render() or '1'}"
         acted += 1
 
+    # inv and * build Garside forms without the raw-input loop; parsing the
+    # inverted or concatenated raw text is the letter-by-letter route
+    kernel_checks = 0
+    for _ in range(text_pairs):
+        left, right = random_braid_text(rng, text_len), random_braid_text(rng, text_len)
+        u, v = BraidElement.parse(left), BraidElement.parse(right)
+        for got, text in ((u.inv(), left[::-1].swapcase()), (u * v, left + right)):
+            want = BraidElement.parse(text)
+            if (got.d, got.w, got.image) != (want.d, want.w, want.image):
+                return False, f"{got} differs from the parsed raw text {text or '1'}"
+            kernel_checks += 1
+
     slots = [BraidElement.parse("a"), BraidElement.parse("ab"), BraidElement.parse("aba") ** 4]
     while len(slots) < 3 + random_slots:
         h = random_braid(rng, act_len)
@@ -499,8 +516,10 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
                   f"freeness |k|<={free_k} ({free_cases} elements); "
                   f"fiber_compare recovers {len(planted)} planted k with |k|<={fiber_k}; "
                   f"pi1_act by braids of <= {act_len} letters moves x to h^-1 x h, keeps x "
-                  f"equal to g'^-1 m g' and composes ({acted} cases); CoveredElement "
-                  f"rejects {rejected} slots with eps != 0")
+                  f"equal to g'^-1 m g' and composes ({acted} cases); inv and * equal "
+                  f"the Garside forms and images of the parsed inverted and concatenated "
+                  f"raw texts of <= {text_len} letters ({kernel_checks} results); "
+                  f"CoveredElement rejects {rejected} slots with eps != 0")
 
 
 def _criterion_symplectic_footnote() -> tuple[bool, str]:

@@ -4,6 +4,12 @@ Each element is stored in one canonical form, Delta^d w (Garside 1969):
 Delta = aba = bab and w is a positive word containing no aba or bab.
 Equality, hashing, the exponent sum and the printed word all read (d, w).
 
+Only raw input (parse, from_word) is reduced letter by letter.  The group
+operations build (d, w) from the operands' forms without that loop: an
+inverse in closed form from the complements of the simple factors of w
+(El-Rifai-Morton, Quart. J. Math. 45, 1994), a product by reducing only
+the junction of the two words, after which the right factor is copied.
+
 Equality is also decided by a second, independent route over the integers:
 the Burau representation at t = -1,
 
@@ -11,13 +17,14 @@ the Burau representation at t = -1,
 
 stored with every braid as the field `image`, together with the exponent
 sum.  Each way of building a braid sets the image in closed form: one
-column add per letter of w for a parsed or checked braid, the product of
-the factors' images for a product, the adjugate for an inverse.  This
-map sends B3 onto SL(2, Z) with kernel <Delta^4> (Milnor 1971; Kassel-Turaev,
-Braid Groups, 2008), and eps(Delta^4) = 12, so two braids with equal images
-and equal exponent sums differ by Delta^(4k) with 12k = 0: they are equal.
-The test suite checks the canonical form against the product of these
-matrices over raw input words.
+column add per letter of w for a parsed or checked braid; the product of
+the factors' images for a product; the adjugate for an inverse.  This map
+sends B3 onto SL(2, Z) with kernel <Delta^4> (Milnor 1971; Kassel-Turaev,
+Braid Groups, 2008), and eps(Delta^4) = 12, so two braids with equal
+images and equal exponent sums differ by Delta^(4k) with 12k = 0: they
+are equal.  The test suite checks the canonical form against the product
+of these matrices over raw input words, and the operations against the
+letter-by-letter reduction.
 """
 
 from __future__ import annotations
@@ -46,12 +53,20 @@ _DELTA_POWERS = ((1, 0, 0, 1), (0, 1, -1, 0), (-1, 0, 0, -1), (0, -1, 1, 0))
 # x^-1 = Delta^-1 x y; "D" stands for Delta^-1
 _EXPAND = str.maketrans({"A": "Dab", "B": "Dba"})
 _GEN_TO_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
-# Delta^-1 s = (s*)^-1 for a simple factor s with s s* = Delta, as text
-_CANCEL = {"a": "AB", "b": "BA", "ab": "A", "ba": "B"}
+# The simple factors of a word free of aba and bab, left to right: its
+# maximal alternating pieces, each of one or two letters, so adjacent
+# factors meet on a repeated letter.
+_FACTORS = re.compile("ab?|ba?")
+# The complement ds of a simple factor s: s ds = Delta, so
+# s^-1 = ds Delta^-1 = Delta^-1 tau(ds).  ds starts with tau of the last
+# letter of s and ends with its first.
+_COMPLEMENT = {"a": "ba", "b": "ab", "ab": "a", "ba": "b"}
+_TAU_COMPLEMENT = {s: ds.translate(_TAU) for s, ds in _COMPLEMENT.items()}
 
 
 def _times(d: int, w: str, letters: str) -> tuple[int, str]:
-    """Delta^d w times `letters` (a, b and D = Delta^-1), in Garside form.
+    """Delta^d w times raw `letters` (a, b and D = Delta^-1), in Garside
+    form, letter by letter; only parse and from_word need it.
 
     Only the last two letters can complete an aba or bab; that Delta then
     moves left past the rest.  The letters kept are tau^flip of the true
@@ -75,7 +90,16 @@ def _times(d: int, w: str, letters: str) -> tuple[int, str]:
     return d, w.translate(_TAU) if flip else w
 
 
-def _image(d: int, w: str) -> tuple[int, int, int, int]:
+_Matrix = tuple[int, int, int, int]
+
+
+def _matmul(x: _Matrix, y: _Matrix) -> _Matrix:
+    p, q, r, s = x
+    e, f, g, h = y
+    return (p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h)
+
+
+def _image(d: int, w: str) -> _Matrix:
     """The Burau image at t = -1 of Delta^d w as [[p, q], [r, s]]:
     Delta^(d mod 4) from the table, then one column add per letter of w."""
     p, q, r, s = _DELTA_POWERS[d % 4]
@@ -87,6 +111,42 @@ def _image(d: int, w: str) -> tuple[int, int, int, int]:
             p -= q
             r -= s
     return p, q, r, s
+
+
+def _glue(d: int, w: str, v: str) -> tuple[int, str]:
+    """Delta^d w v in Garside form, for positive words w and v free of aba
+    and bab.
+
+    A letter c of v cancels when w ends in c tau(c), as c tau(c) c = Delta.
+    A letter that does not cancel is kept; the next one then cancels only
+    when w ends in x and the two are tau(x) x.  Each Delta so made moves
+    left, swapping a and b in the rest of v (flip).  Once two letters of v
+    are kept in a row, no later one can cancel, since v has no aba or bab:
+    the rest of v is copied as it stands."""
+    n, i, flip = len(w), 0, False
+    while i < len(v):
+        c = v[i].translate(_TAU) if flip else v[i]
+        if n > 1 and w[n - 2] == c != w[n - 1]:  # w ends in c tau(c)
+            n, i = n - 2, i + 1
+        elif n and w[n - 1] != c and i + 1 < len(v) and v[i + 1] != v[i]:
+            n, i = n - 1, i + 2  # w ends in x and v goes on tau(x) x
+        else:
+            break
+        d, flip = d + 1, not flip
+    w = w[:n]
+    return d, (w.translate(_TAU) if flip else w) + v[i:]
+
+
+def _inverse_word(factors: list[str]) -> str:
+    """The positive word X with (s_1 ... s_k)^-1 = Delta^-k X for the simple
+    factors s_i of a word free of aba and bab, given as a list that this
+    overwrites: X = tau^k(ds_k) ... tau(ds_1), moving each Delta^-1 of
+    s_i^-1 = ds_i Delta^-1 to the front.  Adjacent pieces meet on a repeated
+    letter, as adjacent factors do, so X has no aba or bab."""
+    factors[0::2] = map(_TAU_COMPLEMENT.__getitem__, factors[0::2])
+    factors[1::2] = map(_COMPLEMENT.__getitem__, factors[1::2])
+    factors.reverse()
+    return "".join(factors)
 
 
 def _from_letters(letters: str) -> "BraidElement":
@@ -142,19 +202,18 @@ class BraidElement:
     def __mul__(self, other: "BraidElement") -> "BraidElement":
         # Delta^d w Delta^e v = Delta^(d+e) tau^e(w) v
         w = self.w.translate(_TAU) if other.d % 2 else self.w
-        d, w = _times(self.d + other.d, w, other.w)
-        p, q, r, s = self.image
-        e, f, g, h = other.image
-        image = (p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h)
-        return BraidElement._trusted(d, w, image)
+        d, w = _glue(self.d + other.d, w, other.w)
+        return BraidElement._trusted(d, w, _matmul(self.image, other.image))
 
     def inv(self) -> "BraidElement":
-        # (Delta^d w)^-1 = w^-1 Delta^-d = Delta^-d tau^d(w)^-1, and the
-        # inverse of a determinant-one image is its adjugate
-        w = self.w.translate(_TAU) if self.d % 2 else self.w
-        d, w = _times(-self.d, "", w[::-1].upper().translate(_EXPAND))
+        # (Delta^d w)^-1 = Delta^-d u^-1 with u = tau^d(w) = s_1 ... s_k in
+        # simple factors, and u^-1 = Delta^-k X (_inverse_word); the inverse
+        # of a determinant-one image is its adjugate
+        u = self.w.translate(_TAU) if self.d % 2 else self.w
+        factors = _FACTORS.findall(u)
+        d = -self.d - len(factors)
         p, q, r, s = self.image
-        return BraidElement._trusted(d, w, (s, -q, -r, p))
+        return BraidElement._trusted(d, _inverse_word(factors), (s, -q, -r, p))
 
     def __pow__(self, k: int) -> "BraidElement":
         if k < 0:
@@ -169,16 +228,16 @@ class BraidElement:
         return out
 
     def render(self) -> str:
-        """The symmetric form N^-1 P: Delta^-k cancels against the first k
-        simple factors s_i of w, as Delta^-k s_1 ... s_k is the product of
-        Delta^-1 tau^(k-i)(s_i) and Delta^-1 s = (s*)^-1; a Delta left over
-        prints as aba or ABA."""
+        """The symmetric form N^-1 P: Delta^-m cancels against the first m
+        simple factors s_i of w.  With P_m = s_1 ... s_m and
+        P_m^-1 = Delta^-m X (_inverse_word), Delta^-m P_m = (P_m^-1 Delta^m)^-1
+        = tau^m(X)^-1; a Delta left over prints as aba or ABA."""
         if self.d >= 0:
             return "aba" * self.d + self.w
-        factors = re.findall("ab?|ba?", self.w)
+        factors = _FACTORS.findall(self.w)
         m = min(-self.d, len(factors))
-        neg = "".join(_CANCEL[s.translate(_TAU) if (m - 1 - i) % 2 else s]
-                      for i, s in enumerate(factors[:m]))
+        x = _inverse_word(factors[:m])
+        neg = (x.translate(_TAU) if m % 2 else x)[::-1].upper()
         return "ABA" * (-self.d - m) + neg + "".join(factors[m:])
 
     def __str__(self) -> str:

@@ -109,3 +109,9 @@ def test_criteria_1_7_8_count_their_cases():
         "closed form matches iteration for |k| <= 20 on 1000 random pairs with |p|,|q| <= 100 "
         "(41000 powers); 4 special cases (0/1 and 1/0, k > 0 and k < 0) match their closed "
         "forms on 1000 fractions each with |p|,|q| <= 1000")
+
+
+def test_criterion_9_counts_its_kernel_checks():
+    # each of 300 random pairs of raw texts checks one inverse and one product
+    assert ("inv and * equal the Garside forms and images of the parsed inverted and "
+            "concatenated raw texts of <= 200 letters (600 results)") in run_criterion(9).detail

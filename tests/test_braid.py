@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trefoil import (
     BraidElement,
@@ -12,7 +14,8 @@ from trefoil import (
     meridian,
     render_braid,
 )
-from trefoil.braid import longitude_power
+from trefoil.acceptance import random_braid_text
+from trefoil.braid import _EXPAND, _TAU, _times, longitude_power
 
 # the Burau images at t = -1 of a, a^-1, b, b^-1, as (p, q, r, s) = [[p, q], [r, s]]
 _GENS = {1: (1, 1, 0, 1), -1: (1, -1, 0, 1), 2: (1, 0, -1, 1), -2: (1, 0, 1, 1)}
@@ -39,6 +42,31 @@ def raw_key(word):
 
 def random_word(rng, lo, hi):
     return tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(lo, hi)))
+
+
+def loop_inv(u):
+    """The inverse letter by letter, the oracle for inv:
+    (Delta^d w)^-1 = Delta^-d tau^d(w)^-1, each inverse letter written as
+    x^-1 = Delta^-1 x y and the whole reduced by the raw-input loop."""
+    w = u.w.translate(_TAU) if u.d % 2 else u.w
+    return BraidElement(*_times(-u.d, "", w[::-1].upper().translate(_EXPAND)))
+
+
+def loop_mul(u, v):
+    """The product letter by letter, the oracle for *: every letter of v is
+    appended to Delta^(d+e) tau^e(w) by the raw-input loop."""
+    w = u.w.translate(_TAU) if v.d % 2 else u.w
+    return BraidElement(*_times(u.d + v.d, w, v.w))
+
+
+def assert_same(got, want):
+    """Equal Garside forms, and the image set by the operation equal to the
+    one the checked constructor folds from the oracle's (d, w)."""
+    assert (got.d, got.w, got.image) == (want.d, want.w, want.image)
+
+
+def inverted_text(text):
+    return text[::-1].swapcase()
 
 
 def test_generator_matrices_are_as_specified():
@@ -238,3 +266,67 @@ def test_longitude_power_is_the_power_of_the_longitude():
     for k in (True, 1.0, "1"):
         with pytest.raises(ValueError):
             longitude_power(k)
+
+
+def test_inverse_and_product_match_the_letter_loop_exhaustively():
+    # every braid of word length <= 8 is inverted, and every product of two
+    # braids whose shortest words have at most 8 letters together is formed
+    by_length = [[BraidElement.identity()]]
+    seen = set(by_length[0])
+    for n in range(1, 9):
+        fresh = {u for word in itertools.product("abAB", repeat=n)
+                 if (u := BraidElement.parse("".join(word))) not in seen}
+        seen |= fresh
+        by_length.append(sorted(fresh, key=lambda u: (u.d, u.w)))
+    assert [len(layer) for layer in by_length] == [1, 4, 12, 30, 68, 148, 314, 656, 1356]
+    for u in seen:
+        assert_same(u.inv(), loop_inv(u))
+    products = 0
+    for i, left in enumerate(by_length):
+        right = [v for layer in by_length[:9 - i] for v in layer]
+        for u in left:
+            for v in right:
+                assert_same(u * v, loop_mul(u, v))
+            products += len(right)
+    assert products == 47085
+
+
+def test_inverse_and_product_match_the_letter_loop_on_long_random_braids():
+    # words of up to 200 letters, shifted by Delta^j for both parities of d
+    rng = random.Random(28)
+    deltas = [BraidElement(j, "") for j in range(-3, 4)]
+    braids = deltas + [BraidElement.identity()]
+    for _ in range(300):
+        u = BraidElement.parse(random_braid_text(rng, 200))
+        braids += [u, rng.choice(deltas) * u, u * rng.choice(deltas)]
+    assert {u.d % 2 for u in braids} == {0, 1}
+    for u in braids:
+        assert_same(u.inv(), loop_inv(u))
+        assert_same(u * u.inv(), BraidElement.identity())
+    for _ in range(3000):
+        u, v = rng.choice(braids), rng.choice(braids)
+        assert_same(u * v, loop_mul(u, v))
+
+
+braid_texts = st.text(alphabet="abAB", max_size=60)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(braid_texts, braid_texts, st.integers(-5, 5))
+def test_inverse_and_product_match_the_letter_loop(left, right, j):
+    u = BraidElement.parse(left) * BraidElement(j, "")
+    v = BraidElement.parse(right)
+    assert_same(u.inv(), loop_inv(u))
+    assert_same(u * v, loop_mul(u, v))
+    assert_same(v * u, loop_mul(v, u))
+    assert_same(u.inv().inv(), u)
+
+
+def test_inverse_and_product_match_the_parsed_raw_text():
+    rng = random.Random(29)
+    for _ in range(500):
+        left, right = random_braid_text(rng, 120), random_braid_text(rng, 120)
+        u, v = BraidElement.parse(left), BraidElement.parse(right)
+        assert_same(u.inv(), BraidElement.parse(inverted_text(left)))
+        assert_same(u * v, BraidElement.parse(left + right))
+        assert_same(v.inv() * u.inv(), BraidElement.parse(inverted_text(left + right)))
