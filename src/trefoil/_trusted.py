@@ -1,6 +1,8 @@
-"""Value types: frozen dataclasses on slots, each with one trusted builder."""
+"""Value types: frozen dataclasses on slots, each with one trusted builder,
+and the one trusted builder of a Fraction."""
 
 from dataclasses import dataclass, fields
+from fractions import Fraction
 
 
 def value_type(cls):
@@ -18,3 +20,14 @@ def value_type(cls):
     exec(f"def _trusted({', '.join(names)}):\n    self = new(cls){stores}\n    return self", scope)
     cls._trusted = staticmethod(scope["_trusted"])
     return cls
+
+
+def coprime_fraction(p: int, q: int) -> Fraction:
+    """Fraction(p, q) for coprime ints p and q > 0, without the gcd that
+    Fraction(p, q) takes to reduce them: its two slots hold p and q as
+    given.  Only for pairs coprime by an argument stated where they are
+    built."""
+    value = object.__new__(Fraction)
+    value._numerator = p
+    value._denominator = q
+    return value

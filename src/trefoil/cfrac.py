@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Sequence, Union
 
-from ._trusted import value_type
+from ._trusted import coprime_fraction, value_type
 from .pfrac import PFrac
 
 Rational = Union[Fraction, int, PFrac]
@@ -198,12 +198,14 @@ def cf_eval(cf: Union[ContinuedFraction, Sequence[int]]) -> Fraction:
     [[h_n, h_(n-1)], [k_n, k_(n-1)]].  The product is a balanced tree
     (Bernstein 2008, "Fast multiplication and its applications"), so its
     large products are of equal-sized factors; each leaf is a run of terms
-    multiplied out by the convergent recurrence.
+    multiplied out by the convergent recurrence.  The product has
+    determinant h_n k_(n-1) - h_(n-1) k_n = +-1 and k_n > 0, so h_n/k_n is
+    already in lowest terms and is built without a gcd.
     """
     if not isinstance(cf, ContinuedFraction):
         cf = ContinuedFraction(tuple(cf))
     h, _, k, _ = _product(cf.terms)
-    return Fraction(h, k)
+    return coprime_fraction(h, k)
 
 
 def _product(terms: tuple[int, ...]) -> tuple[int, int, int, int]:

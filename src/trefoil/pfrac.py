@@ -26,7 +26,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterable, Union
 
-from ._trusted import value_type
+from ._trusted import coprime_fraction, value_type
 
 IntPair = tuple[int, int]
 
@@ -65,9 +65,11 @@ class PFrac:
         return f"{self.p}/{self.q}"
 
     def to_fraction(self) -> Fraction:
+        """The same rational as a Fraction; p/q is in lowest terms with
+        q > 0 by the class invariant."""
         if self.is_infinity:
             raise ValueError("1/0 is not a finite rational")
-        return Fraction(self.p, self.q)
+        return coprime_fraction(self.p, self.q)
 
     def to_json(self) -> dict:
         return {"p": str(self.p), "q": str(self.q)}

@@ -335,13 +335,13 @@ def frac_to_word(x: PFrac) -> NormalForm:
 
 
 def words_equal(w1: WordLike, w2: WordLike) -> bool:
-    """Decide equality in the quandle by comparing normal forms.  In checked
-    builds the verdict is asserted against the fraction images."""
+    """Decide equality in the quandle by comparing normal forms, and check
+    the verdict against the fraction images; a disagreement raises
+    AssertionError, under ``python -O`` too."""
     w1, w2 = _as_word(w1), _as_word(w2)
     same = normalize(w1) == normalize(w2)
-    assert same == (word_to_frac(w1) == word_to_frac(w2)), (
-        f"rewriting and fraction evaluation disagree on {w1} vs {w2}"
-    )
+    if same != (word_to_frac(w1) == word_to_frac(w2)):
+        raise AssertionError(f"rewriting and fraction evaluation disagree on {w1} vs {w2}")
     return same
 
 

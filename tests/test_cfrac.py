@@ -258,6 +258,34 @@ def test_eval_examples():
     assert cf_eval(ContinuedFraction((-1, 2))) == Fraction(-1, 2)
 
 
+def _assert_same_fraction(value, reference):
+    """value behaves as the Fraction reference in every respect a caller
+    can observe."""
+    assert type(value) is Fraction
+    assert (value.numerator, value.denominator) == (reference.numerator, reference.denominator)
+    assert gcd(value.numerator, value.denominator) == 1 and value.denominator > 0
+    assert hash(value) == hash(reference) and value == reference
+    if value.denominator.bit_length() < 4096:
+        # longer ints exceed the default int-to-str digit limit
+        assert str(value) == str(reference) and repr(value) == repr(reference)
+    assert value + 1 == reference + 1 and value - reference == 0
+    assert value * 3 == reference * 3 and (value / 2, -value) == (reference / 2, -reference)
+    assert value < reference + 1 and int(value) == int(reference) and floor(value) == floor(reference)
+    assert Fraction(value) == reference and {value: 1} == {reference: 1}
+
+
+def test_eval_values_match_fraction_without_the_gcd():
+    # cf_eval builds h/k without reducing it, as gcd(h, k) = 1; the values
+    # are indistinguishable from Fraction(h, k)
+    cases = [(2, 3), (-4,), (-1, 2), (0,), (1,), (0, 2), (-3, 1, 2)]
+    cases += [cf_expand(r).terms for r in random_rationals()]
+    for terms in cases:
+        _assert_same_fraction(cf_eval(terms), fraction_eval(terms))
+    for r in random_rationals():
+        if r.denominator > 0:
+            _assert_same_fraction(PFrac.from_fraction(r).to_fraction(), r)
+
+
 def test_validate_examples():
     assert cf_validate([2, 3])
     assert not cf_validate([2, 1])

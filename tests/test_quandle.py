@@ -3,6 +3,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trefoil import (
     AxiomReport,
@@ -24,7 +26,12 @@ from trefoil import (
     transvection_quandle,
 )
 from trefoil.acceptance import _ALEXANDER_RINGS, _conj_core_groups
-from trefoil.quandle import form_is_alternating, form_is_antisymmetric, module_vectors
+from trefoil.quandle import (
+    _generating_set,
+    form_is_alternating,
+    form_is_antisymmetric,
+    module_vectors,
+)
 
 
 def test_dihedral_values():
@@ -312,8 +319,9 @@ def test_symplectic_table_over_z2_counterexample_witness():
 
 # --- the whole-row scans against the scalar loops they replaced ---------------
 
-def _scalar_report(q, rack_first):
-    """check_rack / check_quandle as cell-by-cell loops: the oracle."""
+def _scalar_reports(q):
+    """check_rack and check_quandle as cell-by-cell loops over every cell,
+    the oracle: the two reports differ only in which witness comes first."""
     n, t = q.size, q.table
     idem = next(((i, i, i) for i in range(n) if t[i][i] != i), None)
     bij = None
@@ -326,11 +334,24 @@ def _scalar_report(q, rack_first):
             seen[t[i][k]] = i
         if bij is not None:
             break
-    dist = next(((a, b, c) for c in range(n) for a in range(n) for b in range(n)
-                 if t[t[a][b]][c] != t[t[a][c]][t[b][c]]), None)
-    first = (bij, dist, idem) if rack_first else (idem, bij, dist)
-    return AxiomReport(idem is None, bij is None, dist is None,
-                       next((w for w in first if w is not None), None))
+    dist = None
+    for c in range(n):
+        # (a*b)*c against (a*c)*(b*c), cell by cell in (c, a, b) order
+        col = [row[c] for row in t]
+        for a in range(n):
+            row_a, row_ac = t[a], t[col[a]]
+            b = next((b for b in range(n) if col[row_a[b]] != row_ac[col[b]]), None)
+            if b is not None:
+                dist = (a, b, c)
+                break
+        if dist is not None:
+            break
+
+    def report(first):
+        return AxiomReport(idem is None, bij is None, dist is None,
+                           next((w for w in first if w is not None), None))
+
+    return report((bij, dist, idem)), report((idem, bij, dist))
 
 
 def _scalar_from_table(table):
@@ -365,9 +386,13 @@ def _from_table_outcome(table):
 
 
 def _assert_scans_match(q):
-    for rack_first, check in ((True, check_rack), (False, check_quandle)):
+    """check_rack and check_quandle agree with the oracle in all four fields."""
+    for check, expected in zip((check_rack, check_quandle), _scalar_reports(q)):
         report = check(q)
-        assert report == _scalar_report(q, rack_first), (q.size, rack_first)
+        assert (report.idempotent, report.right_translations_bijective,
+                report.right_distributive, report.counterexample) == (
+            expected.idempotent, expected.right_translations_bijective,
+            expected.right_distributive, expected.counterexample), (q.size, check.__name__)
         assert report.reproduces(q)
 
 
@@ -439,6 +464,149 @@ def test_scans_at_both_encodings():
         _assert_scans_match(FiniteQuandle(n, rows))
         rows[2][2] = 0
         _assert_scans_match(FiniteQuandle(n, rows))
+
+
+# --- right distributivity decided on a generating set -------------------------
+
+def _columns(q):
+    return list(zip(*q.table))
+
+
+def _closure(q, chosen):
+    """The closure of chosen under the right translations by its members,
+    by fixpoint iteration: the oracle for the greedy generating set."""
+    reached = set(chosen)
+    while True:
+        more = {q.op(a, s) for a in reached for s in chosen} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+def _stock_quandles_to_order_40():
+    """Every stock family at orders up to 40, trivial quandles included."""
+    quandles = [dihedral_quandle(n) for n in range(1, 41)]
+    # the rings whose h has constant term at most 3, every shape up to order 40
+    quandles += [alexander_quandle(ring) for ring in _monic_rings(40) if ring.h[0] <= 3]
+    groups = [cyclic_group(n) for n in range(1, 41)] + [dihedral_group(n) for n in range(2, 21)]
+    groups += [symmetric_group(3), symmetric_group(4), klein_four_group(),
+               direct_product(cyclic_group(2), cyclic_group(6)),
+               direct_product(klein_four_group(), cyclic_group(2))]
+    for g in groups:
+        quandles += [conj_quandle(g), core_quandle(g)]
+    for n in range(2, 41):
+        units = [u for u in range(1, n) if gcd(u, n) == 1]
+        quandles += [automorphism_quandle(cyclic_group(n), [u * x % n for x in range(n)])
+                     for u in units[:3]]
+    for modulus in range(2, 7):
+        for gram in ([[0, 1], [-1, 0]], [[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0, 2], [1, 0]]):
+            quandles.append(transvection_quandle(modulus, gram))
+    quandles += [transvection_quandle(m, [[1]]) for m in range(2, 41)]
+    return quandles
+
+
+def test_generating_set_of_dihedral_quandles_is_zero_and_one():
+    for n in range(2, 301):
+        assert _generating_set(_columns(dihedral_quandle(n)))[0] == [0, 1], n
+    assert _generating_set(_columns(dihedral_quandle(1))) == ([0], [])
+
+
+def test_generating_set_is_greedy_and_generates():
+    for q in _stock_quandles_to_order_40():
+        if not check_rack(q).right_translations_bijective:
+            continue
+        cols = _columns(q)
+        chosen, moving = _generating_set(cols)
+        assert _closure(q, chosen) == set(range(q.size))
+        # each s is the first element outside the closure of the earlier ones
+        for i, s in enumerate(chosen):
+            earlier = _closure(q, chosen[:i])
+            assert s == min(set(range(q.size)) - earlier)
+        assert moving == [s for s in chosen if cols[s] != tuple(range(q.size))]
+
+
+def test_generating_set_of_trivial_quandles_is_everything():
+    for n in range(1, 41):
+        q = conj_quandle(cyclic_group(n))
+        assert _generating_set(_columns(q)) == (list(range(n)), [])
+        assert check_quandle(q) == check_rack(q) == AxiomReport(True, True, True, None)
+
+
+def test_scans_match_scalar_loops_on_stock_families_to_order_40():
+    quandles = _stock_quandles_to_order_40()
+    assert len(quandles) == 505
+    outcomes = set()
+    for q in quandles:
+        _assert_scans_match(q)
+        outcomes.add(check_quandle(q).is_quandle)
+    assert outcomes == {True, False}
+
+
+def test_scans_match_scalar_loops_around_order_256():
+    for n in (255, 256, 257):
+        _assert_scans_match(dihedral_quandle(n))
+
+
+def _assert_first_failure_in_generating_set(q):
+    """The first c at which the law fails is a member of S, so the scan over
+    S meets the oracle's first failing cell; returns that c, or None."""
+    report = _scalar_reports(q)[0]
+    if not report.right_translations_bijective or report.right_distributive:
+        return None
+    c = report.counterexample[2]
+    assert c in _generating_set(_columns(q))[1], (q.table, c)
+    return c
+
+
+def test_scans_match_scalar_loops_on_random_bijective_tables():
+    rng = random.Random(905)
+    failing = 0
+    for n in range(2, 41):
+        for _ in range(6):
+            cols = [rng.sample(range(n), n) for _ in range(n)]
+            q = FiniteQuandle(n, [[cols[k][i] for k in range(n)] for i in range(n)])
+            _assert_scans_match(q)
+            failing += _assert_first_failure_in_generating_set(q) is not None
+    assert failing > 200
+
+
+def test_first_failure_is_in_the_generating_set_past_its_first_member():
+    # one swap in a column of a stock quandle often leaves R_0 an
+    # automorphism, so the first failing c is a later member of S
+    rng = random.Random(906)
+    later = 0
+    for q in _stock_quandles():
+        for _ in range(3):
+            for edited in _perturbed(q, rng):
+                later += bool(_assert_first_failure_in_generating_set(edited))
+    assert later > 20
+
+
+@st.composite
+def _small_tables(draw):
+    """An n x n table, n <= 6: arbitrary cells, or columns that are
+    permutations, or a stock quandle with two cells of one column swapped."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("arbitrary", "bijective", "swapped")))
+    if kind == "arbitrary":
+        return [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    if kind == "bijective":
+        cols = [draw(st.permutations(range(n))) for _ in range(n)]
+        return [[cols[k][i] for k in range(n)] for i in range(n)]
+    q = draw(st.sampled_from((dihedral_quandle(n), conj_quandle(symmetric_group(3)),
+                              core_quandle(dihedral_group(3)),
+                              alexander_quandle(LaurentQuotientRing(2, (1, 1, 1))))))
+    rows = [list(row) for row in q.table]
+    m = q.size
+    i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+    rows[i][k], rows[j][k] = rows[j][k], rows[i][k]
+    return rows
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_small_tables())
+def test_scans_match_scalar_loops_property(table):
+    _assert_scans_match(FiniteQuandle(len(table), table))
 
 
 def test_from_table_matches_scalar_loops():

@@ -1,7 +1,10 @@
 import inspect
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -207,6 +210,26 @@ def test_words_equal_examples():
     assert word_to_frac("abab") == pf_new(1, 0)
     assert word_to_frac("baba") == pf_new(0, 1)
     assert not words_equal("abab", "baba")
+
+
+def test_words_equal_cross_check_survives_optimized_mode():
+    # with the fraction route patched to give a new value on every call,
+    # the two routes disagree; the check must fire under -O as well
+    code = (
+        "import itertools, sys\n"
+        "import trefoil.words as words\n"
+        "assert sys.flags.optimize == 1\n"
+        "words.word_to_frac = lambda w, calls=itertools.count(): next(calls)\n"
+        "try:\n"
+        "    words.words_equal('ab', 'ab')\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(trefoil.words.__file__))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "rewriting and fraction evaluation disagree on ab vs ab\n"
 
 
 def test_braid_relation_examples():
