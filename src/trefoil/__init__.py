@@ -48,7 +48,6 @@ from .pfrac import (
     PFrac,
     TransvectionMatrix,
     apply_matrix,
-    is_primitive,
     orbit_bfs,
     pf_new,
     pf_op,
@@ -66,7 +65,6 @@ from .quandle import (
     FiniteQuandle,
     LaurentQuotientRing,
     alexander_quandle,
-    automorphism_quandle,
     check_quandle,
     check_rack,
     conj_quandle,
@@ -84,7 +82,6 @@ from .words import (
     QWord,
     braid_relation_holds,
     frac_to_word,
-    free_reduce,
     normal_form_valid,
     normalize,
     parse_word,
@@ -115,7 +112,6 @@ __all__ = [
     "TransvectionMatrix",
     "alexander_quandle",
     "apply_matrix",
-    "automorphism_quandle",
     "braid_eq",
     "braid_relation_holds",
     "cf_eval",
@@ -132,9 +128,7 @@ __all__ = [
     "direct_product",
     "fiber_compare",
     "frac_to_word",
-    "free_reduce",
     "garside_eq",
-    "is_primitive",
     "klein_four_group",
     "lambda_act",
     "longitude",

@@ -41,6 +41,9 @@ from .pfrac import (
     pf_op,
     pf_op_inv,
     pf_op_pow,
+    projectivize,
+    sympl_op,
+    sympl_op_inv,
     transvection_matrix,
 )
 from .quandle import (
@@ -66,7 +69,10 @@ from .words import (
     normal_form_valid,
     normalize,
     parse_word,
+    word_op,
+    word_op_inv,
     word_to_frac,
+    words_equal,
 )
 
 
@@ -94,7 +100,7 @@ def random_zero_braid(rng: random.Random, length: int) -> BraidElement:
         raise ValueError("exponent-zero words have even length")
     signs = [1] * (length // 2) + [-1] * (length // 2)
     rng.shuffle(signs)
-    return BraidElement.from_word(s * rng.choice((1, 2)) for s in signs)
+    return BraidElement.parse("".join(rng.choice("ab" if s > 0 else "AB") for s in signs))
 
 
 def random_braid_text(rng: random.Random, max_len: int) -> str:
@@ -104,8 +110,7 @@ def random_braid_text(rng: random.Random, max_len: int) -> str:
 
 def random_braid(rng: random.Random, max_len: int) -> BraidElement:
     """A braid word of up to max_len letters with any exponent sum."""
-    return BraidElement.from_word(rng.choice((1, -1, 2, -2))
-                                  for _ in range(rng.randint(0, max_len)))
+    return BraidElement.parse("".join(rng.choice("aAbB") for _ in range(rng.randint(0, max_len))))
 
 
 def sample_covered_pool(rng: random.Random, count: int, max_len: int) -> list[CoveredElement]:
@@ -148,16 +153,31 @@ def _criterion_transvection_matrices() -> tuple[bool, str]:
         return False, f"matrix of *(0/1) is {m_a}, expected [[1,0],[-1,1]]"
     rng = random.Random(1002)
     pairs, bound = 10_000, 1000
+    lifts = 0
     for _ in range(pairs):
         x = random_pfrac(rng, bound)
         y = random_pfrac(rng, bound)
         m = transvection_matrix(y)
         if m.det() != 1:
             return False, f"det of matrix for {y} is {m.det()}"
-        if apply_matrix(m, x) != pf_op(x, y):
+        star = pf_op(x, y)
+        if apply_matrix(m, x) != star:
             return False, f"matrix action and * disagree at x={x}, y={y}"
+        # the fraction quandle is the projection of the symplectic operation
+        # on Z⊕Z: every sign lift of the pair projects to * and *̄
+        star_inv = pf_op_inv(x, y)
+        for u in ((x.p, x.q), (-x.p, -x.q)):
+            for v in ((y.p, y.q), (-y.p, -y.q)):
+                w = sympl_op(u, v)
+                if projectivize(w) != star or projectivize(sympl_op_inv(u, v)) != star_inv:
+                    return False, f"the symplectic operation at {u}, {v} does not project to * and *̄"
+                if sympl_op_inv(w, v) != u:
+                    return False, f"the symplectic inverse does not undo the operation at {u}, {v}"
+                lifts += 1
     return True, (f"exact generators; {pairs} random pairs with |p|,|q| <= {bound}: "
-                  f"matrix action equals *, every determinant 1")
+                  f"matrix action equals *, every determinant 1; on their {lifts} sign "
+                  f"lifts to Z⊕Z the symplectic operation and its inverse project to * "
+                  f"and *̄ and undo each other")
 
 
 _ALEXANDER_RINGS = [
@@ -250,7 +270,7 @@ def _criterion_axioms() -> tuple[bool, str]:
         if lhs != rhs:
             return False, f"covered-quandle distributivity fails at ({i}, {j}, {k})"
     families = ", ".join(f"{checked[f]} {f} (order <= {largest[f]})" for f in checked)
-    return True, (f"exhaustive: {families}, {cells} cells compared (n^3 per quandle); "
+    return True, (f"exhaustive: {families}, {cells} cells decided (n^3 per quandle); "
                   f"randomized: {fraction_triples} fraction triples and {covered_triples} "
                   f"covered triples, zero failures")
 
@@ -262,6 +282,7 @@ def _criterion_isomorphism_certificate() -> tuple[bool, str]:
     words += [QWord(rng.choice("ab"), "".join(rng.choices("abAB", k=long_len)))
               for _ in range(long_words)]
     letters = 0
+    images = []
     for w in words:
         letters += len(w.tail)
         nf = normalize(w)
@@ -272,9 +293,22 @@ def _criterion_isomorphism_certificate() -> tuple[bool, str]:
             return False, f"the two canonicalization routes disagree on {w}"
         if not normal_form_valid(nf.exponents):
             return False, f"normalize({w}) violates the normal-form constraints"
+        images.append(image)
+    # the word quandle's own operations on consecutive short words, against
+    # the normal form of the fraction operation on their images
+    pairs = comparisons = 0
+    for i in range(1, short_words):
+        u, v, x, y = words[i - 1], words[i], images[i - 1], images[i]
+        for op, frac_op in ((word_op, pf_op), (word_op_inv, pf_op_inv)):
+            if not words_equal(op(u, v), frac_to_word(frac_op(x, y)).to_word()):
+                return False, f"{op.__name__}({u}, {v}) is not the word of its fraction image"
+            comparisons += 1
+        pairs += 1
     return True, (f"{short_words} random words of <= {short_max} letters and {long_words} of "
                   f"{long_len} letters ({letters} letters): rewriting is sound, both routes "
-                  f"agree, all outputs valid")
+                  f"agree, all outputs valid; word_op and word_op_inv on {pairs} consecutive "
+                  f"pairs of the short words equal the normal forms of * and *̄ on their "
+                  f"images ({comparisons} comparisons, each cross-checked by words_equal)")
 
 
 def _criterion_continued_fractions() -> tuple[bool, str]:

@@ -4,7 +4,7 @@ Each element is stored in one canonical form, Delta^d w (Garside 1969):
 Delta = aba = bab and w is a positive word containing no aba or bab.
 Equality, hashing, the exponent sum and the printed word all read (d, w).
 
-Only raw input (parse, from_word) is reduced letter by letter.  The group
+Only raw input (parse) is reduced letter by letter.  The group
 operations build (d, w) from the operands' forms without that loop: an
 inverse in closed form from the complements of the simple factors of w
 (El-Rifai-Morton, Quart. J. Math. 45, 1994), a product by reducing only
@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import field
-from typing import Iterable
 
 from ._trusted import value_type
 
@@ -52,7 +51,6 @@ _TAU = str.maketrans("ab", "ba")
 _DELTA_POWERS = ((1, 0, 0, 1), (0, 1, -1, 0), (-1, 0, 0, -1), (0, -1, 1, 0))
 # x^-1 = Delta^-1 x y; "D" stands for Delta^-1
 _EXPAND = str.maketrans({"A": "Dab", "B": "Dba"})
-_GEN_TO_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
 # The simple factors of a word free of aba and bab, left to right: its
 # maximal alternating pieces, each of one or two letters, so adjacent
 # factors meet on a repeated letter.
@@ -66,7 +64,7 @@ _TAU_COMPLEMENT = {s: ds.translate(_TAU) for s, ds in _COMPLEMENT.items()}
 
 def _times(d: int, w: str, letters: str) -> tuple[int, str]:
     """Delta^d w times raw `letters` (a, b and D = Delta^-1), in Garside
-    form, letter by letter; only parse and from_word need it.
+    form, letter by letter; only parse needs it.
 
     Only the last two letters can complete an aba or bab; that Delta then
     moves left past the rest.  The letters kept are tau^flip of the true
@@ -149,16 +147,11 @@ def _inverse_word(factors: list[str]) -> str:
     return "".join(factors)
 
 
-def _from_letters(letters: str) -> "BraidElement":
-    d, w = _times(0, "", letters.translate(_EXPAND))
-    return BraidElement._trusted(d, w, _image(d, w))
-
-
 @value_type
 class BraidElement:
-    """The braid Delta^d w in Garside form; build it with parse, from_word
-    or the group operations.  BraidElement(d, w) checks that w is a
-    positive word free of aba and bab.  Equality and hashing compare (d, w);
+    """The braid Delta^d w in Garside form; build it with parse or the
+    group operations.  BraidElement(d, w) checks that w is a positive word
+    free of aba and bab.  Equality and hashing compare (d, w);
     image, the Burau image at t = -1 as (p, q, r, s) = [[p, q], [r, s]], is
     set with them."""
 
@@ -175,19 +168,12 @@ class BraidElement:
         object.__setattr__(self, "image", _image(self.d, w))
 
     @classmethod
-    def from_word(cls, word: Iterable[int]) -> "BraidElement":
-        try:
-            text = "".join(_GEN_TO_LETTER[g] for g in word)
-        except KeyError as exc:
-            raise ValueError(f"illegal generator {exc.args[0]}") from None
-        return _from_letters(text)
-
-    @classmethod
     def parse(cls, text: str) -> "BraidElement":
         bad = next((ch for ch in text if ch not in "abAB"), None)
         if bad is not None:
             raise ValueError(f"illegal braid letter {bad!r}")
-        return _from_letters(text)
+        d, w = _times(0, "", text.translate(_EXPAND))
+        return cls._trusted(d, w, _image(d, w))
 
     @classmethod
     def identity(cls) -> "BraidElement":

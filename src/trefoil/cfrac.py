@@ -65,10 +65,6 @@ class ContinuedFraction:
         return {"terms": list(self.terms)}
 
     @classmethod
-    def from_json(cls, data: dict) -> "ContinuedFraction":
-        return cls(tuple(data["terms"]))
-
-    @classmethod
     def parse(cls, text: str) -> "ContinuedFraction":
         m = _CF_RE.match(text.strip())
         if not m:

@@ -113,7 +113,7 @@ def build_parser() -> _Parser:
 def _parse_poly(text: str) -> tuple[int, ...]:
     """Parse h(t) like 't+1', 't^2+t+1', '2t^3+5'; ascending coefficients."""
     cleaned = text.replace(" ", "").replace("-", "+-")
-    if not cleaned or cleaned == "+-":
+    if not cleaned.strip("+-"):  # signs alone, or nothing
         raise ValueError(f"empty polynomial {text!r}")
     coeffs: dict[int, int] = {}
     for term in cleaned.split("+"):

@@ -26,7 +26,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterable, Union
 
-from ._trusted import coprime_fraction, value_type
+from ._trusted import value_type
 
 IntPair = tuple[int, int]
 
@@ -57,26 +57,11 @@ class PFrac:
         if self.q < 0 or (self.q == 0 and self.p != 1):
             raise ValueError(f"({self.p}, {self.q}) is not canonically signed")
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.q == 0
-
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
 
-    def to_fraction(self) -> Fraction:
-        """The same rational as a Fraction; p/q is in lowest terms with
-        q > 0 by the class invariant."""
-        if self.is_infinity:
-            raise ValueError("1/0 is not a finite rational")
-        return coprime_fraction(self.p, self.q)
-
     def to_json(self) -> dict:
         return {"p": str(self.p), "q": str(self.q)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PFrac":
-        return pf_new(int(data["p"]), int(data["q"]))
 
     @classmethod
     def from_fraction(cls, r: Union[Fraction, int]) -> "PFrac":
@@ -164,17 +149,12 @@ def sympl_op_inv(x: IntPair, y: IntPair) -> IntPair:
     return (x[0] + d * y[0], x[1] + d * y[1])
 
 
-def is_primitive(x: IntPair) -> bool:
-    """True when gcd(|u|, |v|) = 1 (with gcd(0, k) = |k|)."""
-    return gcd(abs(x[0]), abs(x[1])) == 1
-
-
 def projectivize(x: IntPair) -> PFrac:
     """The projective class of a primitive nonzero pair."""
     _require_ints(*x)
     if x == (0, 0):
         raise ValueError("the zero vector has no projective class")
-    if not is_primitive(x):
+    if gcd(x[0], x[1]) != 1:
         raise ValueError(f"{x} is not primitive")
     return _pf_signed(x[0], x[1])
 
@@ -253,9 +233,6 @@ class OrbitReport:
     reached: dict    # target PFrac -> witness word text
     unreached: tuple
     edges: tuple     # BFS tree edges (source PFrac, letter, target PFrac)
-
-    def all_reached(self) -> bool:
-        return not self.unreached
 
     def to_dot(self) -> str:
         lines = ["digraph orbit {"]

@@ -83,13 +83,6 @@ class FiniteQuandle:
     def op(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def to_json(self) -> dict:
-        return {"size": self.size, "table": [list(row) for row in self.table]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FiniteQuandle":
-        return cls(data["size"], data["table"])
-
 
 @value_type
 class AxiomReport:
@@ -340,13 +333,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.size)
 
-    def to_json(self) -> dict:
-        return {"size": self.size, "table": [list(row) for row in self.table]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FiniteGroup":
-        return cls(data["table"])
-
 
 def cyclic_group(n: int) -> FiniteGroup:
     """The cyclic group Z/n in additive notation."""
@@ -430,23 +416,6 @@ def core_quandle(g: FiniteGroup) -> FiniteQuandle:
     """The core quandle of a group: a * b = b a^-1 b."""
     table = [
         [g.mul(g.mul(b, g.inv(a)), b) for b in g.elements()]
-        for a in g.elements()
-    ]
-    return FiniteQuandle._trusted(g.size, tuple(map(tuple, table)))
-
-
-def automorphism_quandle(g: FiniteGroup, tau: Sequence[int]) -> FiniteQuandle:
-    """The quandle g * h = tau(g h^-1) h for a group automorphism tau,
-    given as a permutation of element indices."""
-    tau = tuple(tau)
-    if any(type(x) is not int for x in tau) or sorted(tau) != list(range(g.size)):
-        raise ValueError("tau is not a permutation of the group elements")
-    for a in g.elements():
-        for b in g.elements():
-            if tau[g.mul(a, b)] != g.mul(tau[a], tau[b]):
-                raise ValueError(f"tau is not an automorphism: fails at ({a}, {b})")
-    table = [
-        [g.mul(tau[g.mul(a, g.inv(b))], b) for b in g.elements()]
         for a in g.elements()
     ]
     return FiniteQuandle._trusted(g.size, tuple(map(tuple, table)))

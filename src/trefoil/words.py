@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Sequence, Union
 
 from ._trusted import value_type
-from .cfrac import ContinuedFraction, cf_expand, cf_validate
+from .cfrac import cf_expand, cf_validate
 from .pfrac import PFrac, _pf_signed
 
 LETTERS = "abAB"
@@ -88,19 +88,6 @@ def _as_word(w: WordLike) -> QWord:
 
 def _invert_letters(letters: str) -> str:
     return letters[::-1].swapcase()
-
-
-def free_reduce(w: WordLike) -> QWord:
-    """Cancel adjacent inverse operator pairs (aA, Aa, bB, Bb) in the tail.
-    The base generator is untouched."""
-    w = _as_word(w)
-    out: list[str] = []
-    for ch in w.tail:
-        if out and out[-1] == ch.swapcase():
-            out.pop()
-        else:
-            out.append(ch)
-    return QWord._trusted(w.base, "".join(out))
 
 
 def word_op(u: WordLike, v: WordLike) -> QWord:
@@ -166,11 +153,6 @@ class NormalForm:
     def to_word(self) -> QWord:
         text = self.render()
         return QWord._trusted(text[0], text[1:])
-
-    def to_continued_fraction(self) -> ContinuedFraction:
-        if not self.exponents:
-            raise ValueError("the generator b maps to 1/0, which has no expansion")
-        return ContinuedFraction._trusted(self.exponents)
 
 
 # ---------------------------------------------------------------------------

@@ -73,18 +73,23 @@ def test_criterion_3_counts_its_cases():
     assert result.detail.startswith(
         f"exhaustive: 64 dihedral (order <= 64), {len(_ALEXANDER_RINGS)} alexander "
         f"(order <= 64), {len(groups)} conj (order <= 24), {len(groups)} core (order <= 24), "
-        f"{sum(n ** 3 for n in orders)} cells compared")
+        f"{sum(n ** 3 for n in orders)} cells decided")
     assert "10000 fraction triples and 10000 covered triples" in result.detail
 
 
 def test_criteria_2_4_5_6_count_their_cases():
+    # each pair has four sign lifts (±x, ±y) to Z⊕Z
     assert run_criterion(2).detail == (
         "exact generators; 10000 random pairs with |p|,|q| <= 1000: matrix action "
-        "equals *, every determinant 1")
+        "equals *, every determinant 1; on their 40000 sign lifts to Z⊕Z the symplectic "
+        "operation and its inverse project to * and *̄ and undo each other")
+    # word_op and word_op_inv on each of the 999 consecutive pairs of short words
     detail = run_criterion(4).detail
     m = re.fullmatch(r"1000 random words of <= 30 letters and 4 of 10000 letters "
                      r"\((\d+) letters\): rewriting is sound, both routes agree, "
-                     r"all outputs valid", detail)
+                     r"all outputs valid; word_op and word_op_inv on 999 consecutive pairs "
+                     r"of the short words equal the normal forms of \* and \*̄ on their "
+                     r"images \(1998 comparisons, each cross-checked by words_equal\)", detail)
     assert m, detail
     assert 40_000 <= int(m.group(1)) <= 40_000 + 1000 * 30
     fractions = sum(gcd(abs(p), q) == 1 for q in range(1, 201) for p in range(-200, 201))

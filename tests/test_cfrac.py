@@ -18,7 +18,6 @@ from trefoil import (
     PFrac,
     alexander_quandle,
     apply_matrix,
-    automorphism_quandle,
     cf_eval,
     cf_expand,
     cf_validate,
@@ -28,7 +27,6 @@ from trefoil import (
     dihedral_group,
     dihedral_quandle,
     frac_to_word,
-    free_reduce,
     klein_four_group,
     lambda_act,
     parse_word,
@@ -119,7 +117,7 @@ def test_unchecked_results_pass_the_public_checks():
         nf = frac_to_word(x)
         assert nf.exponents == cf.terms == cf_expand(x).terms
         results = [cf, cf_expand(r.numerator), cf_expand(x), nf,
-                   nf.to_continued_fraction(), frac_to_word(y).to_word(), PFrac.from_fraction(r),
+                   frac_to_word(y).to_word(), PFrac.from_fraction(r),
                    PFrac.from_fraction(r.numerator), projectivize((r.numerator, r.denominator)),
                    pf_op(x, y), pf_op_inv(x, y), pf_op_pow(x, y, -3), pf_op(y, PF_INFINITY),
                    transvection_matrix(x), apply_matrix(transvection_matrix(y), x)]
@@ -131,11 +129,11 @@ def test_unchecked_results_pass_the_public_checks():
     for _ in range(50):
         u, v = (parse_word(rng.choice("ab") + "".join(rng.choice("abAB") for _ in range(12)))
                 for _ in range(2))
-        for w in (u.extended(v.tail), free_reduce(u), word_op(u, v), word_op_inv(u, v)):
+        for w in (u.extended(v.tail), word_op(u, v), word_op_inv(u, v)):
             assert_passes_public_checks(w)
         g, h = (BraidElement.parse("".join(rng.choice("abAB") for _ in range(12)))
                 for _ in range(2))
-        for b in (g, BraidElement.from_word([1, -2, 2, 1, 1]), BraidElement.identity(),
+        for b in (g, BraidElement.parse("aBbaa"), BraidElement.identity(),
                   g * h, g.inv(), h ** 3):
             assert_passes_public_checks(b)
     # the operations on covered elements give both slots in Garside form,
@@ -154,7 +152,7 @@ def test_unchecked_results_pass_the_public_checks():
     groups = [cyclic_group(6), dihedral_group(4), symmetric_group(3), klein_four_group()]
     quandles = [dihedral_quandle(7), alexander_quandle(LaurentQuotientRing(3, (2, 0, 1))),
                 transvection_quandle(3, [[0, 1], [-1, 0]]),
-                automorphism_quandle(cyclic_group(5), [0, 2, 4, 1, 3])]
+                alexander_quandle(LaurentQuotientRing(5, (-2, 1)))]
     quandles += [make(g) for g in groups for make in (conj_quandle, core_quandle)]
     for z in groups + quandles:
         assert_passes_public_checks(z)
@@ -281,9 +279,6 @@ def test_eval_values_match_fraction_without_the_gcd():
     cases += [cf_expand(r).terms for r in random_rationals()]
     for terms in cases:
         _assert_same_fraction(cf_eval(terms), fraction_eval(terms))
-    for r in random_rationals():
-        if r.denominator > 0:
-            _assert_same_fraction(PFrac.from_fraction(r).to_fraction(), r)
 
 
 def test_validate_examples():
@@ -406,8 +401,3 @@ def test_parse_and_str():
         ContinuedFraction.parse("2;3")
     with pytest.raises(ValueError):
         ContinuedFraction.parse("[2;]")
-
-
-def test_json_round_trip():
-    cf = ContinuedFraction((-1, 2, 5))
-    assert ContinuedFraction.from_json(cf.to_json()) == cf

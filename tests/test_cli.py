@@ -4,11 +4,11 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import trefoil
 from trefoil import (
     BraidElement,
-    ContinuedFraction,
     PFrac,
     cf_expand,
     check_quandle,
@@ -152,6 +152,8 @@ def test_exit_code_domain_errors():
     assert go("long", "op", "a", "b")[0] == 2
     assert go("axioms", "nonsense:1")[0] == 2
     assert go("cf", "eval", "[2;1]")[0] == 2
+    for poly in ("", " ", "+", "++", "-"):
+        assert go("axioms", f"alexander:3:{poly}") == (2, "", f"error: empty polynomial {poly!r}\n")
 
 
 def test_exit_code_internal_errors(monkeypatch):
@@ -191,7 +193,7 @@ def test_json_output_matches_library_bytes():
         (("--json", "pow", "1/3", "1/0", "2"),
          pf_op_pow(PFrac.parse("1/3"), PFrac.parse("1/0"), 2).to_json()),
         (("--json", "cf", "expand", "7/3"),
-         cf_expand(PFrac.parse("7/3").to_fraction()).to_json()),
+         cf_expand(Fraction(7, 3)).to_json()),
         (("--json", "cf", "eval", "[2;3]"), PFrac.parse("7/3").to_json()),
         (("--json", "axioms", "dihedral:7"),
          check_quandle(dihedral_quandle(7)).to_json()),

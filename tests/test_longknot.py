@@ -147,7 +147,7 @@ def test_pi1_act_basics(pool):
     rng = random.Random(38)
     for _ in range(100):
         q = rng.choice(pool)
-        h = BraidElement.from_word(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 6)))
+        h = BraidElement.parse("".join(rng.choice("aAbB") for _ in range(rng.randint(0, 6))))
         acted = pi1_act(q, h)
         assert acted.g.eps == 0
         assert braid_eq(covering_p(acted), h.inv() * covering_p(q) * h)

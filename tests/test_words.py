@@ -16,7 +16,6 @@ from trefoil import (
     QWord,
     braid_relation_holds,
     frac_to_word,
-    free_reduce,
     normal_form_valid,
     normalize,
     parse_word,
@@ -81,20 +80,6 @@ def test_render_parse_round_trip():
     for _ in range(100):
         w = random_word(rng)
         assert parse_word(str(w)) == w
-
-
-def test_free_reduce_examples():
-    assert str(free_reduce("abB")) == "a"
-    assert str(free_reduce("aAa")) == "a"
-    assert str(free_reduce("ab")) == "ab"
-    assert str(free_reduce("abBAab")) == "ab"
-
-
-def test_free_reduce_preserves_image():
-    rng = random.Random(2)
-    for _ in range(200):
-        w = random_word(rng)
-        assert word_to_frac(free_reduce(w)) == word_to_frac(w)
 
 
 def test_normalize_presentation_relations():
@@ -293,6 +278,3 @@ def test_normal_form_base_parity():
 def test_exponents_match_continued_fraction_terms():
     nf = normalize("bAAAbb")
     assert nf.exponents == (2, 3)
-    assert nf.to_continued_fraction().terms == (2, 3)
-    with pytest.raises(ValueError):
-        NormalForm(()).to_continued_fraction()
