@@ -9,14 +9,18 @@ bijection between fractions and normal-form words.  A fourth structure,
 the covering quandle of the long trefoil, is built over the braid group B3
 with a decidable word problem.
 
-Each value type is a frozen dataclass on slots, checked once.  Public
-constructors keep every check and coerce nothing (a bool, float or str is
-not an int); values the library builds from values valid by an argument
-stated where they are built go through the class's one trusted builder,
-`cls._trusted(*fields)`, generated by `_trusted.value_type`, and are never
-checked again.  A braid's Burau image at t = -1 and a covered element's
-meridian conjugate x are fields set in closed form by each operation, and a
-finite group's size, identity and inverses are fields its one constructor,
+Each value type is a frozen dataclass on slots, checked once, except
+PFrac, an immutable pair on tuple, so that the fraction quandle's points
+are built, hashed and unpacked in C.  Public constructors keep every check
+and coerce nothing (a bool, float or str is not an int); values the
+library builds from values valid by an argument stated where they are
+built go through the class's one trusted builder and are never checked
+again: `cls._trusted(*fields)`, generated by `_trusted.value_type`, or for
+PFrac the C-level `PFrac._trusted((p, q))` and its bulk form
+`PFrac._trusted_all(pairs)`, attached by `_trusted.pair_type`.  A
+braid's Burau image at t = -1 and a covered element's meridian conjugate x
+are fields set in closed form by each operation, and a finite group's
+size, identity and inverses are fields its one constructor,
 FiniteGroup(table), derives from the table.
 """
 

@@ -47,6 +47,8 @@ class ContinuedFraction:
     terms: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.terms, PFrac):  # a point is a pair, not two terms
+            raise TypeError("continued fraction terms must be a sequence of ints, not a PFrac")
         terms = tuple(self.terms)
         if not cf_validate(terms):
             raise ValueError(f"invalid continued fraction terms {list(terms)}")
@@ -123,9 +125,9 @@ def cf_expand(r: Rational) -> ContinuedFraction:
     where q divides p, is at least 2.
     """
     if isinstance(r, PFrac):
-        if not r.q:
+        p, q = r
+        if not q:
             raise ValueError("1/0 is not a finite rational")
-        p, q = r.p, r.q
     elif isinstance(r, (int, Fraction)):
         p, q = r.numerator, r.denominator
     else:
@@ -199,7 +201,7 @@ def cf_eval(cf: Union[ContinuedFraction, Sequence[int]]) -> Fraction:
     already in lowest terms and is built without a gcd.
     """
     if not isinstance(cf, ContinuedFraction):
-        cf = ContinuedFraction(tuple(cf))
+        cf = ContinuedFraction(cf)
     h, _, k, _ = _product(cf.terms)
     return coprime_fraction(h, k)
 

@@ -110,29 +110,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+_POLY_TERM = re.compile(r"([+-]?)(\d*)(?:(t)(?:\^(\d+))?)?")
+
+
 def _parse_poly(text: str) -> tuple[int, ...]:
-    """Parse h(t) like 't+1', 't^2+t+1', '2t^3+5'; ascending coefficients."""
-    cleaned = text.replace(" ", "").replace("-", "+-")
+    """Parse h(t) like 't+1', 't^2+t+1', '2t^3+5'; ascending coefficients.
+    Each term is a sign (optional on the first), then a coefficient, t or
+    both, with an optional ^exponent on t; anything else, a sign with no
+    term after it included, is a bad term."""
+    cleaned = text.replace(" ", "")
     if not cleaned.strip("+-"):  # signs alone, or nothing
         raise ValueError(f"empty polynomial {text!r}")
+    terms = re.split(r"(?=[+-])", cleaned)
+    if not terms[0]:  # the text starts with a sign
+        del terms[0]
     coeffs: dict[int, int] = {}
-    for term in cleaned.split("+"):
-        if not term:
-            continue
-        sign = 1
-        if term.startswith("-"):
-            sign = -1
-            term = term[1:]
-        if "t" in term:
-            head, _, tail = term.partition("t")
-            coef = int(head) if head else 1
-            exp = int(tail[1:]) if tail.startswith("^") else (1 if not tail else None)
-            if exp is None:
-                raise ValueError(f"bad term {term!r} in {text!r}")
-        else:
-            coef = int(term)
-            exp = 0
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coef
+    for term in terms:
+        m = _POLY_TERM.fullmatch(term)
+        if m is None or not (m[2] or m[3]):
+            raise ValueError(f"bad term {term!r} in {text!r}")
+        sign, coef, t, exp = m.groups()
+        value = int(coef) if coef else 1
+        power = int(exp) if exp else 1 if t else 0
+        coeffs[power] = coeffs.get(power, 0) + (-value if sign == "-" else value)
     degree = max(coeffs)
     return tuple(coeffs.get(i, 0) for i in range(degree + 1))
 

@@ -8,14 +8,16 @@ integers; the transvection (a/b) * (c/d) = (a - Dc)/(b - Dd) with
 D = ad - bc grows coefficients quadratically, so fixed-width integers would
 silently corrupt results.
 
+A PFrac is an immutable pair on tuple, built, hashed and unpacked in C.
 Untrusted pairs go through pf_new, which takes one gcd.  The operations
 and the matrix action are determinant-one integer maps, which send
-primitive pairs to primitive pairs, so their results are only signed.
+primitive pairs to primitive pairs, so their results are only signed, in
+place, and built by the C-level trusted builder.
 
 orbit_bfs witnesses that 0/1 and 1/0 generate the quandle: one
-breadth-first loop over a flat bytearray grid of signed integer pairs,
-with the four generator steps inline in closed form and each reached
-point built as a PFrac once.
+breadth-first loop over a flat bytearray grid of signed plain-int pairs,
+with the four generator steps inline in closed form, after which every
+reached point is built as a PFrac in one bulk pass.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterable, Union
 
-from ._trusted import value_type
+from ._trusted import pair_type, value_type
 
 IntPair = tuple[int, int]
 
@@ -40,35 +42,71 @@ def _require_ints(*values: object) -> None:
             raise ValueError(f"expected ints, got {values!r}")
 
 
-@value_type
-class PFrac:
+def _unordered(op: str):
+    """A comparison that raises: projective points have no order."""
+    def compare(self, other):
+        raise TypeError(f"'{op}' not supported between instances of "
+                        f"'{type(self).__name__}' and '{type(other).__name__}'")
+    return compare
+
+
+@pair_type
+class PFrac(tuple):
     """A canonical projective primitive pair: gcd(|p|, |q|) = 1 and either
-    q > 0 or (q, p) = (0, 1).  The point 1/0 is infinity; 0 is 0/1."""
+    q > 0 or (q, p) = (0, 1).  The point 1/0 is infinity; 0 is 0/1.
 
-    p: int
-    q: int
+    An immutable pair on tuple, so it is built, hashed and unpacked
+    (p, q = x) in C.  It equals only another PFrac, never a plain tuple, in
+    either operand order, and it is unordered."""
 
-    def __post_init__(self) -> None:
-        _require_ints(self.p, self.q)
-        if (self.p, self.q) == (0, 0):
+    __slots__ = ()
+    __match_args__ = ("p", "q")
+    p = property(itemgetter(0), doc="The numerator.")
+    q = property(itemgetter(1), doc="The denominator: positive, or 0 at 1/0.")
+
+    def __new__(cls, p: int, q: int) -> "PFrac":
+        _require_ints(p, q)
+        if (p, q) == (0, 0):
             raise ValueError("the zero pair has no projective class")
-        if gcd(abs(self.p), abs(self.q)) != 1:
-            raise ValueError(f"({self.p}, {self.q}) is not reduced")
-        if self.q < 0 or (self.q == 0 and self.p != 1):
-            raise ValueError(f"({self.p}, {self.q}) is not canonically signed")
+        if gcd(abs(p), abs(q)) != 1:
+            raise ValueError(f"({p}, {q}) is not reduced")
+        if q < 0 or (q == 0 and p != 1):
+            raise ValueError(f"({p}, {q}) is not canonically signed")
+        return cls._trusted((p, q))
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is PFrac:
+            return self[0] == other[0] and self[1] == other[1]
+        # tuple's own == would hold against a plain tuple of the same items
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's !=
+
+    __lt__, __le__, __gt__, __ge__ = map(_unordered, ("<", "<=", ">", ">="))
+
+    def __reduce__(self):
+        return PFrac, tuple(self)
+
+    def __repr__(self) -> str:
+        p, q = self
+        return f"PFrac(p={p!r}, q={q!r})"
 
     def __str__(self) -> str:
-        return f"{self.p}/{self.q}"
+        p, q = self
+        return f"{p}/{q}"
 
     def to_json(self) -> dict:
-        return {"p": str(self.p), "q": str(self.q)}
+        p, q = self
+        return {"p": str(p), "q": str(q)}
 
     @classmethod
     def from_fraction(cls, r: Union[Fraction, int]) -> "PFrac":
         """A Fraction is already reduced, with a positive denominator."""
         if not (isinstance(r, Fraction) or type(r) is int):
             raise TypeError(f"from_fraction takes a Fraction or an int, not {type(r).__name__}")
-        return cls._trusted(r.numerator, r.denominator)
+        return cls._trusted((r.numerator, r.denominator))
 
     @classmethod
     def parse(cls, text: str) -> "PFrac":
@@ -78,6 +116,9 @@ class PFrac:
         p = int(m.group(1))
         q = int(m.group(2)) if m.group(2) is not None else 1
         return pf_new(p, q)
+
+
+_pfrac = PFrac._trusted
 
 
 def pf_new(p: int, q: int) -> PFrac:
@@ -95,10 +136,11 @@ def pf_new(p: int, q: int) -> PFrac:
 def _pf_signed(p: int, q: int) -> PFrac:
     """Canonically sign a pair already known to be primitive: the image of a
     primitive pair under a determinant-one integer map is primitive, since
-    the inverse map is integral too, so pf_new's gcd would be 1."""
+    the inverse map is integral too, so pf_new's gcd would be 1.  The
+    operations below sign their results the same way, in place."""
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
-    return PFrac._trusted(p, q)
+    return _pfrac((p, q))
 
 
 PF_ZERO = pf_new(0, 1)
@@ -107,14 +149,26 @@ PF_INFINITY = pf_new(1, 0)
 
 def pf_op(x: PFrac, y: PFrac) -> PFrac:
     """(a/b) * (c/d) = (a - Dc)/(b - Dd) with D = ad - bc."""
-    d = x.p * y.q - x.q * y.p
-    return _pf_signed(x.p - d * y.p, x.q - d * y.q)
+    a, b = x
+    c, d = y
+    det = a * d - b * c
+    p = a - det * c
+    q = b - det * d
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return _pfrac((p, q))
 
 
 def pf_op_inv(x: PFrac, y: PFrac) -> PFrac:
     """The inverse operation: (a/b) *̄ (c/d) = (a + Dc)/(b + Dd)."""
-    d = x.p * y.q - x.q * y.p
-    return _pf_signed(x.p + d * y.p, x.q + d * y.q)
+    a, b = x
+    c, d = y
+    det = a * d - b * c
+    p = a + det * c
+    q = b + det * d
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return _pfrac((p, q))
 
 
 def pf_op_pow(x: PFrac, y: PFrac, k: int) -> PFrac:
@@ -124,8 +178,14 @@ def pf_op_pow(x: PFrac, y: PFrac, k: int) -> PFrac:
     and x for k = 0.
     """
     _require_ints(k)
-    kd = k * (x.p * y.q - x.q * y.p)
-    return _pf_signed(x.p - kd * y.p, x.q - kd * y.q)
+    a, b = x
+    s, t = y
+    kd = k * (a * t - b * s)
+    p = a - kd * s
+    q = b - kd * t
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return _pfrac((p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +214,12 @@ def projectivize(x: IntPair) -> PFrac:
     _require_ints(*x)
     if x == (0, 0):
         raise ValueError("the zero vector has no projective class")
-    if gcd(x[0], x[1]) != 1:
+    p, q = x
+    if gcd(p, q) != 1:
         raise ValueError(f"{x} is not primitive")
-    return _pf_signed(x[0], x[1])
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return _pfrac((p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +271,19 @@ def transvection_matrix(y: PFrac) -> TransvectionMatrix:
 
     Its determinant (1 - dc)(1 + dc) + c^2 d^2 is 1 identically.
     """
-    c, d = y.p, y.q
+    c, d = y
     dc = d * c
     return TransvectionMatrix._trusted(1 - dc, c * c, -d * d, 1 + dc)
 
 
 def apply_matrix(m: TransvectionMatrix, x: PFrac) -> PFrac:
     """Apply a determinant-one matrix to a projective point."""
-    return _pf_signed(m.a * x.p + m.b * x.q, m.c * x.p + m.d * x.q)
+    r, s = x
+    p = m.a * r + m.b * s
+    q = m.c * r + m.d * s
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return _pfrac((p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +304,7 @@ class OrbitReport:
 
     def to_dot(self) -> str:
         lines = ["digraph orbit {"]
-        for src in sorted(self.witnesses, key=lambda f: (f.q, f.p)):
+        for src in sorted(self.witnesses, key=itemgetter(1, 0)):
             lines.append(f'  "{src}";')
         for src, letter, dst in self.edges:
             lines.append(f'  "{src}" -> "{dst}" [label="{letter}"];')
@@ -256,51 +324,52 @@ def orbit_bfs(targets: Iterable[PFrac], bound: int) -> OrbitReport:
     lookup and nothing is built for a step not taken.  The steps are inline
     in closed form: * 0/1 sends p/q to p/(q - p), *̄ 0/1 to p/(q + p), * 1/0
     to (p + q)/q and *̄ 1/0 to (p - q)/q; only the first two can need a sign
-    change, as q >= 0 and q = 0 only at 1/0.  A point becomes a PFrac once,
-    when it is first reached.  The list of reached points is the queue, and
-    the letter order a, A, b, B decides which shortest word wins."""
+    change, as q >= 0 and q = 0 only at 1/0.  The search runs on plain int
+    pairs: the list of reached points, each with its word, its parent's
+    index and its cell, is the queue, and the letter order a, A, b, B
+    decides which shortest word wins.  Every PFrac is built after the
+    search, in one pass of the bulk builder over the reached pairs."""
     _require_ints(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
     targets = tuple(targets)
-    new = PFrac._trusted
     side = 4 * bound + 1
     last = side * side - 1  # cell c holds (u, v) and cell last - c (-u, -v)
     origin = last // 2      # the cell of (0, 0)
     wall = b"\x01" * side
     row = b"\x01" * bound + bytes(2 * bound + 1) + b"\x01" * bound
     seen = bytearray(wall * bound + row * (2 * bound + 1) + wall * bound)
-    nodes = [(new(0, 1), "a", None, origin + 1), (new(1, 0), "b", None, origin + side)]
-    for _, _, _, c in nodes:
+    nodes = [(0, 1, "a", None, origin + 1), (1, 0, "b", None, origin + side)]
+    for *_, c in nodes:
         seen[c] = seen[last - c] = 1
     push = nodes.append
-    for x, word, _, cell in nodes:  # nodes grows as it is read: it is the queue
-        p = x.p
-        q = x.q
+    # nodes grows as it is read: it is the queue
+    for i, (p, q, word, _, cell) in enumerate(nodes):
         c = cell - p  # a: p/(q - p)
         if not seen[c]:
             seen[c] = seen[last - c] = 1
             if q >= p:
-                push((new(p, q - p), word + "a", x, c))
+                push((p, q - p, word + "a", i, c))
             else:
-                push((new(-p, p - q), word + "a", x, last - c))
+                push((-p, p - q, word + "a", i, last - c))
         c = cell + p  # A: p/(q + p)
         if not seen[c]:
             seen[c] = seen[last - c] = 1
             if q + p > 0:
-                push((new(p, q + p), word + "A", x, c))
+                push((p, q + p, word + "A", i, c))
             else:
-                push((new(-p, -q - p), word + "A", x, last - c))
+                push((-p, -q - p, word + "A", i, last - c))
         shift = q * side
         c = cell + shift  # b: (p + q)/q
         if not seen[c]:
             seen[c] = seen[last - c] = 1
-            push((new(p + q, q), word + "b", x, c))
+            push((p + q, q, word + "b", i, c))
         c = cell - shift  # B: (p - q)/q
         if not seen[c]:
             seen[c] = seen[last - c] = 1
-            push((new(p - q, q), word + "B", x, c))
-    fracs, words, parents, _ = zip(*nodes)
+            push((p - q, q, word + "B", i, c))
+    ps, qs, words, parents, _ = zip(*nodes)
+    fracs = list(PFrac._trusted_all(zip(ps, qs)))
     witnesses = dict(zip(fracs, words))
     reached = {t: w for t in targets if (w := witnesses.get(t)) is not None}
     return OrbitReport(
@@ -309,5 +378,6 @@ def orbit_bfs(targets: Iterable[PFrac], bound: int) -> OrbitReport:
         witnesses=witnesses,
         reached=reached,
         unreached=tuple(t for t in targets if t not in reached),
-        edges=tuple(zip(parents[2:], map(itemgetter(-1), words[2:]), fracs[2:])),
+        edges=tuple(zip(map(fracs.__getitem__, parents[2:]), map(itemgetter(-1), words[2:]),
+                        fracs[2:])),
     )

@@ -167,9 +167,14 @@ def _idempotence_failure(q: FiniteQuandle) -> Optional[tuple[int, int, int]]:
 def _bijectivity_failure(cols: Sequence[Sequence[int]], n: int) -> Optional[tuple[int, int, int]]:
     """(i, j, k) for the first column k that is not a permutation: j is the
     first row whose value in column k repeats an earlier row's, and i the
-    first row holding that value."""
+    first row holding that value.  A byte column is decided in C:
+    bytes.maketrans(col, identity) sends each value to the last row holding
+    it, so col translated through it is the identity exactly when no value
+    repeats.  The scan below only locates the witness."""
+    identity = bytes(range(n)) if type(cols[0]) is bytes else None
     for k, col in enumerate(cols):
-        if len(set(col)) != n:
+        if (len(set(col)) != n if identity is None
+                else col.translate(bytes.maketrans(col, identity)) != identity):
             j = next(j for j in range(n) if col[j] in col[:j])
             return (col.index(col[j]), j, k)
     return None

@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import floor, gcd
@@ -95,15 +95,24 @@ def test_kernels_match_fraction_reference():
             assert det == (-1) ** len(terms)
 
 
+def field_names(x):
+    """Each field of a value with whether its public constructor takes it:
+    a dataclass's fields, or a pair's two items, named by __match_args__."""
+    if is_dataclass(x):
+        return [(f.name, f.init) for f in fields(x)]
+    return [(name, True) for name in type(x).__match_args__]
+
+
 def assert_passes_public_checks(x):
     """x, built without its class's checks, rebuilt through the public
     constructor from its init fields: the same value, with the same hash,
     and every field equal, those set in closed form (a braid's image)
     included."""
-    y = type(x)(*(getattr(x, f.name) for f in fields(x) if f.init))
-    assert y == x and hash(y) == hash(x)
-    for f in fields(x):
-        assert getattr(y, f.name) == getattr(x, f.name), f.name
+    names = field_names(x)
+    y = type(x)(*(getattr(x, name) for name, init in names if init))
+    assert type(y) is type(x) and y == x and hash(y) == hash(x)
+    for name, _ in names:
+        assert getattr(y, name) == getattr(x, name), name
 
 
 def test_unchecked_results_pass_the_public_checks():
@@ -340,6 +349,10 @@ def test_constructor_rejects_invalid_terms():
     for terms in ((1, 2.5), (1, 2.9), ("3", 2), (2.0,), (1, "2"), (True, 2)):
         with pytest.raises(ValueError):
             ContinuedFraction(terms)
+    # a PFrac is a pair on tuple, but a point, not the term list (p, q)
+    for make in (ContinuedFraction, cf_eval):
+        with pytest.raises(TypeError):
+            make(pf_new(3, 7))
 
 
 def test_round_trip_small_grid():

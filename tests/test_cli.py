@@ -23,7 +23,7 @@ from trefoil import (
     transvection_matrix,
     word_to_frac,
 )
-from trefoil.cli import run
+from trefoil.cli import _parse_poly, run
 
 
 def go(*argv):
@@ -154,6 +154,20 @@ def test_exit_code_domain_errors():
     assert go("cf", "eval", "[2;1]")[0] == 2
     for poly in ("", " ", "+", "++", "-"):
         assert go("axioms", f"alexander:3:{poly}") == (2, "", f"error: empty polynomial {poly!r}\n")
+
+
+def test_malformed_polynomial_terms_are_named():
+    # a term that is not [sign][coefficient][t[^exponent]], a sign with no
+    # term after it included, is reported with the polynomial it is in
+    for poly, term in (("t-", "-"), ("t^", "t^"), ("2t^", "2t^"), ("t^x", "t^x"), ("x", "x"),
+                       ("1t2", "1t2"), ("t+1+", "+"), ("t++1", "+"), ("t+-1", "+")):
+        assert go("axioms", f"alexander:3:{poly}") == (
+            2, "", f"error: bad term {term!r} in {poly!r}\n"), poly
+    # signs, spaces and repeated powers in well-formed polynomials
+    for poly, coeffs in (("t+1", (1, 1)), ("-t+1", (1, -1)), ("+t^2-3t+2", (2, -3, 1)),
+                         (" t - 1 ", (-1, 1)), ("2t^3+5", (5, 0, 0, 2)), ("t^0+t^0", (2,))):
+        assert _parse_poly(poly) == coeffs, poly
+    assert go("axioms", "alexander:3:t-1")[0] == 0
 
 
 def test_exit_code_internal_errors(monkeypatch):

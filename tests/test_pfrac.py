@@ -1,4 +1,8 @@
+import ast
+import inspect
+import io
 import random
+import textwrap
 from collections import deque
 from math import gcd
 
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from trefoil import (
     PF_INFINITY,
     PF_ZERO,
+    OrbitReport,
     PFrac,
     TransvectionMatrix,
     apply_matrix,
@@ -22,6 +27,7 @@ from trefoil import (
     sympl_op_inv,
     transvection_matrix,
 )
+from trefoil import cli
 
 pairs = st.tuples(
     st.integers(min_value=-10**6, max_value=10**6),
@@ -314,6 +320,58 @@ def _orbit_by_operations(targets, bound):
     return witnesses, tuple(edges)
 
 
+def _orbit_bfs_on_pfracs(targets, bound):
+    """orbit_bfs as it was before its search ran on plain int pairs, with
+    each reached point built as a PFrac when first reached (here through
+    the public constructor), in the loop: the oracle for the order of
+    witnesses, reached, unreached and edges."""
+    targets = tuple(targets)
+    side = 4 * bound + 1
+    last = side * side - 1
+    origin = last // 2
+    wall = b"\x01" * side
+    row = b"\x01" * bound + bytes(2 * bound + 1) + b"\x01" * bound
+    seen = bytearray(wall * bound + row * (2 * bound + 1) + wall * bound)
+    nodes = [(PFrac(0, 1), "a", None, origin + 1), (PFrac(1, 0), "b", None, origin + side)]
+    for _, _, _, c in nodes:
+        seen[c] = seen[last - c] = 1
+    for x, word, _, cell in nodes:
+        p, q = x.p, x.q
+        c = cell - p
+        if not seen[c]:
+            seen[c] = seen[last - c] = 1
+            if q >= p:
+                nodes.append((PFrac(p, q - p), word + "a", x, c))
+            else:
+                nodes.append((PFrac(-p, p - q), word + "a", x, last - c))
+        c = cell + p
+        if not seen[c]:
+            seen[c] = seen[last - c] = 1
+            if q + p > 0:
+                nodes.append((PFrac(p, q + p), word + "A", x, c))
+            else:
+                nodes.append((PFrac(-p, -q - p), word + "A", x, last - c))
+        c = cell + q * side
+        if not seen[c]:
+            seen[c] = seen[last - c] = 1
+            nodes.append((PFrac(p + q, q), word + "b", x, c))
+        c = cell - q * side
+        if not seen[c]:
+            seen[c] = seen[last - c] = 1
+            nodes.append((PFrac(p - q, q), word + "B", x, c))
+    fracs, words, parents, _ = zip(*nodes)
+    witnesses = dict(zip(fracs, words))
+    reached = {t: witnesses[t] for t in targets if t in witnesses}
+    return OrbitReport(
+        bound=bound,
+        explored=len(fracs),
+        witnesses=witnesses,
+        reached=reached,
+        unreached=tuple(t for t in targets if t not in reached),
+        edges=tuple(zip(parents[2:], (w[-1] for w in words[2:]), fracs[2:])),
+    )
+
+
 def _box_size(bound):
     """Canonical primitive pairs with |p|, |q| <= bound, counted by gcd."""
     return 1 + sum(1 for q in range(1, bound + 1) for p in range(-bound, bound + 1)
@@ -336,6 +394,44 @@ def test_orbit_bfs_matches_the_operation_search():
         assert list(report.reached.items()) == list(reached.items())
         assert report.unreached == tuple(t for t in targets if t not in witnesses)
         assert pf_new(bound + 1, 1) in report.unreached
+
+
+def test_orbit_bfs_and_the_orbit_command_match_the_search_on_pfracs(monkeypatch):
+    rng = random.Random(18)
+    for bound in range(1, 61):
+        box = bound + 2
+        targets = [pf_new(bound + 1, 1), PF_ZERO] + [
+            pf_new(rng.randint(-box, box), rng.randint(1, box)) for _ in range(10)]
+        report, oracle = orbit_bfs(targets, bound), _orbit_bfs_on_pfracs(targets, bound)
+        assert list(report.witnesses.items()) == list(oracle.witnesses.items())
+        assert list(report.reached.items()) == list(oracle.reached.items())
+        assert report.unreached == oracle.unreached
+        assert report.edges == oracle.edges
+        assert report.explored == oracle.explored
+        assert all(type(x) is PFrac for x in report.witnesses)
+        # the CLI prints the same bytes from either search
+        for argv in (["orbit", str(targets[0])], ["orbit", str(targets[2])],
+                     ["--json", "orbit", str(targets[2])], ["orbit", "1/1", "--dot"]):
+            argv = argv + ["--bound", str(bound)]
+            outputs = []
+            for search in (orbit_bfs, _orbit_bfs_on_pfracs):
+                monkeypatch.setattr(cli, "orbit_bfs", search)
+                out, err = io.StringIO(), io.StringIO()
+                outputs.append((cli.run(argv, stdout=out, stderr=err), out.getvalue(),
+                                err.getvalue()))
+            assert outputs[0] == outputs[1] and outputs[0][0] == 0, argv
+
+
+def test_orbit_bfs_search_loop_calls_only_the_queue_append():
+    # the search runs on plain ints: its loop builds no PFrac and calls no
+    # function but the queue's append, bound once as push
+    tree = ast.parse(textwrap.dedent(inspect.getsource(orbit_bfs)))
+    loops = [n for n in ast.walk(tree) if isinstance(n, ast.For)
+             and isinstance(n.iter, ast.Call) and n.iter.func.id == "enumerate"]
+    assert len(loops) == 1
+    body = [n for stmt in loops[0].body for n in ast.walk(stmt)]
+    assert {n.func.id for n in body if isinstance(n, ast.Call)} == {"push"}
+    assert not {"PFrac", "_pfrac", "_pf_signed"} & {n.id for n in body if isinstance(n, ast.Name)}
 
 
 def test_generator_steps_are_the_operations():

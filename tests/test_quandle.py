@@ -26,6 +26,7 @@ from trefoil import (
 )
 from trefoil.acceptance import _ALEXANDER_RINGS, _conj_core_groups
 from trefoil.quandle import (
+    _bijectivity_failure,
     _generating_set,
     form_is_alternating,
     form_is_antisymmetric,
@@ -404,6 +405,35 @@ def test_scans_match_scalar_loops_on_perturbed_stock_quandles():
             distributivity_witnesses += report.right_translations_bijective and not report.is_rack
     # the column swaps do exercise the located distributivity witness
     assert distributivity_witnesses > 50
+
+
+def _bijectivity_failure_by_sets(cols, n):
+    """The first non-permutation column, found with a set per column: the
+    oracle for the byte columns' translate test."""
+    for k, col in enumerate(cols):
+        if len(set(col)) != n:
+            j = next(j for j in range(n) if col[j] in col[:j])
+            return (col.index(col[j]), j, k)
+    return None
+
+
+def test_bijectivity_matches_the_set_scan_on_planted_tables():
+    rng = random.Random(903)
+    for n in range(2, 257):
+        cols = [rng.sample(range(n), n) for _ in range(n)]
+        assert _bijectivity_failure(list(map(bytes, cols)), n) is None
+        # plant repeats: one or more values copied within a column, in a
+        # column before, at or after the first that already repeats
+        for _ in range(3):
+            planted = [list(col) for col in cols]
+            for _ in range(rng.choice((1, 1, 2, 5))):
+                col = planted[rng.randrange(n)]
+                i, j = rng.sample(range(n), 2)
+                col[j] = col[i]
+            expected = _bijectivity_failure_by_sets(planted, n)
+            assert expected is not None
+            assert _bijectivity_failure(list(map(bytes, planted)), n) == expected, n
+            assert _bijectivity_failure(list(map(tuple, planted)), n) == expected, n
 
 
 def test_scans_at_both_encodings():
