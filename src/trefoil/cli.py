@@ -148,20 +148,31 @@ def _parse_group(text: str):
     text = text.lower()
     if text in _GROUPS:
         return _GROUPS[text]()
-    if text.startswith("c") and text[1:].isdigit():
+    # isdecimal, not isdigit: int() rejects digits such as superscripts
+    if text.startswith("c") and text[1:].isdecimal():
         return cyclic_group(int(text[1:]))
-    if text.startswith("d") and text[1:].isdigit():
+    if text.startswith("d") and text[1:].isdecimal():
         return dihedral_group(int(text[1:]))
     raise ValueError(f"unknown group spec {text!r} (use cN, dN, s3, s4 or v4)")
+
+
+def _spec_int(field: str, text: str, spec: str) -> int:
+    """A field of a quandle spec that int() must read, named with the spec
+    when it cannot."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad {field} {text!r} in quandle spec {spec!r}") from None
 
 
 def _quandle_from_spec(spec: str):
     parts = spec.split(":")
     kind = parts[0].lower()
     if kind == "dihedral" and len(parts) == 2:
-        return dihedral_quandle(int(parts[1]))
+        return dihedral_quandle(_spec_int("order", parts[1], spec))
     if kind == "alexander" and len(parts) == 3:
-        return alexander_quandle(LaurentQuotientRing(int(parts[1]), _parse_poly(parts[2])))
+        modulus = _spec_int("modulus", parts[1], spec)
+        return alexander_quandle(LaurentQuotientRing(modulus, _parse_poly(parts[2])))
     if kind == "conj" and len(parts) == 2:
         return conj_quandle(_parse_group(parts[1]))
     if kind == "core" and len(parts) == 2:

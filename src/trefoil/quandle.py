@@ -36,6 +36,25 @@ up to 256 are bytes and gather is bytes.translate; larger ones are tuples
 and gather is an itemgetter.  A failure is located in the order of the
 scalar scan (c, a, b for distributivity; a, b, c for associativity), so the
 first counterexample found is the one a cell-by-cell loop would find.
+
+The stock tables are built with the same gather and join, a whole row or
+column per step rather than a Python step per cell:
+
+* a cyclic group's row a is range(n) rotated by a, a slice;
+* a group given by generators (dihedral and symmetric groups, the additive
+  group (Z/n)^d of an Alexander quandle) has row x*s = gather(row x, row s),
+  so every row follows, in breadth-first order, from the generators' rows;
+* a direct product's row (a, b) is row (a, e) gathered along row (e, b):
+  the first moves whole blocks, the second moves within each block;
+* the dihedral quandle's row i, j -> 2j - i, is one slice with step 2 of
+  0..n-1 repeated three times; the Alexander quandle's row a is the
+  sequence b -> b - t b gathered through the addition row of t a;
+* column b of a group's conjugation quandle is row b^-1 gathered through
+  column b, and of its core quandle the inverse map gathered through row b
+  and then through column b.
+
+The same code runs on bytes up to order 256 and on tuples above; tables are
+stored as tuples of int tuples either way.
 """
 
 from __future__ import annotations
@@ -49,17 +68,26 @@ from typing import Optional, Sequence
 from ._trusted import value_type
 
 
+_INT = frozenset((int,))
+
+
 def _freeze_table(table: Sequence[Sequence[int]], size: int) -> tuple[tuple[int, ...], ...]:
-    """The table as a tuple of rows, checked to be size x size over [0, size)."""
+    """The table as a tuple of rows, checked to be size x size over [0, size).
+    Each row is checked whole, its entries' types as one set and their values
+    against the set of indices; only a failing row is scanned again, to name
+    its first bad entry."""
     frozen = tuple(tuple(row) for row in table)
     if len(frozen) != size:
         raise ValueError(f"table has {len(frozen)} rows, expected {size}")
+    indices = frozenset(range(size))
     for i, row in enumerate(frozen):
         if len(row) != size:
             raise ValueError(f"table row {i} has length {len(row)}, expected {size}")
-        for x in row:
-            if type(x) is not int or not 0 <= x < size:
-                raise ValueError(f"table entry {x!r} is not an int in [0, {size})")
+        # the type test comes first: it keeps bools, equal to 0 and 1, and
+        # unhashable entries away from the set of indices
+        if not (_INT.issuperset(map(type, row)) and indices.issuperset(row)):
+            x = next(x for x in row if type(x) is not int or not 0 <= x < size)
+            raise ValueError(f"table entry {x!r} is not an int in [0, {size})")
     return frozen
 
 
@@ -130,22 +158,27 @@ class AxiomReport:
         }
 
 
-def _encode(table: Sequence[Sequence[int]], n: int) -> tuple:
-    """The rows of an n x n table over [0, n), the same cells as one flat
-    row-major sequence, and the one primitive the scans are built on:
-    gather(m, s), the sequence m[s[i]] for every i, with join, which
-    concatenates rows.  Up to order 256 rows are bytes and gather is one
-    bytes.translate through m padded to 256 entries; above, rows are tuples
+def _codec(n: int) -> tuple:
+    """The sequence type of the rows of an order-n table and the one
+    primitive the scans and the constructors are built on: gather(m, s),
+    the sequence m[s[i]] for every i, with join, which concatenates rows.
+    Up to order 256 rows are bytes and gather is one bytes.translate
+    through m, of length n, padded to 256 entries; above, rows are tuples
     and gather is an itemgetter, whose s here always has at least n > 256
     indices (with one index an itemgetter returns a scalar, not a tuple)."""
     if n <= 256:
         pad = bytes(256 - n)
-        rows = [bytes(row) for row in table]
-        return rows, b"".join(rows), lambda m, s: s.translate(m + pad), b"".join
-    rows = [tuple(row) for row in table]
+        return bytes, lambda m, s: s.translate(m + pad), b"".join
     chained = itertools.chain.from_iterable
-    return (rows, tuple(chained(rows)), lambda m, s: itemgetter(*s)(m),
-            lambda seqs: tuple(chained(seqs)))
+    return tuple, lambda m, s: itemgetter(*s)(m), lambda seqs: tuple(chained(seqs))
+
+
+def _encode(table: Sequence[Sequence[int]], n: int) -> tuple:
+    """The rows of an n x n table over [0, n) in the sequence type of order
+    n, the same cells as one flat row-major sequence, gather and join."""
+    row, gather, join = _codec(n)
+    rows = list(map(row, table))
+    return rows, join(rows), gather, join
 
 
 def _first_difference(x: Sequence[int], y: Sequence[int], n: int) -> tuple[int, int]:
@@ -281,6 +314,30 @@ def check_quandle(q: FiniteQuandle) -> AxiomReport:
 # groups
 # ---------------------------------------------------------------------------
 
+def _identity_and_inverse(rows: Sequence[Sequence[int]], flat: Sequence[int]) -> tuple:
+    """The identity of an n x n table given by its encoded rows and flat
+    sequence, the first e whose row and column both read 0..n-1, and each
+    element's first two-sided inverse.  A row is searched whole for e with
+    index; when the b found has b*a != e, that inverse is one-sided and the
+    row is scanned on from b.  Raises ValueError when either is missing."""
+    n = len(rows)
+    identity_row = type(flat)(range(n))
+    identity = next((e for e, row in enumerate(rows)
+                     if row == identity_row and flat[e::n] == identity_row), None)
+    if identity is None:
+        raise ValueError("table has no identity element")
+    inverse = []
+    for a, row in enumerate(rows):
+        b = row.index(identity) if identity in row else None
+        if b is not None and rows[b][a] != identity:
+            b = next((c for c in range(b + 1, n)
+                      if row[c] == identity and rows[c][a] == identity), None)
+        if b is None:
+            raise ValueError(f"element {a} has no inverse")
+        inverse.append(b)
+    return identity, tuple(inverse)
+
+
 @value_type
 class FiniteGroup:
     """A finite group on {0, ..., size-1}, given by its multiplication table.
@@ -288,8 +345,9 @@ class FiniteGroup:
     FiniteGroup(table) is the one checked constructor: it locates the
     identity (the first element that fixes every element from both sides)
     and each element's inverse (the first two-sided one), then checks
-    associativity exhaustively.  size, identity and inverse are derived from
-    the table, so equality and hashing compare the table alone."""
+    associativity exhaustively, every check a whole row at a time.  size,
+    identity and inverse are derived from the table, so equality and
+    hashing compare the table alone."""
 
     table: tuple[tuple[int, ...], ...]
     size: int = field(init=False, compare=False, repr=False)
@@ -299,26 +357,10 @@ class FiniteGroup:
     def __post_init__(self) -> None:
         frozen = _freeze_table(self.table, len(self.table))
         n = len(frozen)
-        identity = None
-        for e in range(n):
-            if all(frozen[e][a] == a and frozen[a][e] == a for a in range(n)):
-                identity = e
-                break
-        if identity is None:
-            raise ValueError("table has no identity element")
-        inverse = []
-        for a in range(n):
-            found = None
-            for b in range(n):
-                if frozen[a][b] == identity and frozen[b][a] == identity:
-                    found = b
-                    break
-            if found is None:
-                raise ValueError(f"element {a} has no inverse")
-            inverse.append(found)
+        rows, flat, gather, join = _encode(frozen, n)
+        identity, inverse = _identity_and_inverse(rows, flat)
         # for fixed a, (ab)c over all (b, c) is row ab joined over b, and
         # a(bc) is row a gathered along the flat table
-        rows, flat, gather, join = _encode(frozen, n)
         for a, row_a in enumerate(rows):
             left, right = join([rows[x] for x in row_a]), gather(row_a, flat)
             if left != right:
@@ -327,7 +369,7 @@ class FiniteGroup:
         object.__setattr__(self, "table", frozen)
         object.__setattr__(self, "size", n)
         object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverse", tuple(inverse))
+        object.__setattr__(self, "inverse", inverse)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -339,12 +381,32 @@ class FiniteGroup:
         return range(self.size)
 
 
+def _generated_rows(identity: Sequence[int], gens, gather) -> list:
+    """Every row of a group table whose element 0 is the identity, row x
+    being x*y over y, from the rows of a generating set given as (s, row s)
+    pairs.  Row x*s is row x gathered along row s, since x*(s*y) = (x*s)*y,
+    and x*s is entry s of row x, so each new row is one gather."""
+    rows = [None] * len(identity)
+    rows[0] = identity
+    reached = [0]
+    for x in reached:
+        row_x = rows[x]
+        for s, row_s in gens:
+            xs = row_x[s]
+            if rows[xs] is None:
+                rows[xs] = gather(row_x, row_s)
+                reached.append(xs)
+    return rows
+
+
 def cyclic_group(n: int) -> FiniteGroup:
-    """The cyclic group Z/n in additive notation."""
+    """The cyclic group Z/n in additive notation: row a is 0..n-1 rotated
+    by a."""
     if type(n) is not int or n <= 0:
         raise ValueError(f"order must be a positive int, got {n!r}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(table)
+    row, _, _ = _codec(n)
+    doubled = row(range(n)) * 2
+    return FiniteGroup([doubled[a:a + n] for a in range(n)])
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -354,12 +416,13 @@ def symmetric_group(n: int) -> FiniteGroup:
         raise ValueError(f"symmetric_group supports ints 1 <= n <= 5, got {n!r}")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    # product a*b applies a first, then b
-    table = [
-        [index[tuple(map(b.__getitem__, a))] for b in perms]
-        for a in perms
-    ]
-    return FiniteGroup(table)
+    row, gather, _ = _codec(len(perms))
+    # product a*b applies a first, then b; the adjacent transpositions
+    # generate, and the identity is the first mapping tuple
+    swaps = [(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1)]
+    gens = [(index[s], row(map(index.__getitem__, map(itemgetter(*s), perms))))
+            for s in swaps]
+    return FiniteGroup(_generated_rows(row(range(len(perms))), gens, gather))
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -374,22 +437,32 @@ def dihedral_group(n: int) -> FiniteGroup:
         r = (rb + ra) % n if fb == 0 else (rb - ra) % n
         return r + n * ((fa + fb) % 2)
 
-    table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
-    return FiniteGroup(table)
+    row, gather, _ = _codec(2 * n)
+    # the rotation 1 and the reflection n generate
+    gens = [(s, row(mul(s, b) for b in range(2 * n))) for s in (1, n)]
+    return FiniteGroup(_generated_rows(row(range(2 * n)), gens, gather))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Direct product with element (a, b) encoded as a * h.size + b."""
-    m = h.size
-    size = g.size * m
+    """Direct product with element (a, b) encoded as a * h.size + b.
 
-    def mul(x: int, y: int) -> int:
-        a1, b1 = divmod(x, m)
-        a2, b2 = divmod(y, m)
-        return g.mul(a1, a2) * m + h.mul(b1, b2)
+    Row (a, b) is row (a, e) gathered along row (e, b).  Row (a, e) moves
+    whole blocks of h.size indices, block c to block g.mul(a, c); row
+    (e, b) is the same kind of block move for h, made in the order that
+    encodes (a, b) as b * g.size + a and carried back by that swap."""
+    k, m = g.size, h.size
+    row, gather, join = _codec(k * m)
+    idx = row(range(k * m))
 
-    table = [[mul(x, y) for y in range(size)] for x in range(size)]
-    return FiniteGroup(table)
+    def block_moves(table, width):
+        blocks = [idx[c * width:(c + 1) * width] for c in range(len(table))]
+        return [join(map(blocks.__getitem__, r)) for r in table]
+
+    swap = join(idx[a::k] for a in range(k))    # a*m + b -> b*k + a
+    unswap = join(idx[b::m] for b in range(m))  # b*k + a -> a*m + b
+    left = block_moves(g.table, m)
+    right = [gather(unswap, gather(r, swap)) for r in block_moves(h.table, k)]
+    return FiniteGroup([gather(x, y) for x in left for y in right])
 
 
 def klein_four_group() -> FiniteGroup:
@@ -401,29 +474,40 @@ def klein_four_group() -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 def dihedral_quandle(n: int) -> FiniteQuandle:
-    """The dihedral quandle R_n: i * j = 2j - i (mod n)."""
+    """The dihedral quandle R_n: i * j = 2j - i (mod n).  Row i is every
+    other entry of 0..n-1 repeated three times, from entry n - i on."""
     if type(n) is not int or n <= 0:
         raise ValueError(f"order must be a positive int, got {n!r}")
-    table = [[(2 * j - i) % n for j in range(n)] for i in range(n)]
-    return FiniteQuandle._trusted(n, tuple(map(tuple, table)))
+    row, _, _ = _codec(n)
+    tripled = row(range(n)) * 3
+    table = tuple(tuple(tripled[n - i:3 * n - i:2]) for i in range(n))
+    return FiniteQuandle._trusted(n, table)
+
+
+def _group_columns(g: FiniteGroup) -> tuple:
+    """g's rows, its columns and its inverse map as sequences of order
+    g.size, with gather."""
+    n = g.size
+    row, gather, join = _codec(n)
+    rows = list(map(row, g.table))
+    flat = join(rows)
+    return rows, [flat[b::n] for b in range(n)], row(g.inverse), gather
 
 
 def conj_quandle(g: FiniteGroup) -> FiniteQuandle:
-    """A group under conjugation: a * b = b^-1 a b."""
-    table = [
-        [g.mul(g.mul(g.inv(b), a), b) for b in g.elements()]
-        for a in g.elements()
-    ]
-    return FiniteQuandle._trusted(g.size, tuple(map(tuple, table)))
+    """A group under conjugation: a * b = b^-1 a b.  Column b is row b^-1
+    gathered through column b."""
+    rows, cols, inverse, gather = _group_columns(g)
+    cols = [gather(col, rows[inverse[b]]) for b, col in enumerate(cols)]
+    return FiniteQuandle._trusted(g.size, tuple(zip(*cols)))
 
 
 def core_quandle(g: FiniteGroup) -> FiniteQuandle:
-    """The core quandle of a group: a * b = b a^-1 b."""
-    table = [
-        [g.mul(g.mul(b, g.inv(a)), b) for b in g.elements()]
-        for a in g.elements()
-    ]
-    return FiniteQuandle._trusted(g.size, tuple(map(tuple, table)))
+    """The core quandle of a group: a * b = b a^-1 b.  Column b is the
+    inverse map gathered through row b, then through column b."""
+    rows, cols, inverse, gather = _group_columns(g)
+    cols = [gather(col, gather(rows[b], inverse)) for b, col in enumerate(cols)]
+    return FiniteQuandle._trusted(g.size, tuple(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,24 +569,31 @@ class LaurentQuotientRing:
 
 def alexander_quandle(ring: LaurentQuotientRing) -> FiniteQuandle:
     """The Alexander quandle a * b = t a + (1 - t) b on the ring's elements,
-    indexed in the order of ``ring.elements()``.
+    indexed in the order of ``ring.elements()``: element i has coefficient
+    k equal to digit k of i in base n.
 
-    The table is built from the one linear map it uses, multiplication by t.
-    On coefficient vectors that is the companion map of the monic h: shift
-    every coefficient up one degree, then subtract the overflowing top
-    coefficient times h.  Writing a * b = t a + (b - t b), t a and b - t b
-    are computed once per element, and each cell is one digitwise sum mod n
-    and one index lookup."""
-    n, h = ring.modulus, ring.h
-    elems = ring.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    times_t = [tuple((low - v[-1] * c) % n for low, c in zip((0, *v[:-1]), h)) for v in elems]
-    rest = [tuple((x - y) % n for x, y in zip(b, tb)) for b, tb in zip(elems, times_t)]
-    table = tuple(
-        tuple(index[tuple((x + y) % n for x, y in zip(ta, r))] for r in rest)
-        for ta in times_t
-    )
-    return FiniteQuandle._trusted(len(elems), table)
+    The table is built from the one linear map it uses, multiplication by t,
+    and the addition rows y -> x + y of the group (Z/n)^d, generated by the
+    unit vectors e_k: adding e_k, index n^k, rotates each block of n^(k+1)
+    indices by n^k.  On coefficient vectors, t is the companion map of the
+    monic h: shift every coefficient up one degree, then subtract the
+    overflowing top coefficient times h.  Writing a * b = t a + (b - t b),
+    t a and b - t b are computed once per element, and row a is the
+    sequence of the b - t b gathered through the addition row of t a."""
+    n, h, d = ring.modulus, ring.h, ring.degree
+    size, top = n ** d, n ** (d - 1)
+    row, gather, join = _codec(size)
+    idx = row(range(size))
+    units = [(s, join(idx[b + s:b + s * n] + idx[b:b + s] for b in range(0, size, s * n)))
+             for s in (n ** k for k in range(d))]
+    add = _generated_rows(idx, units, gather)
+    # t v is v's low digits shifted up one place plus -c h, c v's top digit
+    minus_h = [sum((-c * hk) % n * n ** k for k, hk in enumerate(h[:d])) for c in range(n)]
+    times_t = [add[minus_h[i // top]][i % top * n] for i in range(size)]
+    # b - t b is the y with t b + y = b
+    rest = row(add[tb].index(b) for b, tb in enumerate(times_t))
+    table = tuple(tuple(gather(add[ta], rest)) for ta in times_t)
+    return FiniteQuandle._trusted(size, table)
 
 
 # ---------------------------------------------------------------------------

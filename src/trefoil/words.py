@@ -312,8 +312,8 @@ def word_to_frac(w: WordLike) -> PFrac:
 def frac_to_word(x: PFrac) -> NormalForm:
     """The inverse route: 1/0 is the generator b; any finite fraction's
     normal form has the continued-fraction terms as its exponent vector."""
-    exponents = cf_expand(x).terms if x.q else ()
-    return NormalForm._trusted(exponents)
+    _, q = x  # unpacking the pair reads faster than the q property
+    return NormalForm._trusted(cf_expand(x).terms if q else ())
 
 
 def words_equal(w1: WordLike, w2: WordLike) -> bool:

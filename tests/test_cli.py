@@ -6,6 +6,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import trefoil
 from trefoil import (
     BraidElement,
@@ -104,15 +106,34 @@ def test_results_beyond_the_int_str_digit_limit():
             sys.set_int_max_str_digits(before)
 
 
+_QUANDLE_TEXT = ("idempotent: true\nright_translations_bijective: true\n"
+                 "right_distributive: true\nquandle: true\n")
+_QUANDLE_JSON = ('{"idempotent": true, "right_translations_bijective": true, '
+                 '"right_distributive": true, "counterexample": null, '
+                 '"is_rack": true, "is_quandle": true}\n')
+
+
 def test_axioms_command():
-    code, out, err = go("axioms", "dihedral:7")
-    assert code == 0 and "quandle: true" in out
-    code, out, err = go("axioms", "alexander:3:t+1")
-    assert code == 0 and "quandle: true" in out
-    code, out, err = go("axioms", "conj:s3")
-    assert code == 0 and "quandle: true" in out
-    code, out, err = go("axioms", "core:c5")
-    assert code == 0 and "quandle: true" in out
+    # the whole output, text and JSON, byte for byte
+    for spec in ("dihedral:7", "alexander:3:t+1", "alexander:2:t^2+t+1", "conj:s3", "conj:s4",
+                 "conj:v4", "core:c5", "core:v4", "core:d6"):
+        assert go("axioms", spec) == (0, _QUANDLE_TEXT, ""), spec
+        assert go("--json", "axioms", spec) == (0, _QUANDLE_JSON, ""), spec
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("dihedral:x", "bad order 'x' in quandle spec 'dihedral:x'"),
+    ("dihedral:", "bad order '' in quandle spec 'dihedral:'"),
+    ("dihedral:2.5", "bad order '2.5' in quandle spec 'dihedral:2.5'"),
+    ("alexander:x:t+1", "bad modulus 'x' in quandle spec 'alexander:x:t+1'"),
+    ("alexander::t+1", "bad modulus '' in quandle spec 'alexander::t+1'"),
+    ("conj:c\u00b2", "unknown group spec 'c\u00b2' (use cN, dN, s3, s4 or v4)"),
+    ("dihedral:0", "order must be a positive int, got 0"),
+    ("conj:q8", "unknown group spec 'q8' (use cN, dN, s3, s4 or v4)"),
+])
+def test_axioms_command_names_a_bad_spec_field(spec, message):
+    # a field int() cannot read is named with its spec, never by int()'s own text
+    assert go("axioms", spec) == (2, "", f"error: {message}\n")
 
 
 def test_orbit_command():

@@ -1,11 +1,16 @@
+import collections
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trefoil
 from trefoil import (
     AxiomReport,
     FiniteGroup,
@@ -27,7 +32,9 @@ from trefoil import (
 from trefoil.acceptance import _ALEXANDER_RINGS, _conj_core_groups
 from trefoil.quandle import (
     _bijectivity_failure,
+    _encode,
     _generating_set,
+    _identity_and_inverse,
     form_is_alternating,
     form_is_antisymmetric,
     module_vectors,
@@ -311,9 +318,9 @@ def _scalar_reports(q):
     return report((bij, dist, idem)), report((idem, bij, dist))
 
 
-def _scalar_from_table(table):
-    """FiniteGroup's search as cell-by-cell loops: the
-    (identity, inverse) it finds, or the text of its ValueError."""
+def _scalar_identity_inverse(table):
+    """The identity and inverse search of FiniteGroup as cell-by-cell loops:
+    the (identity, inverse) it finds, or the text of its ValueError."""
     n = len(table)
     identity = next((e for e in range(n)
                      if all(table[e][a] == a and table[a][e] == a for a in range(n))), None)
@@ -326,12 +333,22 @@ def _scalar_from_table(table):
         if b is None:
             return f"element {a} has no inverse"
         inverse.append(b)
+    return identity, tuple(inverse)
+
+
+def _scalar_from_table(table):
+    """FiniteGroup's search as cell-by-cell loops: the
+    (identity, inverse) it finds, or the text of its ValueError."""
+    found = _scalar_identity_inverse(table)
+    if isinstance(found, str):
+        return found
+    n = len(table)
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     return f"associativity fails at ({a}, {b}, {c})"
-    return identity, tuple(inverse)
+    return found
 
 
 def _from_table_outcome(table):
@@ -688,3 +705,268 @@ def test_alexander_tables_match_general_ring_arithmetic():
             rings.append(LaurentQuotientRing(n, (c0, *(rng.randrange(n) for _ in range(d - 1)), 1)))
     for ring in rings:
         assert alexander_quandle(ring).table == _reference_alexander_table(ring), ring
+
+
+# --- the stock constructors against their cell-by-cell formulas ---------------
+
+def _cells(n, op):
+    return tuple(tuple(op(a, b) for b in range(n)) for a in range(n))
+
+
+def _cells_dihedral_group(n):
+    def mul(a, b):
+        ra, fa = a % n, a // n
+        rb, fb = b % n, b // n
+        r = (rb + ra) % n if fb == 0 else (rb - ra) % n
+        return r + n * ((fa + fb) % 2)
+
+    return _cells(2 * n, mul)
+
+
+def _cells_symmetric_group(n):
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(tuple(index[tuple(map(b.__getitem__, a))] for b in perms) for a in perms)
+
+
+def _cells_direct_product(g, h):
+    m = h.size
+
+    def mul(x, y):
+        a1, b1 = divmod(x, m)
+        a2, b2 = divmod(y, m)
+        return g.mul(a1, a2) * m + h.mul(b1, b2)
+
+    return _cells(g.size * m, mul)
+
+
+def _cells_conj(g):
+    return _cells(g.size, lambda a, b: g.mul(g.mul(g.inv(b), a), b))
+
+
+def _cells_core(g):
+    return _cells(g.size, lambda a, b: g.mul(g.mul(b, g.inv(a)), b))
+
+
+def _cells_alexander(ring):
+    """t a and b - t b once per element as coefficient vectors, then one
+    digitwise sum mod n and one lookup per cell."""
+    n, h = ring.modulus, ring.h
+    elems = ring.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    times_t = [tuple((low - v[-1] * c) % n for low, c in zip((0, *v[:-1]), h)) for v in elems]
+    rest = [tuple((x - y) % n for x, y in zip(b, tb)) for b, tb in zip(elems, times_t)]
+    return tuple(tuple(index[tuple((x + y) % n for x, y in zip(ta, r))] for r in rest)
+                 for ta in times_t)
+
+
+def _assert_table(table, expected):
+    """The table equals its oracle's and, like it, is a tuple of int tuples."""
+    assert table == expected
+    assert type(table) is tuple and set(map(type, table)) == {tuple}
+    assert set(map(type, itertools.chain.from_iterable(table))) == {int}
+
+
+def _assert_group(g, expected):
+    """g's table is the oracle's, and its identity and inverses those the
+    cell-by-cell search finds in the oracle."""
+    _assert_table(g.table, expected)
+    assert (g.identity, g.inverse) == _scalar_identity_inverse(expected)
+
+
+def test_dihedral_quandle_matches_its_cells_across_order_256():
+    for n in range(1, 301):
+        _assert_table(dihedral_quandle(n).table, _cells(n, lambda i, j: (2 * j - i) % n))
+
+
+def test_cyclic_groups_match_their_cells_across_order_256():
+    for n in [*range(1, 41), *range(250, 261)]:
+        _assert_group(cyclic_group(n), _cells(n, lambda a, b: (a + b) % n))
+
+
+def test_dihedral_groups_match_their_cells():
+    for n in [*range(1, 31), 129]:
+        _assert_group(dihedral_group(n), _cells_dihedral_group(n))
+
+
+def test_symmetric_groups_and_products_match_their_cells():
+    for n in range(1, 6):
+        _assert_group(symmetric_group(n), _cells_symmetric_group(n))
+    c2 = cyclic_group(2)
+    _assert_group(klein_four_group(), _cells_direct_product(c2, c2))
+    # Z/3 relabelled so that its identity is 2, not 0
+    shifted = FiniteGroup(_cells(3, lambda a, b: (a + b + 1) % 3))
+    assert shifted.identity == 2
+    factors = [cyclic_group(1), c2, cyclic_group(3), shifted, symmetric_group(3),
+               dihedral_group(4), klein_four_group()]
+    for g in factors:
+        for h in factors:
+            _assert_group(direct_product(g, h), _cells_direct_product(g, h))
+    g, h = c2, cyclic_group(129)
+    _assert_group(direct_product(g, h), _cells_direct_product(g, h))
+
+
+def test_conj_and_core_quandles_match_their_cells():
+    groups = _conj_core_groups() + [symmetric_group(5), dihedral_group(129)]
+    assert groups[-1].size == 258
+    for g in groups:
+        _assert_table(conj_quandle(g).table, _cells_conj(g))
+        _assert_table(core_quandle(g).table, _cells_core(g))
+
+
+def test_alexander_quandles_match_their_cells_across_order_256():
+    rings = [LaurentQuotientRing(m, h) for m, h in _ALEXANDER_RINGS]
+    # orders 243, 289 and 343: degree 5, 2 and 1
+    rings += [LaurentQuotientRing(3, (1, 2, 0, 1, 0, 1)), LaurentQuotientRing(17, (3, 1, 1)),
+              LaurentQuotientRing(343, (5, 1))]
+    for ring in rings:
+        expected = _cells_alexander(ring)
+        _assert_table(alexander_quandle(ring).table, expected)
+        if ring.size <= 289:
+            assert expected == _reference_alexander_table(ring), ring
+
+
+# --- the row-level checks against the cell-by-cell loops ----------------------
+
+def _scalar_freeze_error(table, size):
+    """The shape and entry checks as a cell-by-cell loop: the text of the
+    first ValueError, or None."""
+    rows = [tuple(row) for row in table]
+    if len(rows) != size:
+        return f"table has {len(rows)} rows, expected {size}"
+    for i, row in enumerate(rows):
+        if len(row) != size:
+            return f"table row {i} has length {len(row)}, expected {size}"
+        for x in row:
+            if type(x) is not int or not 0 <= x < size:
+                return f"table entry {x!r} is not an int in [0, {size})"
+    return None
+
+
+def _planted_tables(table):
+    """Copies of a table with one bad cell or row: a bool, a negative, the
+    value size, a float equal to a valid entry, a string, a short row, a
+    long row or an extra row, at the first, a middle and the last position."""
+    n = len(table)
+    for i, j in ((0, 0), (n // 2, n // 3), (n - 1, n - 1)):
+        for value in (True, False, -1, n, float(table[i][j]), str(table[i][j]), None):
+            rows = [list(row) for row in table]
+            rows[i][j] = value
+            yield rows
+        rows = [list(row) for row in table]
+        del rows[i][j]
+        yield rows
+        rows = [list(row) for row in table]
+        rows[i].append(0)
+        yield rows
+        rows = [list(row) for row in table]
+        rows.insert(i, list(range(n)))
+        yield rows
+
+
+def _error(build, *args):
+    try:
+        build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_row_checks_raise_the_scalar_loops_messages():
+    planted = 0
+    for table in (dihedral_quandle(1).table, dihedral_quandle(5).table,
+                  cyclic_group(7).table, symmetric_group(4).table,
+                  dihedral_quandle(300).table):
+        n = len(table)
+        for rows in _planted_tables(table):
+            expected = _scalar_freeze_error(rows, n)
+            assert expected is not None
+            assert _error(FiniteQuandle, n, rows) == expected
+            # a group's size is its number of rows
+            assert _error(FiniteGroup, rows) == _scalar_freeze_error(rows, len(rows))
+            planted += 1
+    assert planted == 5 * 3 * 10
+
+
+def _random_loop_like_table(rng, n):
+    """An n x n table with identity 0 and every other cell random: mostly
+    no group, often with inverses that are one-sided or missing."""
+    return [[b if a == 0 else a if b == 0 else rng.randrange(n) for b in range(n)]
+            for a in range(n)]
+
+
+def _search_outcome(table):
+    """The row-level identity and inverse search on a table of any shape
+    FiniteGroup accepts: what it finds, or the text of its ValueError."""
+    rows, flat, _, _ = _encode(table, len(table))
+    try:
+        return _identity_and_inverse(rows, flat)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_identity_and_inverse_search_matches_the_scalar_loops():
+    rng = random.Random(907)
+    outcomes = collections.Counter()
+    for n in [*range(1, 9), 300]:
+        for _ in range(60 if n < 9 else 3):
+            table = _random_loop_like_table(rng, n)
+            if rng.random() < 0.3:
+                # move the identity away from 0, or break it
+                perm = rng.sample(range(n), n)
+                table = [[perm[table[perm.index(a)][perm.index(b)]] for b in range(n)]
+                         for a in range(n)]
+                table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            found = _scalar_identity_inverse(table)
+            assert _search_outcome(table) == found
+            if n < 9:
+                assert _from_table_outcome(table) == _scalar_from_table(table)
+            outcomes[found if isinstance(found, str) else "found"] += 1
+    assert outcomes["table has no identity element"] > 20 and outcomes["found"] > 20
+    assert sum(v for o, v in outcomes.items() if o.startswith("element")) > 20
+
+
+def test_first_right_inverse_that_is_not_two_sided_is_skipped():
+    # row 2 meets the identity first at column 1, but 1*2 = 2: that right
+    # inverse is one-sided, and the first two-sided one is 3
+    table = [[0, 1, 2, 3],
+             [1, 0, 2, 3],
+             [2, 0, 3, 0],
+             [3, 3, 0, 1]]
+    assert _search_outcome(table) == _scalar_identity_inverse(table) == (0, (0, 1, 3, 2))
+    assert _from_table_outcome(table) == _scalar_from_table(table)
+    # with no two-sided inverse at all the search names the element
+    table[3][2] = 1
+    assert _search_outcome(table) == _scalar_identity_inverse(table) == "element 2 has no inverse"
+    assert _from_table_outcome(table) == "element 2 has no inverse"
+
+
+def test_group_checks_do_not_rest_on_assert():
+    # under python -O, which drops assert statements, malformed tables are
+    # still refused with the same messages
+    script = (
+        "from trefoil import FiniteGroup, FiniteQuandle\n"
+        "for args in ([[[0, 1], [1, 1]]], [[[0, 1], [1, True]]], [[[0, 1], [1]]],\n"
+        "             [[[0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 3, 0], [3, 3, 1, 1]]],\n"
+        "             [[[1, 0], [0, 0]]]):\n"
+        "    try:\n"
+        "        FiniteGroup(*args)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "try:\n"
+        "    FiniteQuandle(2, [[0, -1], [1, 1]])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(trefoil.__file__))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "element 1 has no inverse",
+        "table entry True is not an int in [0, 2)",
+        "table row 1 has length 1, expected 2",
+        "element 2 has no inverse",
+        "table has no identity element",
+        "table entry -1 is not an int in [0, 2)",
+    ]
