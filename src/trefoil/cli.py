@@ -16,7 +16,6 @@ import re
 import sys
 from typing import Optional, Sequence, TextIO
 
-from .acceptance import run_selftest
 from .braid import BraidElement
 from .cfrac import ContinuedFraction, cf_eval, cf_expand
 from .longknot import fiber_compare, pi1_act, qt_new, qt_op
@@ -296,6 +295,9 @@ def _run(argv: Optional[Sequence[str]],
                 payload = result.to_json()
                 text = f"g' = {payload['g_prime']}\nx = {payload['x']}\neps = {payload['eps']}"
         elif args.command == "selftest":
+            # imported here, not at the top: only selftest needs the suite
+            from .acceptance import run_selftest
+
             if args.json:
                 ok, results = run_selftest(stream=None)
                 payload = {

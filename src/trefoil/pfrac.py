@@ -16,8 +16,10 @@ place, and built by the C-level trusted builder.
 
 orbit_bfs witnesses that 0/1 and 1/0 generate the quandle: one
 breadth-first loop over a flat bytearray grid of signed plain-int pairs,
-with the four generator steps inline in closed form, after which every
-reached point is built as a PFrac in one bulk pass.
+with the four generator steps inline in closed form and the queue held as
+parallel lists, so a step allocates only its witness word.  Every reached
+point is then built as a PFrac in one bulk pass.  The report stores only
+the witness words; the search tree is read back from their prefixes.
 """
 
 from __future__ import annotations
@@ -293,14 +295,27 @@ def apply_matrix(m: TransvectionMatrix, x: PFrac) -> PFrac:
 @value_type
 class OrbitReport:
     """Breadth-first closure of {0/1, 1/0} under the four generator steps,
-    restricted to canonical representatives with |p|, |q| <= bound."""
+    restricted to canonical representatives with |p|, |q| <= bound.
+
+    The witnesses are all that the search stores: breadth-first witness
+    words are prefix-closed, each non-root word being its parent's word
+    and one letter, so the search tree is read back from them."""
 
     bound: int
     explored: int
-    witnesses: dict  # PFrac -> witness word text
+    witnesses: dict  # PFrac -> witness word text, in the order reached
     reached: dict    # target PFrac -> witness word text
     unreached: tuple
-    edges: tuple     # BFS tree edges (source PFrac, letter, target PFrac)
+
+    @property
+    def edges(self) -> tuple:
+        """The search tree edges (source PFrac, letter, target PFrac), one
+        per point but the roots 0/1 ("a") and 1/0 ("b"), in witness order:
+        the source is the point whose witness is the target's witness
+        without its last letter."""
+        point = {word: x for x, word in self.witnesses.items()}
+        return tuple((point[word[:-1]], word[-1], x)
+                     for x, word in self.witnesses.items() if len(word) > 1)
 
     def to_dot(self) -> str:
         lines = ["digraph orbit {"]
@@ -325,10 +340,11 @@ def orbit_bfs(targets: Iterable[PFrac], bound: int) -> OrbitReport:
     in closed form: * 0/1 sends p/q to p/(q - p), *̄ 0/1 to p/(q + p), * 1/0
     to (p + q)/q and *̄ 1/0 to (p - q)/q; only the first two can need a sign
     change, as q >= 0 and q = 0 only at 1/0.  The search runs on plain int
-    pairs: the list of reached points, each with its word, its parent's
-    index and its cell, is the queue, and the letter order a, A, b, B
-    decides which shortest word wins.  Every PFrac is built after the
-    search, in one pass of the bulk builder over the reached pairs."""
+    pairs, and its queue is four parallel lists of the reached points' p,
+    q, word and cell, so a step taken allocates only its word; the letter
+    order a, A, b, B decides which shortest word wins.  Every PFrac is
+    built after the search, in one pass of the bulk builder over the
+    reached pairs."""
     _require_ints(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -339,45 +355,57 @@ def orbit_bfs(targets: Iterable[PFrac], bound: int) -> OrbitReport:
     wall = b"\x01" * side
     row = b"\x01" * bound + bytes(2 * bound + 1) + b"\x01" * bound
     seen = bytearray(wall * bound + row * (2 * bound + 1) + wall * bound)
-    nodes = [(0, 1, "a", None, origin + 1), (1, 0, "b", None, origin + side)]
-    for *_, c in nodes:
+    ps, qs, words, cells = [0, 1], [1, 0], ["a", "b"], [origin + 1, origin + side]
+    for c in cells:
         seen[c] = seen[last - c] = 1
-    push = nodes.append
-    # nodes grows as it is read: it is the queue
-    for i, (p, q, word, _, cell) in enumerate(nodes):
+    push_p, push_q, push_word, push_cell = ps.append, qs.append, words.append, cells.append
+    # the four lists grow together as they are read: they are the queue
+    for p, q, word, cell in zip(ps, qs, words, cells):
         c = cell - p  # a: p/(q - p)
         if not seen[c]:
             seen[c] = seen[last - c] = 1
+            push_word(word + "a")
             if q >= p:
-                push((p, q - p, word + "a", i, c))
+                push_p(p)
+                push_q(q - p)
+                push_cell(c)
             else:
-                push((-p, p - q, word + "a", i, last - c))
+                push_p(-p)
+                push_q(p - q)
+                push_cell(last - c)
         c = cell + p  # A: p/(q + p)
         if not seen[c]:
             seen[c] = seen[last - c] = 1
+            push_word(word + "A")
             if q + p > 0:
-                push((p, q + p, word + "A", i, c))
+                push_p(p)
+                push_q(q + p)
+                push_cell(c)
             else:
-                push((-p, -q - p, word + "A", i, last - c))
+                push_p(-p)
+                push_q(-q - p)
+                push_cell(last - c)
         shift = q * side
         c = cell + shift  # b: (p + q)/q
         if not seen[c]:
             seen[c] = seen[last - c] = 1
-            push((p + q, q, word + "b", i, c))
+            push_p(p + q)
+            push_q(q)
+            push_word(word + "b")
+            push_cell(c)
         c = cell - shift  # B: (p - q)/q
         if not seen[c]:
             seen[c] = seen[last - c] = 1
-            push((p - q, q, word + "B", i, c))
-    ps, qs, words, parents, _ = zip(*nodes)
-    fracs = list(PFrac._trusted_all(zip(ps, qs)))
-    witnesses = dict(zip(fracs, words))
+            push_p(p - q)
+            push_q(q)
+            push_word(word + "B")
+            push_cell(c)
+    witnesses = dict(zip(PFrac._trusted_all(zip(ps, qs)), words))
     reached = {t: w for t in targets if (w := witnesses.get(t)) is not None}
     return OrbitReport(
         bound=bound,
-        explored=len(fracs),
+        explored=len(words),
         witnesses=witnesses,
         reached=reached,
         unreached=tuple(t for t in targets if t not in reached),
-        edges=tuple(zip(map(fracs.__getitem__, parents[2:]), map(itemgetter(-1), words[2:]),
-                        fracs[2:])),
     )

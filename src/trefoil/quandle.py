@@ -27,11 +27,15 @@ whose R_s is the identity, an automorphism of any table, and the first
 failing cell in (c, a, b) order is the one a scan of every c would find.
 When bijectivity fails, every c is scanned.
 
+A group table's associativity is decided the same way, on the same greedy
+S (Light's test): the s with (xs)y = x(sy) for all x and y are closed under
+products, and every element is a product of members of S.
+
 The scans compare whole rows rather than looping over cells in Python.  Each
 is built on one primitive, gather(m, s) = (m[s[0]], m[s[1]], ...): for fixed
 c, right distributivity compares col[T[a][b]] with T[col[a]][col[b]] over
-all (a, b) at once, with col the column of c, and for fixed a associativity
-compares T[T[a][b]][c] with T[a][T[b][c]] over all (b, c).  Tables of order
+all (a, b) at once, with col the column of c, and for fixed s associativity
+compares T[T[x][s]][y] with T[x][T[s][y]] over all (x, y).  Tables of order
 up to 256 are bytes and gather is bytes.translate; larger ones are tuples
 and gather is an itemgetter.  A failure is located in the order of the
 scalar scan (c, a, b for distributivity; a, b, c for associativity), so the
@@ -217,10 +221,12 @@ def _generating_set(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[int]
     """S, chosen greedily in index order, and the members of S whose column
     is not the identity.  Each new s is the first element outside the
     closure of the chosen ones under their right translations R_s
-    (a -> a*s, column s), so the closure of S is everything.  The columns
-    must be permutations, so that on a finite set the closure under R_s is
-    also closed under R_s^-1.  An identity column adds s to S but moves
-    nothing, so a trivial quandle costs O(n) Python steps here."""
+    (a -> a*s, column s), so the closure of S is everything, and every
+    element is a left-nested product of members of S, for any table.  The
+    rack argument also needs the columns to be permutations, so that on a
+    finite set the closure under R_s is also closed under R_s^-1.  An
+    identity column adds s to S but moves nothing, so a trivial quandle
+    costs O(n) Python steps here."""
     n = len(cols)
     identity = type(cols[0])(range(n))
     reached = bytearray(n)
@@ -338,6 +344,34 @@ def _identity_and_inverse(rows: Sequence[Sequence[int]], flat: Sequence[int]) ->
     return identity, tuple(inverse)
 
 
+def _associativity_failure(rows, flat, gather, join) -> Optional[tuple[int, int, int]]:
+    """The first (a, b, c), in that order, with (ab)c != a(bc) in a table
+    with a two-sided identity, or None when it is associative.
+
+    Light's test decides it on the greedy generating set S of
+    :func:`_generating_set`, read on the columns: the s with
+    (xs)y = x(sy) for all x and y are closed under products, since then
+    (x(st))y = ((xs)t)y = (xs)(ty) = x(s(ty)) = x((st)y), and every
+    element is a product of members of S.  The member of S whose column is
+    the identity is the identity itself, as e = es = s, and passes
+    trivially.  For fixed s, (xs)y over all (x, y) is row xs joined over
+    x, and x(sy) is row x gathered along row s.  Only when a member fails
+    is every a scanned, (ab)c over all (b, c) being row ab joined over b
+    and a(bc) row a gathered along the flat table, to locate the first
+    failure."""
+    n = len(rows)
+    for s in _generating_set([flat[c::n] for c in range(n)])[1]:
+        row_s = rows[s]
+        if join([rows[x] for x in flat[s::n]]) != join([gather(row, row_s) for row in rows]):
+            break
+    else:
+        return None
+    for a, row_a in enumerate(rows):
+        left, right = join([rows[x] for x in row_a]), gather(row_a, flat)
+        if left != right:
+            return (a, *_first_difference(left, right, n))
+
+
 @value_type
 class FiniteGroup:
     """A finite group on {0, ..., size-1}, given by its multiplication table.
@@ -345,9 +379,9 @@ class FiniteGroup:
     FiniteGroup(table) is the one checked constructor: it locates the
     identity (the first element that fixes every element from both sides)
     and each element's inverse (the first two-sided one), then checks
-    associativity exhaustively, every check a whole row at a time.  size,
-    identity and inverse are derived from the table, so equality and
-    hashing compare the table alone."""
+    associativity on a generating set (Light's test), every check a whole
+    row at a time.  size, identity and inverse are derived from the table,
+    so equality and hashing compare the table alone."""
 
     table: tuple[tuple[int, ...], ...]
     size: int = field(init=False, compare=False, repr=False)
@@ -359,13 +393,9 @@ class FiniteGroup:
         n = len(frozen)
         rows, flat, gather, join = _encode(frozen, n)
         identity, inverse = _identity_and_inverse(rows, flat)
-        # for fixed a, (ab)c over all (b, c) is row ab joined over b, and
-        # a(bc) is row a gathered along the flat table
-        for a, row_a in enumerate(rows):
-            left, right = join([rows[x] for x in row_a]), gather(row_a, flat)
-            if left != right:
-                b, c = _first_difference(left, right, n)
-                raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+        failure = _associativity_failure(rows, flat, gather, join)
+        if failure is not None:
+            raise ValueError(f"associativity fails at {failure}")
         object.__setattr__(self, "table", frozen)
         object.__setattr__(self, "size", n)
         object.__setattr__(self, "identity", identity)

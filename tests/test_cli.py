@@ -258,6 +258,17 @@ def test_matrix_json_payload():
     assert out == json.dumps({"matrix": m.rows(), "det": m.det()}) + "\n"
 
 
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
+    # only the selftest command imports the acceptance suite
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(trefoil.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, trefoil.cli; print('trefoil.acceptance' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_selftest_exit_code_tracks_criteria(monkeypatch):
     import trefoil.acceptance as acceptance
 

@@ -4,6 +4,7 @@ import io
 import random
 import textwrap
 from collections import deque
+from dataclasses import dataclass
 from math import gcd
 
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from trefoil import (
     PF_INFINITY,
     PF_ZERO,
-    OrbitReport,
     PFrac,
     TransvectionMatrix,
     apply_matrix,
@@ -320,11 +320,32 @@ def _orbit_by_operations(targets, bound):
     return witnesses, tuple(edges)
 
 
+@dataclass(frozen=True)
+class _SearchReport:
+    """What the search on PFracs found, with the tree edges it took as it
+    took them, and the DOT text of the orbit command rendered from those
+    edges."""
+
+    bound: int
+    explored: int
+    witnesses: dict
+    reached: dict
+    unreached: tuple
+    edges: tuple
+
+    def to_dot(self):
+        points = sorted(self.witnesses, key=lambda x: (x.q, x.p))
+        return "\n".join(["digraph orbit {", *(f'  "{x}";' for x in points),
+                          *(f'  "{x}" -> "{y}" [label="{letter}"];' for x, letter, y in self.edges),
+                          "}"])
+
+
 def _orbit_bfs_on_pfracs(targets, bound):
     """orbit_bfs as it was before its search ran on plain int pairs, with
     each reached point built as a PFrac when first reached (here through
-    the public constructor), in the loop: the oracle for the order of
-    witnesses, reached, unreached and edges."""
+    the public constructor), in the loop, and each tree edge recorded when
+    it is taken: the oracle for the order of witnesses, reached, unreached
+    and edges, and for the orbit command's output."""
     targets = tuple(targets)
     side = 4 * bound + 1
     last = side * side - 1
@@ -332,43 +353,48 @@ def _orbit_bfs_on_pfracs(targets, bound):
     wall = b"\x01" * side
     row = b"\x01" * bound + bytes(2 * bound + 1) + b"\x01" * bound
     seen = bytearray(wall * bound + row * (2 * bound + 1) + wall * bound)
-    nodes = [(PFrac(0, 1), "a", None, origin + 1), (PFrac(1, 0), "b", None, origin + side)]
-    for _, _, _, c in nodes:
+    nodes = [(PFrac(0, 1), "a", origin + 1), (PFrac(1, 0), "b", origin + side)]
+    edges = []
+    for _, _, c in nodes:
         seen[c] = seen[last - c] = 1
-    for x, word, _, cell in nodes:
+
+    def take(x, letter, y, word, cell):
+        nodes.append((y, word + letter, cell))
+        edges.append((x, letter, y))
+
+    for x, word, cell in nodes:
         p, q = x.p, x.q
         c = cell - p
         if not seen[c]:
             seen[c] = seen[last - c] = 1
             if q >= p:
-                nodes.append((PFrac(p, q - p), word + "a", x, c))
+                take(x, "a", PFrac(p, q - p), word, c)
             else:
-                nodes.append((PFrac(-p, p - q), word + "a", x, last - c))
+                take(x, "a", PFrac(-p, p - q), word, last - c)
         c = cell + p
         if not seen[c]:
             seen[c] = seen[last - c] = 1
             if q + p > 0:
-                nodes.append((PFrac(p, q + p), word + "A", x, c))
+                take(x, "A", PFrac(p, q + p), word, c)
             else:
-                nodes.append((PFrac(-p, -q - p), word + "A", x, last - c))
+                take(x, "A", PFrac(-p, -q - p), word, last - c)
         c = cell + q * side
         if not seen[c]:
             seen[c] = seen[last - c] = 1
-            nodes.append((PFrac(p + q, q), word + "b", x, c))
+            take(x, "b", PFrac(p + q, q), word, c)
         c = cell - q * side
         if not seen[c]:
             seen[c] = seen[last - c] = 1
-            nodes.append((PFrac(p - q, q), word + "B", x, c))
-    fracs, words, parents, _ = zip(*nodes)
-    witnesses = dict(zip(fracs, words))
+            take(x, "B", PFrac(p - q, q), word, c)
+    witnesses = {x: word for x, word, _ in nodes}
     reached = {t: witnesses[t] for t in targets if t in witnesses}
-    return OrbitReport(
+    return _SearchReport(
         bound=bound,
-        explored=len(fracs),
+        explored=len(nodes),
         witnesses=witnesses,
         reached=reached,
         unreached=tuple(t for t in targets if t not in reached),
-        edges=tuple(zip(parents[2:], (w[-1] for w in words[2:]), fracs[2:])),
+        edges=tuple(edges),
     )
 
 
@@ -423,15 +449,39 @@ def test_orbit_bfs_and_the_orbit_command_match_the_search_on_pfracs(monkeypatch)
 
 
 def test_orbit_bfs_search_loop_calls_only_the_queue_append():
-    # the search runs on plain ints: its loop builds no PFrac and calls no
-    # function but the queue's append, bound once as push
+    # the search runs on plain ints and allocates no per-node container:
+    # one loop zips the four queue lists, and its body calls no function
+    # but their appends, bound once, builds no PFrac and has no tuple display
     tree = ast.parse(textwrap.dedent(inspect.getsource(orbit_bfs)))
     loops = [n for n in ast.walk(tree) if isinstance(n, ast.For)
-             and isinstance(n.iter, ast.Call) and n.iter.func.id == "enumerate"]
+             and isinstance(n.iter, ast.Call) and n.iter.func.id == "zip"]
     assert len(loops) == 1
+    queue = [arg.id for arg in loops[0].iter.args]
+    assert len(queue) == 4
+    bound_names = {target.id: value for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                   and isinstance(n.targets[0], ast.Tuple) and isinstance(n.value, ast.Tuple)
+                   for target, value in zip(n.targets[0].elts, n.value.elts)}
+    appends = {name for name, value in bound_names.items() if isinstance(value, ast.Attribute)
+               and value.attr == "append" and value.value.id in queue}
+    assert sorted(bound_names[name].value.id for name in appends) == sorted(queue)
     body = [n for stmt in loops[0].body for n in ast.walk(stmt)]
-    assert {n.func.id for n in body if isinstance(n, ast.Call)} == {"push"}
+    calls = [n.func for n in body if isinstance(n, ast.Call)]
+    assert all(isinstance(f, ast.Name) for f in calls) and {f.id for f in calls} == appends
+    assert not any(isinstance(n, ast.Tuple) for n in body)
     assert not {"PFrac", "_pfrac", "_pf_signed"} & {n.id for n in body if isinstance(n, ast.Name)}
+
+
+def test_orbit_witnesses_are_prefix_closed():
+    # the report's edges are read back from the witnesses: each non-root
+    # witness without its last letter is the witness of a point reached
+    # before it
+    for bound in range(1, 61):
+        words = list(orbit_bfs([], bound).witnesses.values())
+        assert words[:2] == ["a", "b"]
+        position = {word: i for i, word in enumerate(words)}
+        assert len(position) == len(words)
+        for i, word in enumerate(words[2:], 2):
+            assert position[word[:-1]] < i, (bound, word)
 
 
 def test_generator_steps_are_the_operations():

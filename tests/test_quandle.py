@@ -637,6 +637,79 @@ def test_from_table_matches_scalar_loops():
     assert _from_table_outcome(table) == _scalar_from_table(table) == expected
 
 
+def _associativity_failure_on_every_row(table):
+    """FiniteGroup's associativity check before it was decided on a
+    generating set, the oracle: for every a, (ab)c over all (b, c) is row
+    ab joined over b and a(bc) is row a gathered along the flat table.
+    The first failing (a, b, c), located cell by cell in the failing row,
+    or None."""
+    n = len(table)
+    rows, flat, gather, join = _encode(table, n)
+    for a, row_a in enumerate(rows):
+        if join([rows[x] for x in row_a]) != gather(row_a, flat):
+            return next((a, b, c) for b in range(n) for c in range(n)
+                        if table[table[a][b]][c] != table[a][table[b][c]])
+    return None
+
+
+def _group_outcome_on_every_row(table):
+    found = _scalar_identity_inverse(table)
+    if isinstance(found, str):
+        return found
+    failure = _associativity_failure_on_every_row(table)
+    return found if failure is None else f"associativity fails at {failure}"
+
+
+def _random_table_with_inverses(rng, n):
+    """A random loop-like table with identity 0 in which every element also
+    has a planted two-sided inverse, paired off at random: almost never
+    associative."""
+    table = _random_loop_like_table(rng, n)
+    rest = rng.sample(range(1, n), n - 1)
+    for a, b in itertools.zip_longest(rest[::2], rest[1::2]):
+        b = a if b is None else b
+        table[a][b] = table[b][a] = 0
+    return table
+
+
+def test_associativity_on_the_generating_set_matches_every_row():
+    rng = random.Random(911)
+    stock = [*map(cyclic_group, (1, 2, 3, 12, 64, 256, 257)), *map(symmetric_group, range(1, 6)),
+             *map(dihedral_group, (1, 2, 5, 64, 129)), klein_four_group(),
+             direct_product(symmetric_group(3), cyclic_group(4)),
+             direct_product(cyclic_group(2), cyclic_group(129)), *_conj_core_groups()]
+    outcomes = collections.Counter()
+    for g in stock:
+        table = [list(row) for row in g.table]
+        assert _group_outcome_on_every_row(table) == (g.identity, g.inverse)
+        n = g.size
+        for _ in range(12 if n < 200 else 2):
+            edited = [list(row) for row in table]
+            edited[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            expected = _group_outcome_on_every_row(edited)
+            assert _from_table_outcome(edited) == expected, (n, expected)
+            outcomes[expected if isinstance(expected, str) else "group"] += 1
+    for n in [*range(2, 13), 40, 300]:
+        for _ in range(20 if n < 13 else 2):
+            table = _random_table_with_inverses(rng, n)
+            expected = _group_outcome_on_every_row(table)
+            assert _from_table_outcome(table) == expected, (n, expected)
+            outcomes[expected if isinstance(expected, str) else "group"] += 1
+    # L x G with G a group, G's coordinate varying fastest: the first
+    # members of S lie in G and pass, and only the later ones, in L, fail
+    for g in (cyclic_group(3), symmetric_group(3)):
+        k = g.size
+        for n in range(2, 7):
+            loop = _random_table_with_inverses(rng, n)
+            table = [[loop[x // k][y // k] * k + g.table[x % k][y % k] for y in range(n * k)]
+                     for x in range(n * k)]
+            expected = _group_outcome_on_every_row(table)
+            assert _from_table_outcome(table) == expected, (n, k, expected)
+            outcomes[expected if isinstance(expected, str) else "group"] += 1
+    failures = sum(v for o, v in outcomes.items() if o.startswith("associativity"))
+    assert failures > 150 and outcomes["group"] > 20, outcomes
+
+
 def test_group_constructors_reject_non_ints():
     for n in (True, False, 2.0, 2.5, "3"):
         for build in (cyclic_group, dihedral_group, symmetric_group):
