@@ -76,7 +76,6 @@ from .quandle import (
     cyclic_group,
     dihedral_group,
     dihedral_quandle,
-    direct_product,
     klein_four_group,
     symmetric_group,
     transvection_quandle,
@@ -129,7 +128,6 @@ __all__ = [
     "cyclic_group",
     "dihedral_group",
     "dihedral_quandle",
-    "direct_product",
     "fiber_compare",
     "frac_to_word",
     "garside_eq",

@@ -302,10 +302,14 @@ class OrbitReport:
     and one letter, so the search tree is read back from them."""
 
     bound: int
-    explored: int
     witnesses: dict  # PFrac -> witness word text, in the order reached
     reached: dict    # target PFrac -> witness word text
     unreached: tuple
+
+    @property
+    def explored(self) -> int:
+        """The number of points the search reached, targets or not."""
+        return len(self.witnesses)
 
     @property
     def edges(self) -> tuple:
@@ -404,7 +408,6 @@ def orbit_bfs(targets: Iterable[PFrac], bound: int) -> OrbitReport:
     reached = {t: w for t in targets if (w := witnesses.get(t)) is not None}
     return OrbitReport(
         bound=bound,
-        explored=len(words),
         witnesses=witnesses,
         reached=reached,
         unreached=tuple(t for t in targets if t not in reached),

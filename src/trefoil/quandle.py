@@ -48,8 +48,6 @@ column per step rather than a Python step per cell:
 * a group given by generators (dihedral and symmetric groups, the additive
   group (Z/n)^d of an Alexander quandle) has row x*s = gather(row x, row s),
   so every row follows, in breadth-first order, from the generators' rows;
-* a direct product's row (a, b) is row (a, e) gathered along row (e, b):
-  the first moves whole blocks, the second moves within each block;
 * the dihedral quandle's row i, j -> 2j - i, is one slice with step 2 of
   0..n-1 repeated three times; the Alexander quandle's row a is the
   sequence b -> b - t b gathered through the addition row of t a;
@@ -75,14 +73,15 @@ from ._trusted import value_type
 _INT = frozenset((int,))
 
 
-def _freeze_table(table: Sequence[Sequence[int]], size: int) -> tuple[tuple[int, ...], ...]:
-    """The table as a tuple of rows, checked to be size x size over [0, size).
-    Each row is checked whole, its entries' types as one set and their values
-    against the set of indices; only a failing row is scanned again, to name
-    its first bad entry."""
+def _freeze_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The table as a tuple of rows, checked to be n x n over [0, n), n its
+    number of rows, at least one.  Each row is checked whole, its entries'
+    types as one set and their values against the set of indices; only a
+    failing row is scanned again, to name its first bad entry."""
     frozen = tuple(tuple(row) for row in table)
-    if len(frozen) != size:
-        raise ValueError(f"table has {len(frozen)} rows, expected {size}")
+    size = len(frozen)
+    if not size:
+        raise ValueError("table has no rows")
     indices = frozenset(range(size))
     for i, row in enumerate(frozen):
         if len(row) != size:
@@ -99,21 +98,19 @@ def _freeze_table(table: Sequence[Sequence[int]], size: int) -> tuple[tuple[int,
 class FiniteQuandle:
     """A binary operation on {0, ..., size-1} given by a dense table.
 
-    ``table[i][j]`` is the value of ``i * j``.  Construction only checks that
-    the table is well formed; use :func:`check_quandle` / :func:`check_rack`
+    ``table[i][j]`` is the value of ``i * j``.  FiniteQuandle(table) only
+    checks that the table is well formed and derives size from it, as
+    FiniteGroup(table) does; use :func:`check_quandle` / :func:`check_rack`
     for the axioms.
     """
 
-    size: int
     table: tuple[tuple[int, ...], ...]
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if type(self.size) is not int or self.size <= 0:
-            raise ValueError(f"size must be a positive int, got {self.size!r}")
-        object.__setattr__(self, "table", _freeze_table(self.table, self.size))
-
-    def op(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        frozen = _freeze_table(self.table)
+        object.__setattr__(self, "table", frozen)
+        object.__setattr__(self, "size", len(frozen))
 
 
 @value_type
@@ -137,11 +134,12 @@ class AxiomReport:
         if self.counterexample is None:
             return self.idempotent and self.right_translations_bijective and self.right_distributive
         i, j, k = self.counterexample
+        t = q.table
         if not self.idempotent and i == j == k:
-            return q.op(i, i) != i
+            return t[i][i] != i
         if not self.right_translations_bijective and i != j:
-            return q.op(i, k) == q.op(j, k)
-        return q.op(q.op(i, j), k) != q.op(q.op(i, k), q.op(j, k))
+            return t[i][k] == t[j][k]
+        return t[t[i][j]][k] != t[t[i][k]][t[j][k]]
 
     @property
     def is_rack(self) -> bool:
@@ -389,7 +387,7 @@ class FiniteGroup:
     inverse: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        frozen = _freeze_table(self.table, len(self.table))
+        frozen = _freeze_table(self.table)
         n = len(frozen)
         rows, flat, gather, join = _encode(frozen, n)
         identity, inverse = _identity_and_inverse(rows, flat)
@@ -400,15 +398,6 @@ class FiniteGroup:
         object.__setattr__(self, "size", n)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", inverse)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def elements(self) -> range:
-        return range(self.size)
 
 
 def _generated_rows(identity: Sequence[int], gens, gather) -> list:
@@ -473,30 +462,9 @@ def dihedral_group(n: int) -> FiniteGroup:
     return FiniteGroup(_generated_rows(row(range(2 * n)), gens, gather))
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Direct product with element (a, b) encoded as a * h.size + b.
-
-    Row (a, b) is row (a, e) gathered along row (e, b).  Row (a, e) moves
-    whole blocks of h.size indices, block c to block g.mul(a, c); row
-    (e, b) is the same kind of block move for h, made in the order that
-    encodes (a, b) as b * g.size + a and carried back by that swap."""
-    k, m = g.size, h.size
-    row, gather, join = _codec(k * m)
-    idx = row(range(k * m))
-
-    def block_moves(table, width):
-        blocks = [idx[c * width:(c + 1) * width] for c in range(len(table))]
-        return [join(map(blocks.__getitem__, r)) for r in table]
-
-    swap = join(idx[a::k] for a in range(k))    # a*m + b -> b*k + a
-    unswap = join(idx[b::m] for b in range(m))  # b*k + a -> a*m + b
-    left = block_moves(g.table, m)
-    right = [gather(unswap, gather(r, swap)) for r in block_moves(h.table, k)]
-    return FiniteGroup([gather(x, y) for x in left for y in right])
-
-
 def klein_four_group() -> FiniteGroup:
-    return direct_product(cyclic_group(2), cyclic_group(2))
+    """(Z/2)^2 composed by XOR, which is the dihedral group of order 4."""
+    return dihedral_group(2)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +479,7 @@ def dihedral_quandle(n: int) -> FiniteQuandle:
     row, _, _ = _codec(n)
     tripled = row(range(n)) * 3
     table = tuple(tuple(tripled[n - i:3 * n - i:2]) for i in range(n))
-    return FiniteQuandle._trusted(n, table)
+    return FiniteQuandle._trusted(table, n)
 
 
 def _group_columns(g: FiniteGroup) -> tuple:
@@ -529,7 +497,7 @@ def conj_quandle(g: FiniteGroup) -> FiniteQuandle:
     gathered through column b."""
     rows, cols, inverse, gather = _group_columns(g)
     cols = [gather(col, rows[inverse[b]]) for b, col in enumerate(cols)]
-    return FiniteQuandle._trusted(g.size, tuple(zip(*cols)))
+    return FiniteQuandle._trusted(tuple(zip(*cols)), g.size)
 
 
 def core_quandle(g: FiniteGroup) -> FiniteQuandle:
@@ -537,7 +505,7 @@ def core_quandle(g: FiniteGroup) -> FiniteQuandle:
     inverse map gathered through row b, then through column b."""
     rows, cols, inverse, gather = _group_columns(g)
     cols = [gather(col, gather(rows[b], inverse)) for b, col in enumerate(cols)]
-    return FiniteQuandle._trusted(g.size, tuple(zip(*cols)))
+    return FiniteQuandle._trusted(tuple(zip(*cols)), g.size)
 
 
 # ---------------------------------------------------------------------------
@@ -589,18 +557,11 @@ class LaurentQuotientRing:
     def size(self) -> int:
         return self.modulus ** self.degree
 
-    def elements(self) -> list[tuple[int, ...]]:
-        """Every coefficient vector, the t^0 coefficient varying fastest."""
-        return [
-            tuple(reversed(v))
-            for v in itertools.product(range(self.modulus), repeat=self.degree)
-        ]
-
 
 def alexander_quandle(ring: LaurentQuotientRing) -> FiniteQuandle:
     """The Alexander quandle a * b = t a + (1 - t) b on the ring's elements,
-    indexed in the order of ``ring.elements()``: element i has coefficient
-    k equal to digit k of i in base n.
+    the coefficient vectors with the t^0 coefficient varying fastest:
+    element i has coefficient k equal to digit k of i in base n.
 
     The table is built from the one linear map it uses, multiplication by t,
     and the addition rows y -> x + y of the group (Z/n)^d, generated by the
@@ -623,7 +584,7 @@ def alexander_quandle(ring: LaurentQuotientRing) -> FiniteQuandle:
     # b - t b is the y with t b + y = b
     rest = row(add[tb].index(b) for b, tb in enumerate(times_t))
     table = tuple(tuple(gather(add[ta], rest)) for ta in times_t)
-    return FiniteQuandle._trusted(size, table)
+    return FiniteQuandle._trusted(table, size)
 
 
 # ---------------------------------------------------------------------------
@@ -688,4 +649,4 @@ def transvection_quandle(modulus: int, gram: Sequence[Sequence[int]]) -> FiniteQ
             d = form_value(gram, x, y, modulus)
             row.append(index[tuple((xi - d * yi) % modulus for xi, yi in zip(x, y))])
         table.append(row)
-    return FiniteQuandle._trusted(len(vectors), tuple(map(tuple, table)))
+    return FiniteQuandle._trusted(tuple(map(tuple, table)), len(vectors))

@@ -51,6 +51,8 @@ def test_criterion_10_verifiable_content():
     # computed counterexample, with idempotence failing as stated
     assert not result.ok
     assert "NOT a rack" in result.detail
+    # the bijectivity witness: 0*1 = 1*1 = 0
+    assert "witness (0, 1, 1)" in result.detail
     report = check_quandle(transvection_quandle(2, [[1]]))
     assert not report.idempotent
     assert report.right_distributive
@@ -89,7 +91,8 @@ def test_criteria_2_4_5_6_count_their_cases():
                      r"\((\d+) letters\): rewriting is sound, both routes agree, "
                      r"all outputs valid; word_op and word_op_inv on 999 consecutive pairs "
                      r"of the short words equal the normal forms of \* and \*̄ on their "
-                     r"images \(1998 comparisons, each cross-checked by words_equal\)", detail)
+                     r"images \(1998 comparisons, each of the normal form and the fraction "
+                     r"image\)", detail)
     assert m, detail
     assert 40_000 <= int(m.group(1)) <= 40_000 + 1000 * 30
     fractions = sum(gcd(abs(p), q) == 1 for q in range(1, 201) for p in range(-200, 201))

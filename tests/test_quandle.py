@@ -24,7 +24,6 @@ from trefoil import (
     cyclic_group,
     dihedral_group,
     dihedral_quandle,
-    direct_product,
     klein_four_group,
     symmetric_group,
     transvection_quandle,
@@ -43,12 +42,12 @@ from trefoil.quandle import (
 
 def test_dihedral_values():
     r3 = dihedral_quandle(3)
-    assert r3.op(0, 1) == 2
+    assert r3.table[0][1] == 2
     r4 = dihedral_quandle(4)
-    assert r4.op(1, 3) == 1
+    assert r4.table[1][3] == 1
     for n in (1, 2, 5, 9):
         q = dihedral_quandle(n)
-        assert all(q.op(i, i) == i for i in range(n))
+        assert all(q.table[i][i] == i for i in range(n))
 
 
 def test_dihedral_rejects_zero():
@@ -64,46 +63,48 @@ def test_dihedral_axioms():
 
 
 def test_singleton_magma_is_quandle():
-    report = check_rack(FiniteQuandle(1, [[0]]))
+    report = check_rack(FiniteQuandle([[0]]))
     assert report.idempotent and report.right_translations_bijective and report.right_distributive
 
 
 def test_constant_magma_fails_bijectivity():
-    q = FiniteQuandle(2, [[0, 0], [0, 0]])
+    q = FiniteQuandle([[0, 0], [0, 0]])
     report = check_rack(q)
     assert not report.right_translations_bijective
     i, j, k = report.counterexample
     # the witness reproduces the failure
-    assert i != j and q.op(i, k) == q.op(j, k)
+    assert i != j and q.table[i][k] == q.table[j][k]
     assert report.reproduces(q)
 
 
 def test_malformed_table_rejected():
     with pytest.raises(ValueError):
-        FiniteQuandle(2, [[0, 2], [0, 1]])
+        FiniteQuandle([[0, 2], [0, 1]])
     with pytest.raises(ValueError):
-        FiniteQuandle(2, [[0, 1]])
-    for size, table in ((2, [[0, 1.9], [True, "1"]]), (2, [[0, 1.0], [1, 1]]),
-                        (2, [[0, 1], [True, 1]]), (2, [[0, "1"], [1, 1]]),
-                        (True, [[0]]), (1.0, [[0]]), ("1", [[0]])):
+        FiniteQuandle([[0, 1]])
+    for table in ([], [[0, 1.9], [True, "1"]], [[0, 1.0], [1, 1]], [[0, 1], [True, 1]],
+                  [[0, "1"], [1, 1]]):
         with pytest.raises(ValueError):
-            FiniteQuandle(size, table)
+            FiniteQuandle(table)
+    # the size is derived from the table and takes no part in equality
+    q = FiniteQuandle([[0, 0], [1, 1]])
+    assert q.size == 2 and q == FiniteQuandle(((0, 0), (1, 1)))
 
 
 def test_counterexample_reproduces_each_axiom():
     # fails idempotence only: the swap table on two elements
-    q = FiniteQuandle(2, [[1, 1], [0, 0]])
+    q = FiniteQuandle([[1, 1], [0, 0]])
     report = check_quandle(q)
     assert not report.idempotent
     i, j, k = report.counterexample
-    assert i == j == k and q.op(i, i) != i
+    assert i == j == k and q.table[i][i] != i
     assert report.reproduces(q)
     # a distributivity witness: i * j = i + j on Z/3
-    q3 = FiniteQuandle(3, [[(i + j) % 3 for j in range(3)] for i in range(3)])
+    q3 = FiniteQuandle([[(i + j) % 3 for j in range(3)] for i in range(3)])
     report3 = check_rack(q3)
     assert not report3.right_distributive and report3.right_translations_bijective
     a, b, c = report3.counterexample
-    assert q3.op(q3.op(a, b), c) != q3.op(q3.op(a, c), q3.op(b, c))
+    assert q3.table[q3.table[a][b]][c] != q3.table[q3.table[a][c]][q3.table[b][c]]
     assert report3.reproduces(q3)
     # no counterexample on a clean quandle
     good = check_quandle(dihedral_quandle(5))
@@ -113,7 +114,7 @@ def test_counterexample_reproduces_each_axiom():
 def test_conj_quandle_examples():
     c4 = cyclic_group(4)
     q = conj_quandle(c4)
-    assert all(q.op(a, b) == a for a in range(4) for b in range(4))
+    assert all(q.table[a][b] == a for a in range(4) for b in range(4))
 
     s3 = symmetric_group(3)
     q3 = conj_quandle(s3)
@@ -122,9 +123,9 @@ def test_conj_quandle_examples():
     perms = sorted(itertools.permutations(range(3)))
     idx = {p: i for i, p in enumerate(perms)}
     t12, t13, t23 = idx[(1, 0, 2)], idx[(2, 1, 0)], idx[(0, 2, 1)]
-    assert q3.op(t12, t13) == t23
+    assert q3.table[t12][t13] == t23
     e = s3.identity
-    assert all(q3.op(e, b) == e for b in range(6))
+    assert all(q3.table[e][b] == e for b in range(6))
 
 
 def test_conj_trivial_group():
@@ -134,21 +135,21 @@ def test_conj_trivial_group():
 def test_conj_relabelling_by_conjugation_is_isomorphism():
     g = symmetric_group(3)
     q = conj_quandle(g)
-    for u in g.elements():
-        sigma = [g.mul(g.mul(g.inv(u), x), u) for x in g.elements()]
-        for x in g.elements():
-            for y in g.elements():
-                assert sigma[q.op(x, y)] == q.op(sigma[x], sigma[y])
+    for u in range(g.size):
+        sigma = [g.table[g.table[g.inverse[u]][x]][u] for x in range(g.size)]
+        for x in range(g.size):
+            for y in range(g.size):
+                assert sigma[q.table[x][y]] == q.table[sigma[x]][sigma[y]]
 
 
 def test_core_quandle_examples():
     c5 = cyclic_group(5)
     assert core_quandle(c5).table == dihedral_quandle(5).table
     c2 = cyclic_group(2)
-    assert core_quandle(c2).op(0, 1) == 0
+    assert core_quandle(c2).table[0][1] == 0
     s3 = symmetric_group(3)
     q = core_quandle(s3)
-    assert all(q.op(a, a) == a for a in range(6))
+    assert all(q.table[a][a] == a for a in range(6))
 
 
 def test_alexander_dihedral_coincidence():
@@ -166,7 +167,7 @@ def test_alexander_four_element_quandle():
 def test_alexander_idempotent():
     ring = LaurentQuotientRing(5, (2, 0, 1))
     q = alexander_quandle(ring)
-    assert all(q.op(a, a) == a for a in range(q.size))
+    assert all(q.table[a][a] == a for a in range(q.size))
 
 
 def test_ring_rejects_non_unit_t():
@@ -250,11 +251,11 @@ def test_z2_product_form_regression():
     assert not form_is_alternating(gram, vectors, 2)
     q = transvection_quandle(2, gram)
     report = check_quandle(q)
-    assert q.op(1, 1) == 0
+    assert q.table[1][1] == 0
     assert not report.idempotent
     assert report.right_distributive
     assert not report.right_translations_bijective
-    assert q.op(0, 1) == q.op(1, 1) == 0
+    assert q.table[0][1] == q.table[1][1] == 0
 
 
 @pytest.mark.parametrize("gram", [[[1.5]], [[1], [2]], [["1"]], [[1, 0]], [[True]], [1], "1"],
@@ -390,7 +391,7 @@ def _perturbed(q, rng):
     swapped = [list(row) for row in q.table]
     i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
     swapped[i][k], swapped[j][k] = swapped[j][k], swapped[i][k]
-    return FiniteQuandle(n, rows), FiniteQuandle(n, swapped)
+    return FiniteQuandle(rows), FiniteQuandle(swapped)
 
 
 def test_scans_match_scalar_loops_on_random_tables():
@@ -408,7 +409,7 @@ def test_scans_match_scalar_loops_on_random_tables():
                     for row in bijective:
                         row[i] = i if row[i] == v else v if row[i] == i else row[i]
             for table in (arbitrary, bijective):
-                _assert_scans_match(FiniteQuandle(n, table))
+                _assert_scans_match(FiniteQuandle(table))
 
 
 def test_scans_match_scalar_loops_on_perturbed_stock_quandles():
@@ -462,11 +463,11 @@ def test_scans_at_both_encodings():
         # a swap in column 0 keeps the columns bijective and breaks
         # distributivity at c = 0; a new value in a cell breaks bijectivity
         rows[3][0], rows[5][0] = rows[5][0], rows[3][0]
-        _assert_scans_match(FiniteQuandle(n, rows))
+        _assert_scans_match(FiniteQuandle(rows))
         rows[7][9] = (rows[7][9] + 1) % n
-        _assert_scans_match(FiniteQuandle(n, rows))
+        _assert_scans_match(FiniteQuandle(rows))
         rows[2][2] = 0
-        _assert_scans_match(FiniteQuandle(n, rows))
+        _assert_scans_match(FiniteQuandle(rows))
 
 
 # --- right distributivity decided on a generating set -------------------------
@@ -480,7 +481,7 @@ def _closure(q, chosen):
     by fixpoint iteration: the oracle for the greedy generating set."""
     reached = set(chosen)
     while True:
-        more = {q.op(a, s) for a in reached for s in chosen} - reached
+        more = {q.table[a][s] for a in reached for s in chosen} - reached
         if not more:
             return reached
         reached |= more
@@ -493,8 +494,8 @@ def _stock_quandles_to_order_40():
     quandles += [alexander_quandle(ring) for ring in _monic_rings(40) if ring.h[0] <= 3]
     groups = [cyclic_group(n) for n in range(1, 41)] + [dihedral_group(n) for n in range(2, 21)]
     groups += [symmetric_group(3), symmetric_group(4), klein_four_group(),
-               direct_product(cyclic_group(2), cyclic_group(6)),
-               direct_product(klein_four_group(), cyclic_group(2))]
+               FiniteGroup(_cells_direct_product(cyclic_group(2), cyclic_group(6))),
+               FiniteGroup(_cells_direct_product(klein_four_group(), cyclic_group(2)))]
     for g in groups:
         quandles += [conj_quandle(g), core_quandle(g)]
     for n in range(2, 41):
@@ -566,7 +567,7 @@ def test_scans_match_scalar_loops_on_random_bijective_tables():
     for n in range(2, 41):
         for _ in range(6):
             cols = [rng.sample(range(n), n) for _ in range(n)]
-            q = FiniteQuandle(n, [[cols[k][i] for k in range(n)] for i in range(n)])
+            q = FiniteQuandle([[cols[k][i] for k in range(n)] for i in range(n)])
             _assert_scans_match(q)
             failing += _assert_first_failure_in_generating_set(q) is not None
     assert failing > 200
@@ -608,14 +609,14 @@ def _small_tables(draw):
 @settings(max_examples=300, derandomize=True)
 @given(_small_tables())
 def test_scans_match_scalar_loops_property(table):
-    _assert_scans_match(FiniteQuandle(len(table), table))
+    _assert_scans_match(FiniteQuandle(table))
 
 
 def test_from_table_matches_scalar_loops():
     rng = random.Random(903)
     groups = [cyclic_group(n) for n in range(1, 13)] + [
         symmetric_group(3), symmetric_group(4), klein_four_group(), dihedral_group(4),
-        dihedral_group(6), direct_product(cyclic_group(2), cyclic_group(3))]
+        dihedral_group(6), FiniteGroup(_cells_direct_product(cyclic_group(2), cyclic_group(3)))]
     messages = set()
     for g in groups:
         table = [list(row) for row in g.table]
@@ -676,8 +677,9 @@ def test_associativity_on_the_generating_set_matches_every_row():
     rng = random.Random(911)
     stock = [*map(cyclic_group, (1, 2, 3, 12, 64, 256, 257)), *map(symmetric_group, range(1, 6)),
              *map(dihedral_group, (1, 2, 5, 64, 129)), klein_four_group(),
-             direct_product(symmetric_group(3), cyclic_group(4)),
-             direct_product(cyclic_group(2), cyclic_group(129)), *_conj_core_groups()]
+             FiniteGroup(_cells_direct_product(symmetric_group(3), cyclic_group(4))),
+             FiniteGroup(_cells_direct_product(cyclic_group(2), cyclic_group(129))),
+             *_conj_core_groups()]
     outcomes = collections.Counter()
     for g in stock:
         table = [list(row) for row in g.table]
@@ -808,24 +810,24 @@ def _cells_direct_product(g, h):
     def mul(x, y):
         a1, b1 = divmod(x, m)
         a2, b2 = divmod(y, m)
-        return g.mul(a1, a2) * m + h.mul(b1, b2)
+        return g.table[a1][a2] * m + h.table[b1][b2]
 
     return _cells(g.size * m, mul)
 
 
 def _cells_conj(g):
-    return _cells(g.size, lambda a, b: g.mul(g.mul(g.inv(b), a), b))
+    return _cells(g.size, lambda a, b: g.table[g.table[g.inverse[b]][a]][b])
 
 
 def _cells_core(g):
-    return _cells(g.size, lambda a, b: g.mul(g.mul(b, g.inv(a)), b))
+    return _cells(g.size, lambda a, b: g.table[g.table[b][g.inverse[a]]][b])
 
 
 def _cells_alexander(ring):
     """t a and b - t b once per element as coefficient vectors, then one
     digitwise sum mod n and one lookup per cell."""
-    n, h = ring.modulus, ring.h
-    elems = ring.elements()
+    n, h, d = ring.modulus, ring.h, ring.degree
+    elems = [tuple(i // n ** k % n for k in range(d)) for i in range(n ** d)]
     index = {e: i for i, e in enumerate(elems)}
     times_t = [tuple((low - v[-1] * c) % n for low, c in zip((0, *v[:-1]), h)) for v in elems]
     rest = [tuple((x - y) % n for x, y in zip(b, tb)) for b, tb in zip(elems, times_t)]
@@ -866,17 +868,17 @@ def test_symmetric_groups_and_products_match_their_cells():
     for n in range(1, 6):
         _assert_group(symmetric_group(n), _cells_symmetric_group(n))
     c2 = cyclic_group(2)
+    # (Z/2)^2 composed by XOR is the dihedral group of order 4
     _assert_group(klein_four_group(), _cells_direct_product(c2, c2))
+    assert klein_four_group() == dihedral_group(2)
     # Z/3 relabelled so that its identity is 2, not 0
     shifted = FiniteGroup(_cells(3, lambda a, b: (a + b + 1) % 3))
     assert shifted.identity == 2
     factors = [cyclic_group(1), c2, cyclic_group(3), shifted, symmetric_group(3),
                dihedral_group(4), klein_four_group()]
-    for g in factors:
-        for h in factors:
-            _assert_group(direct_product(g, h), _cells_direct_product(g, h))
-    g, h = c2, cyclic_group(129)
-    _assert_group(direct_product(g, h), _cells_direct_product(g, h))
+    for g, h in [*itertools.product(factors, repeat=2), (c2, cyclic_group(129))]:
+        cells = _cells_direct_product(g, h)
+        _assert_group(FiniteGroup(cells), cells)
 
 
 def test_conj_and_core_quandles_match_their_cells():
@@ -901,12 +903,11 @@ def test_alexander_quandles_match_their_cells_across_order_256():
 
 # --- the row-level checks against the cell-by-cell loops ----------------------
 
-def _scalar_freeze_error(table, size):
-    """The shape and entry checks as a cell-by-cell loop: the text of the
-    first ValueError, or None."""
+def _scalar_freeze_error(table):
+    """The shape and entry checks as a cell-by-cell loop, the size being the
+    number of rows: the text of the first ValueError, or None."""
     rows = [tuple(row) for row in table]
-    if len(rows) != size:
-        return f"table has {len(rows)} rows, expected {size}"
+    size = len(rows)
     for i, row in enumerate(rows):
         if len(row) != size:
             return f"table row {i} has length {len(row)}, expected {size}"
@@ -937,9 +938,9 @@ def _planted_tables(table):
         yield rows
 
 
-def _error(build, *args):
+def _error(build, table):
     try:
-        build(*args)
+        build(table)
     except ValueError as exc:
         return str(exc)
     return None
@@ -950,13 +951,11 @@ def test_row_checks_raise_the_scalar_loops_messages():
     for table in (dihedral_quandle(1).table, dihedral_quandle(5).table,
                   cyclic_group(7).table, symmetric_group(4).table,
                   dihedral_quandle(300).table):
-        n = len(table)
         for rows in _planted_tables(table):
-            expected = _scalar_freeze_error(rows, n)
+            expected = _scalar_freeze_error(rows)
             assert expected is not None
-            assert _error(FiniteQuandle, n, rows) == expected
-            # a group's size is its number of rows
-            assert _error(FiniteGroup, rows) == _scalar_freeze_error(rows, len(rows))
+            # a quandle's or a group's size is its number of rows
+            assert _error(FiniteQuandle, rows) == _error(FiniteGroup, rows) == expected
             planted += 1
     assert planted == 5 * 3 * 10
 
@@ -1027,7 +1026,7 @@ def test_group_checks_do_not_rest_on_assert():
         "    except ValueError as exc:\n"
         "        print(exc)\n"
         "try:\n"
-        "    FiniteQuandle(2, [[0, -1], [1, 1]])\n"
+        "    FiniteQuandle([[0, -1], [1, 1]])\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
