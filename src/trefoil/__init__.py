@@ -83,7 +83,6 @@ from .quandle import (
 from .words import (
     NormalForm,
     QWord,
-    braid_relation_holds,
     frac_to_word,
     normal_form_valid,
     normalize,
@@ -116,7 +115,6 @@ __all__ = [
     "alexander_quandle",
     "apply_matrix",
     "braid_eq",
-    "braid_relation_holds",
     "cf_eval",
     "cf_expand",
     "cf_validate",

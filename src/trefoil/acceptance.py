@@ -9,6 +9,7 @@ green, only when it fails with the computed counterexample.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -28,13 +29,12 @@ from .longknot import (
     qt_new,
     qt_op,
     qt_op_inv,
-    qt_op_inv_second_slot_forms,
-    qt_op_second_slot_forms,
 )
 from .pfrac import (
     PF_INFINITY,
     PF_ZERO,
     PFrac,
+    TransvectionMatrix,
     apply_matrix,
     orbit_bfs,
     pf_new,
@@ -65,7 +65,6 @@ from .quandle import (
 )
 from .words import (
     QWord,
-    braid_relation_holds,
     frac_to_word,
     normal_form_valid,
     normalize,
@@ -115,15 +114,79 @@ def random_braid(rng: random.Random, max_len: int) -> BraidElement:
 
 def sample_covered_pool(rng: random.Random, count: int, max_len: int) -> list[CoveredElement]:
     """Distinct covered elements built over random exponent-zero words."""
-    pool: list[CoveredElement] = []
-    seen = set()
-    lengths = [n for n in range(0, max_len + 1, 2)]
+    pool: dict[CoveredElement, None] = {}  # in the order first drawn
+    lengths = range(0, max_len + 1, 2)
     while len(pool) < count:
-        el = qt_new(random_zero_braid(rng, rng.choice(lengths)))
-        if el not in seen:
-            seen.add(el)
-            pool.append(el)
-    return pool
+        pool[qt_new(random_zero_braid(rng, rng.choice(lengths)))] = None
+    return list(pool)
+
+
+# ---------------------------------------------------------------------------
+# routes: a plain tuple (name, encode, op, op_inv, key) for each realization
+# of a quandle; encode turns a sample into route values, and key sends a
+# route value to the value of the reference (op, op_inv, key) it stands for
+# ---------------------------------------------------------------------------
+
+def _sole(sample):
+    return (sample,)
+
+
+def _itself(value):
+    return value
+
+
+def _adjugate_op(x: PFrac, y: PFrac) -> PFrac:
+    m = transvection_matrix(y)
+    return apply_matrix(TransvectionMatrix(m.d, -m.b, -m.c, m.a), x)
+
+
+def _word_image(w: QWord) -> Optional[PFrac]:
+    """The image of w by evaluation if its normal form is the image's."""
+    image = word_to_frac(w)
+    return image if normalize(w) == frac_to_word(image) else None
+
+
+_FRACTION_REFERENCE = (pf_op, pf_op_inv, _itself)
+# the first two routes take sampled fractions, the last raw words
+_FRACTION_ROUTES = [
+    ("transvection matrices", _sole,
+     lambda x, y: apply_matrix(transvection_matrix(y), x), _adjugate_op, _itself),
+    ("symplectic sign lifts", lambda x: ((x.p, x.q), (-x.p, -x.q)),
+     sympl_op, sympl_op_inv, projectivize),
+    ("words", _sole, word_op, word_op_inv, _word_image),
+]
+
+_M, _M_INV = meridian(), meridian().inv()
+# both slots by exponent sum and t = -1 image, not by Garside form
+_COVERED_REFERENCE = (qt_op, qt_op_inv, lambda p: (p.g.eps, p.g.image, p.x.eps, p.x.image))
+# the displayed second slots, made covered elements by the public
+# constructor, which sets x = g'^-1 m g' afresh
+_COVERED_ROUTES = [
+    ("g' x^-1 y", _sole,
+     lambda p, q: CoveredElement(p.g * p.x.inv() * q.x),
+     lambda p, q: CoveredElement(p.g * p.x * q.x.inv()), _itself),
+    ("m^-1 g' h'^-1 m h'", _sole,
+     lambda p, q: CoveredElement(_M_INV * p.g * q.g.inv() * _M * q.g),
+     lambda p, q: CoveredElement(_M * p.g * q.g.inv() * _M_INV * q.g), _itself),
+]
+
+
+def _routes_agree(reference, routes, pairs) -> tuple[Optional[str], dict[str, int]]:
+    """The first sampled pair at which route values u and v, standing for x
+    and y, give op(u, v), op_inv(u, v) or op_inv(op(u, v), v) standing, under
+    the reference's key, for other than x * y, x *̄ y or x, else None; and
+    the number of value pairs each route checked."""
+    ref_op, ref_op_inv, same = reference
+    checked = dict.fromkeys((route[0] for route in routes), 0)
+    for (name, encode, op, op_inv, key), (s, t) in itertools.product(routes, pairs):
+        for u, v in itertools.product(encode(s), encode(t)):
+            x, y = key(u), key(v)
+            w = op(u, v)
+            if (same(key(w)), same(key(op_inv(u, v))), same(key(op_inv(w, v)))) != (
+                    same(ref_op(x, y)), same(ref_op_inv(x, y)), same(x)):
+                return f"the {name} route and the reference disagree at {s}, {t}", checked
+            checked[name] += 1
+    return None, checked
 
 
 # ---------------------------------------------------------------------------
@@ -145,39 +208,22 @@ def _criterion_worked_identities() -> tuple[bool, str]:
 
 
 def _criterion_transvection_matrices() -> tuple[bool, str]:
-    m_b = transvection_matrix(PF_INFINITY)
-    m_a = transvection_matrix(PF_ZERO)
-    if m_b.rows() != [[1, 1], [0, 1]]:
-        return False, f"matrix of *(1/0) is {m_b}, expected [[1,1],[0,1]]"
-    if m_a.rows() != [[1, 0], [-1, 1]]:
-        return False, f"matrix of *(0/1) is {m_a}, expected [[1,0],[-1,1]]"
+    for y, want in ((PF_INFINITY, [[1, 1], [0, 1]]), (PF_ZERO, [[1, 0], [-1, 1]])):
+        if transvection_matrix(y).rows() != want:
+            return False, f"matrix of *({y}) is {transvection_matrix(y)}, expected {want}"
     rng = random.Random(1002)
-    pairs, bound = 10_000, 1000
-    lifts = 0
-    for _ in range(pairs):
-        x = random_pfrac(rng, bound)
-        y = random_pfrac(rng, bound)
-        m = transvection_matrix(y)
-        if m.det() != 1:
-            return False, f"det of matrix for {y} is {m.det()}"
-        star = pf_op(x, y)
-        if apply_matrix(m, x) != star:
-            return False, f"matrix action and * disagree at x={x}, y={y}"
-        # the fraction quandle is the projection of the symplectic operation
-        # on Z⊕Z: every sign lift of the pair projects to * and *̄
-        star_inv = pf_op_inv(x, y)
-        for u in ((x.p, x.q), (-x.p, -x.q)):
-            for v in ((y.p, y.q), (-y.p, -y.q)):
-                w = sympl_op(u, v)
-                if projectivize(w) != star or projectivize(sympl_op_inv(u, v)) != star_inv:
-                    return False, f"the symplectic operation at {u}, {v} does not project to * and *̄"
-                if sympl_op_inv(w, v) != u:
-                    return False, f"the symplectic inverse does not undo the operation at {u}, {v}"
-                lifts += 1
-    return True, (f"exact generators; {pairs} random pairs with |p|,|q| <= {bound}: "
-                  f"matrix action equals *, every determinant 1; on their {lifts} sign "
+    bound = 1000
+    pairs = [(random_pfrac(rng, bound), random_pfrac(rng, bound)) for _ in range(10_000)]
+    # the adjugate's checked constructor requires every determinant 1; the
+    # fraction quandle is the projection of the symplectic operation on Z⊕Z
+    failure, checked = _routes_agree(_FRACTION_REFERENCE, _FRACTION_ROUTES[:2], pairs)
+    if failure:
+        return False, failure
+    return True, (f"exact generators; {checked['transvection matrices']} random pairs with "
+                  f"|p|,|q| <= {bound}: the matrix and its adjugate act as * and *̄, "
+                  f"every determinant 1; on their {checked['symplectic sign lifts']} sign "
                   f"lifts to Z⊕Z the symplectic operation and its inverse project to * "
-                  f"and *̄ and undo each other")
+                  f"and *̄; on both, the inverse undoes the operation")
 
 
 _ALEXANDER_RINGS = [
@@ -245,14 +291,7 @@ def _criterion_axioms() -> tuple[bool, str]:
             return False, f"distributivity fails at {x}, {y}, {z}"
 
     pool = sample_covered_pool(rng, 24, 12)
-    op_memo: dict[tuple[int, int], CoveredElement] = {}
-
-    def pooled_op(i: int, j: int) -> CoveredElement:
-        key = (i, j)
-        if key not in op_memo:
-            op_memo[key] = qt_op(pool[i], pool[j])
-        return op_memo[key]
-
+    pooled_op = functools.cache(lambda i, j: qt_op(pool[i], pool[j]))
     for i, p in enumerate(pool):
         if qt_op(p, p) != p:
             return False, f"covered-quandle idempotence fails at pool element {i}"
@@ -282,7 +321,6 @@ def _criterion_isomorphism_certificate() -> tuple[bool, str]:
     words += [QWord(rng.choice("ab"), "".join(rng.choices("abAB", k=long_len)))
               for _ in range(long_words)]
     letters = 0
-    images = []
     for w in words:
         letters += len(w.tail)
         nf = normalize(w)
@@ -293,29 +331,24 @@ def _criterion_isomorphism_certificate() -> tuple[bool, str]:
             return False, f"the two canonicalization routes disagree on {w}"
         if not normal_form_valid(nf.exponents):
             return False, f"normalize({w}) violates the normal-form constraints"
-        images.append(image)
-    # the word quandle's own operations on consecutive short words, against
-    # the normal form of the fraction operation on their images
-    pairs = comparisons = 0
-    for i in range(1, short_words):
-        u, v, x, y = words[i - 1], words[i], images[i - 1], images[i]
-        for op, frac_op in ((word_op, pf_op), (word_op_inv, pf_op_inv)):
-            w, image = op(u, v), frac_op(x, y)
-            if normalize(w) != frac_to_word(image) or word_to_frac(w) != image:
-                return False, f"{op.__name__}({u}, {v}) is not the word of its fraction image"
-            comparisons += 1
-        pairs += 1
+    # the word quandle's own operations on consecutive short words
+    short = words[:short_words]
+    failure, checked = _routes_agree(_FRACTION_REFERENCE, _FRACTION_ROUTES[2:],
+                                     list(zip(short, short[1:])))
+    if failure:
+        return False, failure
+    pairs = checked["words"]
     return True, (f"{short_words} random words of <= {short_max} letters and {long_words} of "
                   f"{long_len} letters ({letters} letters): rewriting is sound, both routes "
                   f"agree, all outputs valid; word_op and word_op_inv on {pairs} consecutive "
                   f"pairs of the short words equal the normal forms of * and *̄ on their "
-                  f"images ({comparisons} comparisons, each of the normal form and the "
-                  f"fraction image)")
+                  f"images ({2 * pairs} comparisons, each of the normal form and the "
+                  f"fraction image), and word_op_inv undoes word_op")
 
 
 def _criterion_continued_fractions() -> tuple[bool, str]:
     bound, term_max, random_lists = 200, 12, 20_000
-    fractions = lists = 0
+    fractions = 0
     for q in range(1, bound + 1):
         for p in range(-bound, bound + 1):
             if gcd(abs(p), q) != 1:
@@ -325,46 +358,29 @@ def _criterion_continued_fractions() -> tuple[bool, str]:
             if cf_eval(cf_expand(r)) != r:
                 return False, f"eval(expand({p}/{q})) != {p}/{q}"
 
-    def check(terms: tuple[int, ...]) -> Optional[str]:
-        nonlocal lists
-        lists += 1
-        cf = ContinuedFraction(terms)
-        if cf_expand(cf_eval(cf)) != cf:
-            return f"expand(eval({list(terms)})) != {list(terms)}"
-        return None
-
     # exhaustive over the full coefficient ranges for n <= 4; the literal
     # n <= 8 grid has ~8.6e8 lists, far beyond the runtime budget, so the
     # longer lengths are covered by random draws from the same ranges
-    for k1 in range(-term_max, term_max + 1):
-        err = check((k1,))
-        if err:
-            return False, err
-        for kn in range(2, term_max + 1):
-            err = check((k1, kn))
-            if err:
-                return False, err
-            for k2 in range(1, term_max + 1):
-                err = check((k1, k2, kn))
-                if err:
-                    return False, err
-                for k3 in range(1, term_max + 1):
-                    err = check((k1, k2, k3, kn))
-                    if err:
-                        return False, err
-    grid_lists = lists
+    firsts, middles, lasts = (range(-term_max, term_max + 1), range(1, term_max + 1),
+                              range(2, term_max + 1))
+    grid = [(k1,) for k1 in firsts]
+    for n in range(3):
+        grid += itertools.product(firsts, *[middles] * n, lasts)
     rng = random.Random(1005)
+    draws = []
     for _ in range(random_lists):
         n = rng.randint(5, 8)
         terms = [rng.randint(-term_max, term_max)]
         terms += [rng.randint(1, term_max) for _ in range(n - 2)]
         terms.append(rng.randint(2, term_max))
-        err = check(tuple(terms))
-        if err:
-            return False, err
+        draws.append(tuple(terms))
+    for terms in grid + draws:
+        cf = ContinuedFraction(terms)
+        if cf_expand(cf_eval(cf)) != cf:
+            return False, f"expand(eval({list(terms)})) != {list(terms)}"
     return True, (f"{fractions} fractions with |p|,|q| <= {bound} round-trip; exhaustive "
-                  f"term grid for n <= 4, |k| <= {term_max} ({grid_lists} lists) plus "
-                  f"{lists - grid_lists} random lists for n in 5..8 (full grid infeasible "
+                  f"term grid for n <= 4, |k| <= {term_max} ({len(grid)} lists) plus "
+                  f"{len(draws)} random lists for n in 5..8 (full grid infeasible "
                   f"in budget)")
 
 
@@ -380,7 +396,8 @@ def _criterion_braid_relation() -> tuple[bool, str]:
             return False, f"x*a*b*a != x*b*a*b at x = {x}"
     for _ in range(words):
         w = random_qword(rng, max_tail)
-        if not braid_relation_holds(w):
+        lhs, rhs = w.extended("aba"), w.extended("bab")
+        if normalize(lhs) != normalize(rhs) or word_to_frac(lhs) != word_to_frac(rhs):
             return False, f"braid relation fails at word {w}"
     return True, (f"holds on {fractions} random fractions with |p|,|q| <= {bound} and "
                   f"{words} random words of <= {max_tail} letters")
@@ -433,12 +450,9 @@ def _criterion_power_formulas() -> tuple[bool, str]:
             if pf_op_pow(x, y, -k) != backward:
                 return False, f"power formula fails at {x} * {y}^-{k}"
     # the special cases against their independent closed forms
-    special = (
-        (1, PF_ZERO, lambda x, k: pf_new(x.p, x.q - k * x.p)),
-        (-1, PF_ZERO, lambda x, k: pf_new(x.p, x.q - k * x.p)),
-        (1, PF_INFINITY, lambda x, k: pf_new(x.p + k * x.q, x.q)),
-        (-1, PF_INFINITY, lambda x, k: pf_new(x.p + k * x.q, x.q)),
-    )
+    special = [(sign, gen, closed) for gen, closed in (
+        (PF_ZERO, lambda x, k: pf_new(x.p, x.q - k * x.p)),
+        (PF_INFINITY, lambda x, k: pf_new(x.p + k * x.q, x.q))) for sign in (1, -1)]
     for sign, gen, closed in special:
         for _ in range(draws):
             x = random_pfrac(rng, draw_bound)
@@ -465,17 +479,13 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
     pairs, closed_k, free_k, free_cases, fiber_k, fiber_cases = 1000, 64, 5, 100, 1000, 100
     act_cases, act_len, random_slots, text_pairs, text_len = 500, 8, 100, 300, 200
 
-    slot_checks = x_checks = 0
-    for _ in range(pairs):
-        p, q = rng.choice(pool), rng.choice(pool)
-        for name, op, forms in (("*", qt_op, qt_op_second_slot_forms),
-                                ("*̄", qt_op_inv, qt_op_inv_second_slot_forms)):
-            r = op(p, q)
-            if not all(braid_eq(r.g, f) for f in forms(p, q)):
-                return False, f"{name} and its two displayed second slots disagree at {p}, {q}"
-            if not braid_eq(r.x, r.g.inv() * m * r.g):
-                return False, f"the stored x of {p} {name} {q} is not its g'^-1 m g'"
-            slot_checks, x_checks = slot_checks + 2, x_checks + 1
+    # each route's x is g'^-1 m g' afresh, so keying both slots also checks
+    # the stored x of every result of * and *̄
+    samples = [(rng.choice(pool), rng.choice(pool)) for _ in range(pairs)]
+    failure, checked = _routes_agree(_COVERED_REFERENCE, _COVERED_ROUTES, samples)
+    if failure:
+        return False, failure
+    slot_checks, x_checks = 2 * sum(checked.values()), 2 * len(samples)
 
     for _ in range(pairs):
         anchor, base = rng.choice(pool), rng.choice(pool)
@@ -546,7 +556,8 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
         else:
             return False, f"CoveredElement accepted the slot {g} with exponent sum {g.eps}"
     return True, (f"* and *̄ second slots equal both displayed forms ({slot_checks} "
-                  f"comparisons), stored x equals g'^-1 m g' ({x_checks} results); covering "
+                  f"comparisons) and *̄ undoes * on both, stored x equals g'^-1 m g' "
+                  f"({x_checks} results); covering "
                   f"and representation properties hold ({pairs} each); longitude checks exact; "
                   f"lambda^k closed form for |k|<={closed_k} ({len(closed)} powers); "
                   f"freeness |k|<={free_k} ({free_cases} elements); "

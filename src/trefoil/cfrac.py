@@ -24,6 +24,7 @@ from .pfrac import PFrac
 Rational = Union[Fraction, int, PFrac]
 
 _CF_RE = re.compile(r"^\[\s*([+-]?\d+)\s*(?:;(.*))?\]$")
+_CF_TERM = re.compile(r"\s*[+-]?\d+\s*")
 
 
 def cf_validate(terms: Sequence[int]) -> bool:
@@ -76,7 +77,10 @@ class ContinuedFraction:
             tail = m.group(2).strip()
             if not tail:
                 raise ValueError(f"empty tail in {text!r}")
-            terms.extend(int(part.strip()) for part in tail.split(","))
+            for part in tail.split(","):
+                if not _CF_TERM.fullmatch(part):
+                    raise ValueError(f"bad term {part.strip()!r} in {text!r}")
+                terms.append(int(part))
         return cls(tuple(terms))
 
 

@@ -11,10 +11,10 @@ operations are
     (x, g') *̄ (y, h') = (y x y^-1, g' x y^-1) = (y x y^-1, m g' y^-1)
 
 since g' x^-1 = m^-1 g' and g' x = m g'.  The displayed forms in h',
-m^-1 g' h'^-1 m h' and m g' h'^-1 m^-1 h', are kept as the independent
-reference for the agreement tests.  The infinite cyclic group generated by
-the longitude acts on second slots, freely and transitively on each fibre
-of the covering map (x, g') -> x.
+m^-1 g' h'^-1 m h' and m g' h'^-1 m^-1 h', are routes checked against these
+operations in the acceptance suite's table, acceptance._COVERED_ROUTES.  The
+longitude generates an infinite cyclic group that acts on second slots,
+freely and transitively on each fibre of the covering map (x, g') -> x.
 
 The deck layer needs no Garside products beyond lambda_act's one.  The
 longitude is lambda = Delta^2 a^-6 with Delta^2 central, so lambda^k has a
@@ -51,6 +51,8 @@ class CoveredElement:
 
     def __post_init__(self) -> None:
         g = self.g
+        if not isinstance(g, BraidElement):
+            raise TypeError(f"CoveredElement takes a BraidElement, not {type(g).__name__}")
         if g.eps != 0:
             raise ValueError(f"second slot must have exponent sum 0, got {g.eps}")
         object.__setattr__(self, "x", g.inv() * _M * g)
@@ -77,18 +79,6 @@ def qt_op_inv(p: CoveredElement, q: CoveredElement) -> CoveredElement:
     """(x, g') *̄ (y, h') = (y x y^-1, m g' y^-1)."""
     y_inv = q.x.inv()
     return CoveredElement._trusted(_M * p.g * y_inv, q.x * p.x * y_inv)
-
-
-def qt_op_second_slot_forms(p: CoveredElement, q: CoveredElement) -> tuple[BraidElement, BraidElement]:
-    """Both displayed forms of the * second slot: g' x^-1 y and
-    m^-1 g' h'^-1 m h'.  They must agree on valid covered elements."""
-    return p.g * p.x.inv() * q.x, _M_INV * p.g * q.g.inv() * _M * q.g
-
-
-def qt_op_inv_second_slot_forms(p: CoveredElement, q: CoveredElement) -> tuple[BraidElement, BraidElement]:
-    """Both displayed forms of the *̄ second slot: g' x y^-1 and
-    m g' h'^-1 m^-1 h'."""
-    return p.g * p.x * q.x.inv(), _M * p.g * q.g.inv() * _M_INV * q.g
 
 
 def covering_p(p: CoveredElement) -> BraidElement:

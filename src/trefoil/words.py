@@ -325,9 +325,3 @@ def words_equal(w1: WordLike, w2: WordLike) -> bool:
     if same != (word_to_frac(w1) == word_to_frac(w2)):
         raise AssertionError(f"rewriting and fraction evaluation disagree on {w1} vs {w2}")
     return same
-
-
-def braid_relation_holds(x: WordLike) -> bool:
-    """x * a * b * a = x * b * a * b, which holds for every word."""
-    x = _as_word(x)
-    return words_equal(x.extended("aba"), x.extended("bab"))

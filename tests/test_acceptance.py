@@ -82,9 +82,10 @@ def test_criterion_3_counts_its_cases():
 def test_criteria_2_4_5_6_count_their_cases():
     # each pair has four sign lifts (±x, ±y) to Z⊕Z
     assert run_criterion(2).detail == (
-        "exact generators; 10000 random pairs with |p|,|q| <= 1000: matrix action "
-        "equals *, every determinant 1; on their 40000 sign lifts to Z⊕Z the symplectic "
-        "operation and its inverse project to * and *̄ and undo each other")
+        "exact generators; 10000 random pairs with |p|,|q| <= 1000: the matrix and its "
+        "adjugate act as * and *̄, every determinant 1; on their 40000 sign lifts to Z⊕Z "
+        "the symplectic operation and its inverse project to * and *̄; on both, the "
+        "inverse undoes the operation")
     # word_op and word_op_inv on each of the 999 consecutive pairs of short words
     detail = run_criterion(4).detail
     m = re.fullmatch(r"1000 random words of <= 30 letters and 4 of 10000 letters "
@@ -92,7 +93,7 @@ def test_criteria_2_4_5_6_count_their_cases():
                      r"all outputs valid; word_op and word_op_inv on 999 consecutive pairs "
                      r"of the short words equal the normal forms of \* and \*̄ on their "
                      r"images \(1998 comparisons, each of the normal form and the fraction "
-                     r"image\)", detail)
+                     r"image\), and word_op_inv undoes word_op", detail)
     assert m, detail
     assert 40_000 <= int(m.group(1)) <= 40_000 + 1000 * 30
     fractions = sum(gcd(abs(p), q) == 1 for q in range(1, 201) for p in range(-200, 201))
@@ -117,6 +118,13 @@ def test_criteria_1_7_8_count_their_cases():
         "closed form matches iteration for |k| <= 20 on 1000 random pairs with |p|,|q| <= 100 "
         "(41000 powers); 4 special cases (0/1 and 1/0, k > 0 and k < 0) match their closed "
         "forms on 1000 fractions each with |p|,|q| <= 1000")
+
+
+def test_criterion_9_counts_its_route_checks():
+    # each of 1000 pairs checks * and *̄ against both displayed second slots
+    assert run_criterion(9).detail.startswith(
+        "* and *̄ second slots equal both displayed forms (4000 comparisons) and *̄ undoes * "
+        "on both, stored x equals g'^-1 m g' (2000 results); ")
 
 
 def test_criterion_9_counts_its_kernel_checks():

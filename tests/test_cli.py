@@ -191,6 +191,15 @@ def test_malformed_polynomial_terms_are_named():
     assert go("axioms", "alexander:3:t-1")[0] == 0
 
 
+def test_malformed_continued_fraction_terms_are_named():
+    # a term that is not an integer is reported with the text it is in,
+    # as the empty tail is
+    for text, term in (("[1;x]", "x"), ("[1;2,,3]", ""), ("[1;2,3x]", "3x"), ("[1;2,]", "")):
+        assert go("cf", "eval", text) == (2, "", f"error: bad term {term!r} in {text!r}\n"), text
+    assert go("cf", "eval", "[1;]") == (2, "", "error: empty tail in '[1;]'\n")
+    assert go("cf", "eval", "[ 1 ; 2 , 3 ]") == (0, "10/7\n", "")
+
+
 def test_exit_code_internal_errors(monkeypatch):
     import trefoil.cli as cli
 

@@ -12,6 +12,7 @@ from trefoil import (
     lambda_act,
     longitude,
     meridian,
+    pf_new,
     pi1_act,
     qt_new,
     qt_op,
@@ -19,7 +20,6 @@ from trefoil import (
     render_braid,
 )
 from trefoil.acceptance import sample_covered_pool
-from trefoil.longknot import qt_op_inv_second_slot_forms, qt_op_second_slot_forms
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,15 @@ def test_qt_new_rejects_nonzero_exponent_sum():
         for g in ("a", "ab", "aba" * 4):
             with pytest.raises(ValueError, match="exponent sum 0"):
                 build(BraidElement.parse(g))
+
+
+def test_qt_new_rejects_a_non_braid():
+    # a typed error naming the type, as the other public constructors give
+    for build in (qt_new, CoveredElement):
+        for g, name in (("ab", "str"), (pf_new(1, 2), "PFrac"), (None, "NoneType"),
+                        (longitude().w, "str")):
+            with pytest.raises(TypeError, match=f"takes a BraidElement, not {name}$"):
+                build(g)
 
 
 def test_longitude_slot_gives_fibre_mate():
@@ -81,12 +90,15 @@ def test_quandle_axioms_on_sampled_triples(pool):
 
 
 def test_both_displayed_second_slot_forms_agree(pool):
+    m, m_inv = meridian(), meridian().inv()
     rng = random.Random(34)
     for _ in range(200):
         p, q = rng.choice(pool), rng.choice(pool)
-        f1, f2 = qt_op_second_slot_forms(p, q)
+        # * : g' x^-1 y and m^-1 g' h'^-1 m h'
+        f1, f2 = p.g * p.x.inv() * q.x, m_inv * p.g * q.g.inv() * m * q.g
         assert braid_eq(f1, f2) and braid_eq(qt_op(p, q).g, f1)
-        g1, g2 = qt_op_inv_second_slot_forms(p, q)
+        # *̄ : g' x y^-1 and m g' h'^-1 m^-1 h'
+        g1, g2 = p.g * p.x * q.x.inv(), m * p.g * q.g.inv() * m_inv * q.g
         assert braid_eq(g1, g2) and braid_eq(qt_op_inv(p, q).g, g1)
 
 

@@ -14,7 +14,6 @@ from trefoil import (
     PF_ZERO,
     NormalForm,
     QWord,
-    braid_relation_holds,
     frac_to_word,
     normal_form_valid,
     normalize,
@@ -217,16 +216,26 @@ def test_words_equal_cross_check_survives_optimized_mode():
     assert proc.stdout == "rewriting and fraction evaluation disagree on ab vs ab\n"
 
 
+def assert_braid_relation(x):
+    """x * a * b * a = x * b * a * b: equal normal forms, equal fraction
+    images, and words_equal agreeing."""
+    w = x if isinstance(x, QWord) else parse_word(x)
+    lhs, rhs = w.extended("aba"), w.extended("bab")
+    assert normalize(lhs) == normalize(rhs)
+    assert word_to_frac(lhs) == word_to_frac(rhs)
+    assert words_equal(lhs, rhs)
+
+
 def test_braid_relation_examples():
-    assert braid_relation_holds("a")
-    assert braid_relation_holds("b")
-    assert braid_relation_holds("bAAAbb")
+    assert_braid_relation("a")
+    assert_braid_relation("b")
+    assert_braid_relation("bAAAbb")
 
 
 def test_braid_relation_random_words():
     rng = random.Random(5)
     for _ in range(100):
-        assert braid_relation_holds(random_word(rng))
+        assert_braid_relation(random_word(rng))
 
 
 def test_word_op_is_homomorphic_to_the_fraction_quandle():
