@@ -9,7 +9,6 @@ green, only when it fails with the computed counterexample.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import time
@@ -114,11 +113,15 @@ def random_braid(rng: random.Random, max_len: int) -> BraidElement:
 
 def sample_covered_pool(rng: random.Random, count: int, max_len: int) -> list[CoveredElement]:
     """Distinct covered elements built over random exponent-zero words."""
-    pool: dict[CoveredElement, None] = {}  # in the order first drawn
-    lengths = range(0, max_len + 1, 2)
+    pool: list[CoveredElement] = []
+    seen = set()
+    lengths = [n for n in range(0, max_len + 1, 2)]
     while len(pool) < count:
-        pool[qt_new(random_zero_braid(rng, rng.choice(lengths)))] = None
-    return list(pool)
+        el = qt_new(random_zero_braid(rng, rng.choice(lengths)))
+        if el not in seen:
+            seen.add(el)
+            pool.append(el)
+    return pool
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +150,15 @@ def _word_image(w: QWord) -> Optional[PFrac]:
 
 
 _FRACTION_REFERENCE = (pf_op, pf_op_inv, _itself)
-# the first two routes take sampled fractions, the last raw words
+# routes whose samples are fractions
 _FRACTION_ROUTES = [
     ("transvection matrices", _sole,
      lambda x, y: apply_matrix(transvection_matrix(y), x), _adjugate_op, _itself),
     ("symplectic sign lifts", lambda x: ((x.p, x.q), (-x.p, -x.q)),
      sympl_op, sympl_op_inv, projectivize),
+]
+# routes whose samples are raw words
+_WORD_ROUTES = [
     ("words", _sole, word_op, word_op_inv, _word_image),
 ]
 
@@ -171,20 +177,27 @@ _COVERED_ROUTES = [
 ]
 
 
-def _routes_agree(reference, routes, pairs) -> tuple[Optional[str], dict[str, int]]:
-    """The first sampled pair at which route values u and v, standing for x
-    and y, give op(u, v), op_inv(u, v) or op_inv(op(u, v), v) standing, under
-    the reference's key, for other than x * y, x *̄ y or x, else None; and
-    the number of value pairs each route checked."""
+def _routes_agree(reference, routes, pairs,
+                  canonical: bool = True) -> tuple[Optional[str], dict[str, int]]:
+    """The first failure on the sampled pairs, else None; and the number of
+    value pairs each route checked.  On route values u and v standing for x
+    and y, op(u, v) and op_inv(u, v) must stand, under the reference's key,
+    for x * y and x *̄ y, and op_inv(op(u, v), v) must undo op: be u itself
+    when route values are canonical, else stand for x, as raw words do,
+    whose key is exact on their quandle."""
     ref_op, ref_op_inv, same = reference
     checked = dict.fromkeys((route[0] for route in routes), 0)
     for (name, encode, op, op_inv, key), (s, t) in itertools.product(routes, pairs):
         for u, v in itertools.product(encode(s), encode(t)):
             x, y = key(u), key(v)
             w = op(u, v)
-            if (same(key(w)), same(key(op_inv(u, v))), same(key(op_inv(w, v)))) != (
-                    same(ref_op(x, y)), same(ref_op_inv(x, y)), same(x)):
+            if (same(key(w)), same(key(op_inv(u, v)))) != (same(ref_op(x, y)),
+                                                           same(ref_op_inv(x, y))):
                 return f"the {name} route and the reference disagree at {s}, {t}", checked
+            undone = op_inv(w, v)
+            undoes = undone == u if canonical else same(key(undone)) == same(x)
+            if not undoes:
+                return f"the {name} route's inverse does not undo it at {u}, {v}", checked
             checked[name] += 1
     return None, checked
 
@@ -208,15 +221,21 @@ def _criterion_worked_identities() -> tuple[bool, str]:
 
 
 def _criterion_transvection_matrices() -> tuple[bool, str]:
-    for y, want in ((PF_INFINITY, [[1, 1], [0, 1]]), (PF_ZERO, [[1, 0], [-1, 1]])):
-        if transvection_matrix(y).rows() != want:
-            return False, f"matrix of *({y}) is {transvection_matrix(y)}, expected {want}"
+    m_b = transvection_matrix(PF_INFINITY)
+    m_a = transvection_matrix(PF_ZERO)
+    if m_b.rows() != [[1, 1], [0, 1]]:
+        return False, f"matrix of *(1/0) is {m_b}, expected [[1,1],[0,1]]"
+    if m_a.rows() != [[1, 0], [-1, 1]]:
+        return False, f"matrix of *(0/1) is {m_a}, expected [[1,0],[-1,1]]"
     rng = random.Random(1002)
     bound = 1000
     pairs = [(random_pfrac(rng, bound), random_pfrac(rng, bound)) for _ in range(10_000)]
-    # the adjugate's checked constructor requires every determinant 1; the
-    # fraction quandle is the projection of the symplectic operation on Z⊕Z
-    failure, checked = _routes_agree(_FRACTION_REFERENCE, _FRACTION_ROUTES[:2], pairs)
+    for _, y in pairs:
+        m = transvection_matrix(y)
+        if m.det() != 1:
+            return False, f"det of matrix for {y} is {m.det()}"
+    # the fraction quandle is the projection of the symplectic operation on Z⊕Z
+    failure, checked = _routes_agree(_FRACTION_REFERENCE, _FRACTION_ROUTES, pairs)
     if failure:
         return False, failure
     return True, (f"exact generators; {checked['transvection matrices']} random pairs with "
@@ -291,7 +310,14 @@ def _criterion_axioms() -> tuple[bool, str]:
             return False, f"distributivity fails at {x}, {y}, {z}"
 
     pool = sample_covered_pool(rng, 24, 12)
-    pooled_op = functools.cache(lambda i, j: qt_op(pool[i], pool[j]))
+    op_memo: dict[tuple[int, int], CoveredElement] = {}
+
+    def pooled_op(i: int, j: int) -> CoveredElement:
+        key = (i, j)
+        if key not in op_memo:
+            op_memo[key] = qt_op(pool[i], pool[j])
+        return op_memo[key]
+
     for i, p in enumerate(pool):
         if qt_op(p, p) != p:
             return False, f"covered-quandle idempotence fails at pool element {i}"
@@ -333,8 +359,8 @@ def _criterion_isomorphism_certificate() -> tuple[bool, str]:
             return False, f"normalize({w}) violates the normal-form constraints"
     # the word quandle's own operations on consecutive short words
     short = words[:short_words]
-    failure, checked = _routes_agree(_FRACTION_REFERENCE, _FRACTION_ROUTES[2:],
-                                     list(zip(short, short[1:])))
+    failure, checked = _routes_agree(_FRACTION_REFERENCE, _WORD_ROUTES,
+                                     list(zip(short, short[1:])), canonical=False)
     if failure:
         return False, failure
     pairs = checked["words"]
@@ -348,7 +374,7 @@ def _criterion_isomorphism_certificate() -> tuple[bool, str]:
 
 def _criterion_continued_fractions() -> tuple[bool, str]:
     bound, term_max, random_lists = 200, 12, 20_000
-    fractions = 0
+    fractions = lists = 0
     for q in range(1, bound + 1):
         for p in range(-bound, bound + 1):
             if gcd(abs(p), q) != 1:
@@ -358,29 +384,46 @@ def _criterion_continued_fractions() -> tuple[bool, str]:
             if cf_eval(cf_expand(r)) != r:
                 return False, f"eval(expand({p}/{q})) != {p}/{q}"
 
+    def check(terms: tuple[int, ...]) -> Optional[str]:
+        nonlocal lists
+        lists += 1
+        cf = ContinuedFraction(terms)
+        if cf_expand(cf_eval(cf)) != cf:
+            return f"expand(eval({list(terms)})) != {list(terms)}"
+        return None
+
     # exhaustive over the full coefficient ranges for n <= 4; the literal
     # n <= 8 grid has ~8.6e8 lists, far beyond the runtime budget, so the
     # longer lengths are covered by random draws from the same ranges
-    firsts, middles, lasts = (range(-term_max, term_max + 1), range(1, term_max + 1),
-                              range(2, term_max + 1))
-    grid = [(k1,) for k1 in firsts]
-    for n in range(3):
-        grid += itertools.product(firsts, *[middles] * n, lasts)
+    for k1 in range(-term_max, term_max + 1):
+        err = check((k1,))
+        if err:
+            return False, err
+        for kn in range(2, term_max + 1):
+            err = check((k1, kn))
+            if err:
+                return False, err
+            for k2 in range(1, term_max + 1):
+                err = check((k1, k2, kn))
+                if err:
+                    return False, err
+                for k3 in range(1, term_max + 1):
+                    err = check((k1, k2, k3, kn))
+                    if err:
+                        return False, err
+    grid_lists = lists
     rng = random.Random(1005)
-    draws = []
     for _ in range(random_lists):
         n = rng.randint(5, 8)
         terms = [rng.randint(-term_max, term_max)]
         terms += [rng.randint(1, term_max) for _ in range(n - 2)]
         terms.append(rng.randint(2, term_max))
-        draws.append(tuple(terms))
-    for terms in grid + draws:
-        cf = ContinuedFraction(terms)
-        if cf_expand(cf_eval(cf)) != cf:
-            return False, f"expand(eval({list(terms)})) != {list(terms)}"
+        err = check(tuple(terms))
+        if err:
+            return False, err
     return True, (f"{fractions} fractions with |p|,|q| <= {bound} round-trip; exhaustive "
-                  f"term grid for n <= 4, |k| <= {term_max} ({len(grid)} lists) plus "
-                  f"{len(draws)} random lists for n in 5..8 (full grid infeasible "
+                  f"term grid for n <= 4, |k| <= {term_max} ({grid_lists} lists) plus "
+                  f"{lists - grid_lists} random lists for n in 5..8 (full grid infeasible "
                   f"in budget)")
 
 
@@ -450,9 +493,12 @@ def _criterion_power_formulas() -> tuple[bool, str]:
             if pf_op_pow(x, y, -k) != backward:
                 return False, f"power formula fails at {x} * {y}^-{k}"
     # the special cases against their independent closed forms
-    special = [(sign, gen, closed) for gen, closed in (
-        (PF_ZERO, lambda x, k: pf_new(x.p, x.q - k * x.p)),
-        (PF_INFINITY, lambda x, k: pf_new(x.p + k * x.q, x.q))) for sign in (1, -1)]
+    special = (
+        (1, PF_ZERO, lambda x, k: pf_new(x.p, x.q - k * x.p)),
+        (-1, PF_ZERO, lambda x, k: pf_new(x.p, x.q - k * x.p)),
+        (1, PF_INFINITY, lambda x, k: pf_new(x.p + k * x.q, x.q)),
+        (-1, PF_INFINITY, lambda x, k: pf_new(x.p + k * x.q, x.q)),
+    )
     for sign, gen, closed in special:
         for _ in range(draws):
             x = random_pfrac(rng, draw_bound)

@@ -14,7 +14,15 @@ from math import gcd
 
 import pytest
 
+from trefoil import acceptance
 from trefoil.acceptance import _ALEXANDER_RINGS, CRITERIA, _conj_core_groups, run_criterion
+from trefoil.pfrac import (
+    PF_INFINITY,
+    PF_ZERO,
+    TransvectionMatrix,
+    sympl_op_inv,
+    transvection_matrix,
+)
 from trefoil.quandle import check_quandle, transvection_quandle
 
 _EXPECTED_GREEN = [c for c in CRITERIA if c[0] != 10]
@@ -131,3 +139,32 @@ def test_criterion_9_counts_its_kernel_checks():
     # each of 300 random pairs of raw texts checks one inverse and one product
     assert ("inv and * equal the Garside forms and images of the parsed inverted and "
             "concatenated raw texts of <= 200 letters (600 results)") in run_criterion(9).detail
+
+
+def _negated_sympl_op_inv(u, v):
+    return tuple(-c for c in sympl_op_inv(u, v))
+
+
+def test_criterion_2_decides_the_symplectic_undo_on_z_plus_z(monkeypatch):
+    # the negated vector projects to the right class, so only the exact
+    # comparison on Z⊕Z catches it
+    routes = [(name, encode, op, _negated_sympl_op_inv if op_inv is sympl_op_inv else op_inv, key)
+              for name, encode, op, op_inv, key in acceptance._FRACTION_ROUTES]
+    monkeypatch.setattr(acceptance, "_FRACTION_ROUTES", routes)
+    result = run_criterion(2)
+    assert not result.ok
+    assert result.detail.startswith("the symplectic sign lifts route's inverse does not undo it")
+
+
+def _det_two_off_the_generators(y):
+    m = transvection_matrix(y)
+    if y in (PF_INFINITY, PF_ZERO):
+        return m
+    return TransvectionMatrix._trusted(2 * m.a, 2 * m.b, m.c, m.d)
+
+
+def test_criterion_2_reports_a_wrong_determinant(monkeypatch):
+    monkeypatch.setattr(acceptance, "transvection_matrix", _det_two_off_the_generators)
+    result = run_criterion(2)
+    assert not result.ok
+    assert re.fullmatch(r"det of matrix for -?\d+/\d+ is 2", result.detail), result.detail
