@@ -16,12 +16,11 @@ and coerce nothing (a bool, float or str is not an int); values the
 library builds from values valid by an argument stated where they are
 built go through the class's one trusted builder and are never checked
 again: `cls._trusted(*fields)`, generated by `_trusted.value_type`, or for
-PFrac the C-level `PFrac._trusted((p, q))` and its bulk form
-`PFrac._trusted_all(pairs)`, attached by `_trusted.pair_type`.  A
-braid's Burau image at t = -1 and a covered element's meridian conjugate x
-are fields set in closed form by each operation, and a finite group's
-size, identity and inverses are fields its one constructor,
-FiniteGroup(table), derives from the table.
+PFrac the C-level `PFrac._trusted((p, q))`, attached by
+`_trusted.pair_type`.  A braid's Burau image at t = -1 and a covered
+element's meridian conjugate x are fields set in closed form by each
+operation, and a finite group's size, identity and inverses are fields its
+one constructor, FiniteGroup(table), derives from the table.
 """
 
 from .braid import (

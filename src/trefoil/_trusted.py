@@ -1,6 +1,6 @@
 """Value types: frozen dataclasses on slots, each with one trusted builder;
-the pair type on tuple, with its trusted builder and that builder's bulk
-form; and the one trusted builder of a Fraction."""
+the pair type on tuple, with its trusted builder; and the one trusted
+builder of a Fraction."""
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -25,15 +25,11 @@ def value_type(cls):
 
 
 def pair_type(cls):
-    """Attach to cls, a tuple subclass with __slots__ = (), its two builders
-    that skip the checks, both C-level: cls._trusted(pair) holds the two
-    items of the tuple pair as given, without running cls.__new__, and
-    cls._trusted_all(pairs) is an iterator of cls._trusted over pairs.
-    They are only for pairs valid by an argument stated where they are
-    built."""
-    build = partial(tuple.__new__, cls)
-    cls._trusted = build
-    cls._trusted_all = partial(map, build)
+    """Attach to cls, a tuple subclass with __slots__ = (), its C-level
+    builder that skips the checks: cls._trusted(pair) holds the two items
+    of the tuple pair as given, without running cls.__new__.  It is only
+    for pairs valid by an argument stated where they are built."""
+    cls._trusted = partial(tuple.__new__, cls)
     return cls
 
 

@@ -14,12 +14,12 @@ and the matrix action are determinant-one integer maps, which send
 primitive pairs to primitive pairs, so their results are only signed, in
 place, and built by the C-level trusted builder.
 
-orbit_bfs witnesses that 0/1 and 1/0 generate the quandle: one
-breadth-first loop over a flat bytearray grid of signed plain-int pairs,
-with the four generator steps inline in closed form and the queue held as
-parallel lists, so a step allocates only its witness word.  Every reached
-point is then built as a PFrac in one bulk pass.  The report stores only
-the witness words; the search tree is read back from their prefixes.
+orbit_bfs witnesses that 0/1 and 1/0 generate the quandle.  Its search
+tree is known in advance, two Calkin-Wilf trees under 1/1 and -1/1, so
+the breadth-first search is a walk of that tree on plain ints that keeps
+no visited set.  Every reached point is then built as a PFrac in one
+pass.  The report stores only the witness words; the search tree is read
+back from their prefixes.
 """
 
 from __future__ import annotations
@@ -336,75 +336,53 @@ def orbit_bfs(targets: Iterable[PFrac], bound: int) -> OrbitReport:
     visiting only fractions with |p|, |q| <= bound, and report which targets
     were reached together with a witness word for each.
 
-    One breadth-first loop over a flat grid: the pair (u, v) is cell
-    origin + u·side + v of a bytearray, for |u|, |v| <= 2·bound, which holds
-    every step from the box.  A reached point marks both of its signs, and
-    the cells outside the box are marked from the start, so a step is one
-    lookup and nothing is built for a step not taken.  The steps are inline
-    in closed form: * 0/1 sends p/q to p/(q - p), *̄ 0/1 to p/(q + p), * 1/0
-    to (p + q)/q and *̄ 1/0 to (p - q)/q; only the first two can need a sign
-    change, as q >= 0 and q = 0 only at 1/0.  The search runs on plain int
-    pairs, and its queue is four parallel lists of the reached points' p,
-    q, word and cell, so a step taken allocates only its word; the letter
-    order a, A, b, B decides which shortest word wins.  Every PFrac is
-    built after the search, in one pass of the bulk builder over the
-    reached pairs."""
+    The steps a, A, b, B (* 0/1, *̄ 0/1, * 1/0, *̄ 1/0) send x to x/(1 - x),
+    x/(1 + x), x + 1 and x - 1.  The breadth-first search is a walk of a
+    tree known in advance, by this lemma on the depth d, the distance from
+    {0/1, 1/0} by steps inside the box.  sigma(x) = -x and rho(x) = 1/x map
+    the box and {0/1, 1/0} to themselves and steps to steps (sigma swaps
+    a<->A and b<->B, rho swaps a<->B and A<->b), so they preserve d.  For
+    x > 1, x - 1 is the only neighbour at depth d(x) - 1, by induction on
+    d(x) (no x > 1 has d <= 1): were x + 1, x/(1 + x) or x/(1 - x) at depth
+    d(x) - 1, the hypothesis applied to x + 1, to 1 + 1/x = rho(x/(1 + x))
+    or to 1 + 1/(x - 1) = sigma(x/(1 - x)) would put x or x - 1 at depth
+    d(x) - 2.  By sigma and rho, every point but 0, 1/0 and ±1 has exactly
+    one neighbour one level nearer, its parent: x - 1 above 1, x + 1 below
+    -1, x/(1 - x) on (0, 1) and x/(1 + x) on (-1, 0).  The neighbours ±1 of
+    1/0 are reached from 0/1 first, as "ab" and "aB".  So the search finds
+    exactly each point's children, in letter order, and no step changes a
+    sign: a positive p/q has the children p/(q + p) ("A") and (p + q)/q
+    ("b"), a negative one p/(q - p) ("a") and (p - q)/q ("B"), and both are
+    in the box exactly when q + |p| <= bound.
+
+    The walk runs on plain ints, its queue three parallel lists of p, q and
+    word, so a step allocates only its word; every PFrac is built after
+    it, in one pass of the C-level builder."""
     _require_ints(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
     targets = tuple(targets)
-    side = 4 * bound + 1
-    last = side * side - 1  # cell c holds (u, v) and cell last - c (-u, -v)
-    origin = last // 2      # the cell of (0, 0)
-    wall = b"\x01" * side
-    row = b"\x01" * bound + bytes(2 * bound + 1) + b"\x01" * bound
-    seen = bytearray(wall * bound + row * (2 * bound + 1) + wall * bound)
-    ps, qs, words, cells = [0, 1], [1, 0], ["a", "b"], [origin + 1, origin + side]
-    for c in cells:
-        seen[c] = seen[last - c] = 1
-    push_p, push_q, push_word, push_cell = ps.append, qs.append, words.append, cells.append
-    # the four lists grow together as they are read: they are the queue
-    for p, q, word, cell in zip(ps, qs, words, cells):
-        c = cell - p  # a: p/(q - p)
-        if not seen[c]:
-            seen[c] = seen[last - c] = 1
-            push_word(word + "a")
-            if q >= p:
-                push_p(p)
-                push_q(q - p)
-                push_cell(c)
-            else:
-                push_p(-p)
-                push_q(p - q)
-                push_cell(last - c)
-        c = cell + p  # A: p/(q + p)
-        if not seen[c]:
-            seen[c] = seen[last - c] = 1
-            push_word(word + "A")
-            if q + p > 0:
+    ps, qs, words = [1, -1], [1, 1], ["ab", "aB"]
+    push_p, push_q, push_word = ps.append, qs.append, words.append
+    # the three lists grow together as they are read: they are the queue
+    for p, q, word in zip(ps, qs, words):
+        if p > 0:
+            if p + q <= bound:
                 push_p(p)
                 push_q(q + p)
-                push_cell(c)
-            else:
-                push_p(-p)
-                push_q(-q - p)
-                push_cell(last - c)
-        shift = q * side
-        c = cell + shift  # b: (p + q)/q
-        if not seen[c]:
-            seen[c] = seen[last - c] = 1
-            push_p(p + q)
-            push_q(q)
-            push_word(word + "b")
-            push_cell(c)
-        c = cell - shift  # B: (p - q)/q
-        if not seen[c]:
-            seen[c] = seen[last - c] = 1
+                push_word(word + "A")
+                push_p(p + q)
+                push_q(q)
+                push_word(word + "b")
+        elif q - p <= bound:
+            push_p(p)
+            push_q(q - p)
+            push_word(word + "a")
             push_p(p - q)
             push_q(q)
             push_word(word + "B")
-            push_cell(c)
-    witnesses = dict(zip(PFrac._trusted_all(zip(ps, qs)), words))
+    witnesses = {PF_ZERO: "a", PF_INFINITY: "b"}
+    witnesses.update(zip(map(_pfrac, zip(ps, qs)), words))
     reached = {t: w for t in targets if (w := witnesses.get(t)) is not None}
     return OrbitReport(
         bound=bound,

@@ -10,6 +10,7 @@ its own test below and in tests/test_quandle.py.
 """
 
 import re
+from functools import cache
 from math import gcd
 
 import pytest
@@ -27,13 +28,17 @@ from trefoil.quandle import check_quandle, transvection_quandle
 
 _EXPECTED_GREEN = [c for c in CRITERIA if c[0] != 10]
 
+# each criterion's unpatched result, computed once per session; the tests
+# that monkeypatch a criterion call run_criterion afresh
+_criterion = cache(run_criterion)
+
 
 @pytest.mark.parametrize(
     "number", [c[0] for c in _EXPECTED_GREEN],
     ids=[f"{c[0]:02d}-{c[1]}" for c in _EXPECTED_GREEN],
 )
 def test_criterion(number):
-    result = run_criterion(number)
+    result = _criterion(number)
     print(result.line())
     assert result.ok, result.detail
 
@@ -45,7 +50,7 @@ def test_criterion(number):
     "axiom fails; antisymmetry only yields a rack when 2 is regular",
 )
 def test_criterion_10_as_stated():
-    result = run_criterion(10)
+    result = _criterion(10)
     print(result.line())
     assert result.ok, result.detail
 
@@ -53,7 +58,7 @@ def test_criterion_10_as_stated():
 def test_criterion_10_verifiable_content():
     """The parts of criterion 10 that computation confirms: the fixed Z/2
     regression behaviour and the alternating/antisymmetric equivalences."""
-    result = run_criterion(10)
+    result = _criterion(10)
     print(result.line())
     # the criterion run must fail exactly on the rack claim, reporting the
     # computed counterexample, with idempotence failing as stated
@@ -68,14 +73,14 @@ def test_criterion_10_verifiable_content():
 
 
 def test_criterion_10_reports_refuted_as_expected():
-    result = run_criterion(10)
+    result = _criterion(10)
     assert result.status == "REFUTED-AS-EXPECTED"
     assert result.to_json()["status"] == "REFUTED-AS-EXPECTED"
     assert result.line().startswith("REFUTED-AS-EXPECTED  10  symplectic-footnote")
 
 
 def test_criterion_3_counts_its_cases():
-    result = run_criterion(3)
+    result = _criterion(3)
     groups = _conj_core_groups()
     orders = list(range(1, 65)) + [m ** (len(h) - 1) for m, h in _ALEXANDER_RINGS]
     orders += [g.size for g in groups] * 2
@@ -89,13 +94,13 @@ def test_criterion_3_counts_its_cases():
 
 def test_criteria_2_4_5_6_count_their_cases():
     # each pair has four sign lifts (±x, ±y) to Z⊕Z
-    assert run_criterion(2).detail == (
+    assert _criterion(2).detail == (
         "exact generators; 10000 random pairs with |p|,|q| <= 1000: the matrix and its "
         "adjugate act as * and *̄, every determinant 1; on their 40000 sign lifts to Z⊕Z "
         "the symplectic operation and its inverse project to * and *̄; on both, the "
         "inverse undoes the operation")
     # word_op and word_op_inv on each of the 999 consecutive pairs of short words
-    detail = run_criterion(4).detail
+    detail = _criterion(4).detail
     m = re.fullmatch(r"1000 random words of <= 30 letters and 4 of 10000 letters "
                      r"\((\d+) letters\): rewriting is sound, both routes agree, "
                      r"all outputs valid; word_op and word_op_inv on 999 consecutive pairs "
@@ -106,23 +111,23 @@ def test_criteria_2_4_5_6_count_their_cases():
     assert 40_000 <= int(m.group(1)) <= 40_000 + 1000 * 30
     fractions = sum(gcd(abs(p), q) == 1 for q in range(1, 201) for p in range(-200, 201))
     grid = 25 * sum(11 * 12 ** (n - 2) if n >= 2 else 1 for n in range(1, 5))
-    assert run_criterion(5).detail == (
+    assert _criterion(5).detail == (
         f"{fractions} fractions with |p|,|q| <= 200 round-trip; exhaustive term grid for "
         f"n <= 4, |k| <= 12 ({grid} lists) plus 20000 random lists for n in 5..8 "
         f"(full grid infeasible in budget)")
-    assert run_criterion(6).detail == (
+    assert _criterion(6).detail == (
         "holds on 10000 random fractions with |p|,|q| <= 1000000 and 100 random words "
         "of <= 30 letters")
 
 
 def test_criteria_1_7_8_count_their_cases():
-    assert run_criterion(1).detail == (
+    assert _criterion(1).detail == (
         "both displayed product chains reproduce exactly (4 products)")
     targets = 1 + sum(gcd(abs(p), q) == 1 for q in range(1, 31) for p in range(-30, 31))
-    assert run_criterion(7).detail == (
+    assert _criterion(7).detail == (
         f"all {targets} fractions with |p|,|q| <= 30 reached; all {targets} witness words "
         f"verify; all {targets - 2} search edges are operation steps by their generator")
-    assert run_criterion(8).detail == (
+    assert _criterion(8).detail == (
         "closed form matches iteration for |k| <= 20 on 1000 random pairs with |p|,|q| <= 100 "
         "(41000 powers); 4 special cases (0/1 and 1/0, k > 0 and k < 0) match their closed "
         "forms on 1000 fractions each with |p|,|q| <= 1000")
@@ -130,7 +135,7 @@ def test_criteria_1_7_8_count_their_cases():
 
 def test_criterion_9_counts_its_route_checks():
     # each of 1000 pairs checks * and *̄ against both displayed second slots
-    assert run_criterion(9).detail.startswith(
+    assert _criterion(9).detail.startswith(
         "* and *̄ second slots equal both displayed forms (4000 comparisons) and *̄ undoes * "
         "on both, stored x equals g'^-1 m g' (2000 results); ")
 
@@ -138,7 +143,7 @@ def test_criterion_9_counts_its_route_checks():
 def test_criterion_9_counts_its_kernel_checks():
     # each of 300 random pairs of raw texts checks one inverse and one product
     assert ("inv and * equal the Garside forms and images of the parsed inverted and "
-            "concatenated raw texts of <= 200 letters (600 results)") in run_criterion(9).detail
+            "concatenated raw texts of <= 200 letters (600 results)") in _criterion(9).detail
 
 
 def _negated_sympl_op_inv(u, v):

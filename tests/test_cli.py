@@ -258,6 +258,11 @@ def test_json_word_payloads():
     expected = {"input": w, "normal_form": normalize(w).render(),
                 "fraction": str(word_to_frac(w))}
     assert out == json.dumps(expected) + "\n"
+    code, out, _ = go("--json", "frac2word", "-2/6")
+    assert code == 0
+    expected = {"input": "-2/6", "normal_form": frac_to_word(PFrac(-1, 3)).render(),
+                "fraction": "-1/3"}
+    assert out == json.dumps(expected) + "\n"
 
 
 def test_matrix_json_payload():

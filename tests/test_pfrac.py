@@ -422,6 +422,34 @@ def test_orbit_bfs_matches_the_operation_search():
         assert pf_new(bound + 1, 1) in report.unreached
 
 
+def _parent(x):
+    """The neighbour one level nearer the roots that orbit_bfs's tree walk
+    relies on: x - 1 above 1, x + 1 below -1, x/(1 - x) on (0, 1) and
+    x/(1 + x) on (-1, 0)."""
+    p, q = x
+    if p > q:
+        return pf_new(p - q, q)
+    if p < -q:
+        return pf_new(p + q, q)
+    return pf_new(p, q - p) if p > 0 else pf_new(p, q + p)
+
+
+def test_every_point_but_the_roots_and_plus_minus_one_has_one_parent():
+    # the lemma orbit_bfs walks by, read off the operation search: apart
+    # from 0/1, 1/0 and ±1/1, each point has exactly one in-box step
+    # neighbour one level nearer the roots, and it is _parent's
+    steps = ((PF_ZERO, pf_op), (PF_ZERO, pf_op_inv),
+             (PF_INFINITY, pf_op), (PF_INFINITY, pf_op_inv))
+    exempt = {PF_ZERO, PF_INFINITY, pf_new(1, 1), pf_new(-1, 1)}
+    for bound in range(1, 61):
+        witnesses, _ = _orbit_by_operations([], bound)
+        depth = {x: len(word) - 1 for x, word in witnesses.items()}
+        for x in depth.keys() - exempt:
+            nearer = [y for gen, step in steps
+                      if depth.get(y := step(x, gen)) == depth[x] - 1]
+            assert nearer == [_parent(x)], (bound, x)
+
+
 def test_orbit_bfs_and_the_orbit_command_match_the_search_on_pfracs(monkeypatch):
     rng = random.Random(18)
     for bound in range(1, 61):
@@ -450,14 +478,14 @@ def test_orbit_bfs_and_the_orbit_command_match_the_search_on_pfracs(monkeypatch)
 
 def test_orbit_bfs_search_loop_calls_only_the_queue_append():
     # the search runs on plain ints and allocates no per-node container:
-    # one loop zips the four queue lists, and its body calls no function
+    # one loop zips the three queue lists, and its body calls no function
     # but their appends, bound once, builds no PFrac and has no tuple display
     tree = ast.parse(textwrap.dedent(inspect.getsource(orbit_bfs)))
     loops = [n for n in ast.walk(tree) if isinstance(n, ast.For)
              and isinstance(n.iter, ast.Call) and n.iter.func.id == "zip"]
     assert len(loops) == 1
     queue = [arg.id for arg in loops[0].iter.args]
-    assert len(queue) == 4
+    assert len(queue) == 3
     bound_names = {target.id: value for n in ast.walk(tree) if isinstance(n, ast.Assign)
                    and isinstance(n.targets[0], ast.Tuple) and isinstance(n.value, ast.Tuple)
                    for target, value in zip(n.targets[0].elts, n.value.elts)}

@@ -275,6 +275,8 @@ def test_normal_form_render_blocks():
     assert NormalForm((-2, 1, 2)).render() == "abbABB"
     assert NormalForm((3,)).render() == "abbb"
     assert NormalForm((-2,)).render() == "aBB"
+    for nf in (NormalForm((2, 3)), NormalForm(()), NormalForm((-2, 1, 2))):
+        assert str(nf) == nf.render()
 
 
 def test_normal_form_base_parity():
