@@ -139,8 +139,9 @@ def _itself(value):
 
 
 def _adjugate_op(x: PFrac, y: PFrac) -> PFrac:
+    # criterion 2 has checked the determinant of every y's matrix
     m = transvection_matrix(y)
-    return apply_matrix(TransvectionMatrix(m.d, -m.b, -m.c, m.a), x)
+    return apply_matrix(TransvectionMatrix._trusted(m.d, -m.b, -m.c, m.a), x)
 
 
 def _word_image(w: QWord) -> Optional[PFrac]:

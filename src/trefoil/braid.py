@@ -202,6 +202,8 @@ class BraidElement:
         return BraidElement._trusted(d, _inverse_word(factors), (s, -q, -r, p))
 
     def __pow__(self, k: int) -> "BraidElement":
+        if type(k) is not int:
+            raise ValueError(f"the power of a braid must be an int, got {k!r}")
         if k < 0:
             return self.inv() ** (-k)
         out, square = BraidElement.identity(), self

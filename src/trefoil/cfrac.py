@@ -132,7 +132,7 @@ def cf_expand(r: Rational) -> ContinuedFraction:
         p, q = r
         if not q:
             raise ValueError("1/0 is not a finite rational")
-    elif isinstance(r, (int, Fraction)):
+    elif type(r) is int or isinstance(r, Fraction):
         p, q = r.numerator, r.denominator
     else:
         raise TypeError(f"cf_expand takes an int, a Fraction or a PFrac, not {type(r).__name__}")

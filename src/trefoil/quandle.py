@@ -35,28 +35,17 @@ The scans compare whole rows rather than looping over cells in Python.  Each
 is built on one primitive, gather(m, s) = (m[s[0]], m[s[1]], ...): for fixed
 c, right distributivity compares col[T[a][b]] with T[col[a]][col[b]] over
 all (a, b) at once, with col the column of c, and for fixed s associativity
-compares T[T[x][s]][y] with T[x][T[s][y]] over all (x, y).  Tables of order
-up to 256 are bytes and gather is bytes.translate; larger ones are tuples
-and gather is an itemgetter.  A failure is located in the order of the
-scalar scan (c, a, b for distributivity; a, b, c for associativity), so the
-first counterexample found is the one a cell-by-cell loop would find.
+compares T[T[x][s]][y] with T[x][T[s][y]] over all (x, y).  A failure is
+located in the order of the scalar scan (c, a, b for distributivity; a, b, c
+for associativity), so the first counterexample found is the one a
+cell-by-cell loop would find.  The stock tables are built with the same
+gather and join, a whole row or column per step rather than a Python step
+per cell.
 
-The stock tables are built with the same gather and join, a whole row or
-column per step rather than a Python step per cell:
-
-* a cyclic group's row a is range(n) rotated by a, a slice;
-* a group given by generators (dihedral and symmetric groups, the additive
-  group (Z/n)^d of an Alexander quandle) has row x*s = gather(row x, row s),
-  so every row follows, in breadth-first order, from the generators' rows;
-* the dihedral quandle's row i, j -> 2j - i, is one slice with step 2 of
-  0..n-1 repeated three times; the Alexander quandle's row a is the
-  sequence b -> b - t b gathered through the addition row of t a;
-* column b of a group's conjugation quandle is row b^-1 gathered through
-  column b, and of its core quandle the inverse map gathered through row b
-  and then through column b.
-
-The same code runs on bytes up to order 256 and on tuples above; tables are
-stored as tuples of int tuples either way.
+Rows are bytes up to order 256, where gather is one bytes.translate, and
+tuples above, where it is an itemgetter: bytes index only 256 values.  The
+choice is made once, by _codec, and the same code runs on either; tables
+are stored as tuples of int tuples either way.
 """
 
 from __future__ import annotations
@@ -160,27 +149,40 @@ class AxiomReport:
         }
 
 
+_BYTE_VALUES = bytes(range(256))
+
+
 def _codec(n: int) -> tuple:
-    """The sequence type of the rows of an order-n table and the one
-    primitive the scans and the constructors are built on: gather(m, s),
-    the sequence m[s[i]] for every i, with join, which concatenates rows.
-    Up to order 256 rows are bytes and gather is one bytes.translate
-    through m, of length n, padded to 256 entries; above, rows are tuples
-    and gather is an itemgetter, whose s here always has at least n > 256
-    indices (with one index an itemgetter returns a scalar, not a tuple)."""
+    """The one decision of how an order-n table is encoded: its identity row
+    idx, 0..n-1, in the row type; row, which makes that type from ints; the
+    one primitive the scans and the constructors are built on, gather(m, s),
+    the sequence m[s[i]] for every i; join, which concatenates rows; and
+    permutes(cols), a list saying whether each column is a permutation.
+    Up to order 256 rows are bytes and gather is one bytes.translate through
+    m, of length n, padded to 256 entries; bytes.maketrans(col, idx) sends
+    each value to the last row holding it, so col translated through it is
+    idx exactly when no value repeats.  Above, rows are tuples, gather is an
+    itemgetter, whose s here always has at least n > 256 indices (with one
+    index an itemgetter returns a scalar, not a tuple), and a column is a
+    permutation when its set has n values."""
     if n <= 256:
-        pad = bytes(256 - n)
-        return bytes, lambda m, s: s.translate(m + pad), b"".join
+        idx, pad = _BYTE_VALUES[:n], bytes(256 - n)
+        return (idx, bytes, lambda m, s: s.translate(m + pad), b"".join,
+                lambda cols: [col.translate(bytes.maketrans(col, idx)) == idx for col in cols])
     chained = itertools.chain.from_iterable
-    return tuple, lambda m, s: itemgetter(*s)(m), lambda seqs: tuple(chained(seqs))
+    return (tuple(range(n)), tuple, lambda m, s: itemgetter(*s)(m),
+            lambda seqs: tuple(chained(seqs)), lambda cols: [len(set(col)) == n for col in cols])
 
 
-def _encode(table: Sequence[Sequence[int]], n: int) -> tuple:
-    """The rows of an n x n table over [0, n) in the sequence type of order
-    n, the same cells as one flat row-major sequence, gather and join."""
-    row, gather, join = _codec(n)
+def _encode(table: Sequence[Sequence[int]]) -> tuple:
+    """The rows of an n x n table over [0, n) in the row type of order n,
+    the same cells as one flat row-major sequence, its columns, and the
+    codec of order n."""
+    n = len(table)
+    _, row, _, join, _ = codec = _codec(n)
     rows = list(map(row, table))
-    return rows, join(rows), gather, join
+    flat = join(rows)
+    return rows, flat, [flat[c::n] for c in range(n)], codec
 
 
 def _first_difference(x: Sequence[int], y: Sequence[int], n: int) -> tuple[int, int]:
@@ -199,25 +201,23 @@ def _idempotence_failure(q: FiniteQuandle) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _bijectivity_failure(cols: Sequence[Sequence[int]], n: int) -> Optional[tuple[int, int, int]]:
+def _bijectivity_failure(cols: Sequence[Sequence[int]], permutes) -> Optional[tuple[int, int, int]]:
     """(i, j, k) for the first column k that is not a permutation: j is the
     first row whose value in column k repeats an earlier row's, and i the
-    first row holding that value.  A byte column is decided in C:
-    bytes.maketrans(col, identity) sends each value to the last row holding
-    it, so col translated through it is the identity exactly when no value
-    repeats.  The scan below only locates the witness."""
-    identity = bytes(range(n)) if type(cols[0]) is bytes else None
-    for k, col in enumerate(cols):
-        if (len(set(col)) != n if identity is None
-                else col.translate(bytes.maketrans(col, identity)) != identity):
-            j = next(j for j in range(n) if col[j] in col[:j])
-            return (col.index(col[j]), j, k)
-    return None
+    first row holding that value.  The codec's permutes decides every
+    column; the scan below only locates the witness."""
+    flags = permutes(cols)
+    if all(flags):
+        return None
+    k = flags.index(False)
+    col = cols[k]
+    j = next(j for j, x in enumerate(col) if x in col[:j])
+    return (col.index(col[j]), j, k)
 
 
-def _generating_set(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+def _generating_set(cols: Sequence[Sequence[int]], idx: Sequence[int]) -> tuple[list[int], list[int]]:
     """S, chosen greedily in index order, and the members of S whose column
-    is not the identity.  Each new s is the first element outside the
+    is not idx, the identity.  Each new s is the first element outside the
     closure of the chosen ones under their right translations R_s
     (a -> a*s, column s), so the closure of S is everything, and every
     element is a left-nested product of members of S, for any table.  The
@@ -226,7 +226,6 @@ def _generating_set(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[int]
     identity column adds s to S but moves nothing, so a trivial quandle
     costs O(n) Python steps here."""
     n = len(cols)
-    identity = type(cols[0])(range(n))
     reached = bytearray(n)
     members, moves, chosen, moving = [], [], [], []
     for s, col in enumerate(cols):
@@ -237,7 +236,7 @@ def _generating_set(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[int]
         # s meets every move; the members reached before s, already closed
         # under the earlier moves, meet only the new one
         new = [s]
-        if col != identity:
+        if col != idx:
             moving.append(s)
             moves.append(col)
             for b in map(col.__getitem__, members):
@@ -258,7 +257,7 @@ def _generating_set(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[int]
     return chosen, moving
 
 
-def _distributivity_failure(rows, flat, gather, join, cols, cs) -> Optional[tuple[int, int, int]]:
+def _distributivity_failure(rows, flat, cols, gather, join, cs) -> Optional[tuple[int, int, int]]:
     """The first (a, b, c) with (a*b)*c != (a*c)*(b*c), for c in cs in the
     order given, then a, then b.  For fixed c, with col the column of c,
     the left sides over all (a, b) are col gathered along the flat table
@@ -274,15 +273,13 @@ def _distributivity_failure(rows, flat, gather, join, cols, cs) -> Optional[tupl
 
 
 def _scan(q: FiniteQuandle, rack_first: bool) -> AxiomReport:
-    n = q.size
-    rows, flat, gather, join = _encode(q.table, n)
-    cols = [flat[c::n] for c in range(n)]
+    rows, flat, cols, (idx, _, gather, join, permutes) = _encode(q.table)
     idem = _idempotence_failure(q)
-    bij = _bijectivity_failure(cols, n)
+    bij = _bijectivity_failure(cols, permutes)
     # with every R_c a bijection, the first c at which the law fails, if
     # any, is a member of S that moves something (module docstring)
-    cs = _generating_set(cols)[1] if bij is None else range(n)
-    dist = _distributivity_failure(rows, flat, gather, join, cols, cs)
+    cs = _generating_set(cols, idx)[1] if bij is None else idx
+    dist = _distributivity_failure(rows, flat, cols, gather, join, cs)
     if rack_first:
         witness = bij if bij is not None else dist if dist is not None else idem
     else:
@@ -318,16 +315,15 @@ def check_quandle(q: FiniteQuandle) -> AxiomReport:
 # groups
 # ---------------------------------------------------------------------------
 
-def _identity_and_inverse(rows: Sequence[Sequence[int]], flat: Sequence[int]) -> tuple:
-    """The identity of an n x n table given by its encoded rows and flat
-    sequence, the first e whose row and column both read 0..n-1, and each
+def _identity_and_inverse(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]],
+                          idx: Sequence[int]) -> tuple:
+    """The identity of an n x n table given by its encoded rows and columns,
+    the first e whose row and column both read idx, 0..n-1, and each
     element's first two-sided inverse.  A row is searched whole for e with
     index; when the b found has b*a != e, that inverse is one-sided and the
     row is scanned on from b.  Raises ValueError when either is missing."""
     n = len(rows)
-    identity_row = type(flat)(range(n))
-    identity = next((e for e, row in enumerate(rows)
-                     if row == identity_row and flat[e::n] == identity_row), None)
+    identity = next((e for e, row in enumerate(rows) if row == idx and cols[e] == idx), None)
     if identity is None:
         raise ValueError("table has no identity element")
     inverse = []
@@ -342,7 +338,7 @@ def _identity_and_inverse(rows: Sequence[Sequence[int]], flat: Sequence[int]) ->
     return identity, tuple(inverse)
 
 
-def _associativity_failure(rows, flat, gather, join) -> Optional[tuple[int, int, int]]:
+def _associativity_failure(rows, flat, cols, idx, gather, join) -> Optional[tuple[int, int, int]]:
     """The first (a, b, c), in that order, with (ab)c != a(bc) in a table
     with a two-sided identity, or None when it is associative.
 
@@ -358,9 +354,9 @@ def _associativity_failure(rows, flat, gather, join) -> Optional[tuple[int, int,
     and a(bc) row a gathered along the flat table, to locate the first
     failure."""
     n = len(rows)
-    for s in _generating_set([flat[c::n] for c in range(n)])[1]:
+    for s in _generating_set(cols, idx)[1]:
         row_s = rows[s]
-        if join([rows[x] for x in flat[s::n]]) != join([gather(row, row_s) for row in rows]):
+        if join([rows[x] for x in cols[s]]) != join([gather(row, row_s) for row in rows]):
             break
     else:
         return None
@@ -388,14 +384,13 @@ class FiniteGroup:
 
     def __post_init__(self) -> None:
         frozen = _freeze_table(self.table)
-        n = len(frozen)
-        rows, flat, gather, join = _encode(frozen, n)
-        identity, inverse = _identity_and_inverse(rows, flat)
-        failure = _associativity_failure(rows, flat, gather, join)
+        rows, flat, cols, (idx, _, gather, join, _) = _encode(frozen)
+        identity, inverse = _identity_and_inverse(rows, cols, idx)
+        failure = _associativity_failure(rows, flat, cols, idx, gather, join)
         if failure is not None:
             raise ValueError(f"associativity fails at {failure}")
         object.__setattr__(self, "table", frozen)
-        object.__setattr__(self, "size", n)
+        object.__setattr__(self, "size", len(frozen))
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", inverse)
 
@@ -423,8 +418,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     by a."""
     if type(n) is not int or n <= 0:
         raise ValueError(f"order must be a positive int, got {n!r}")
-    row, _, _ = _codec(n)
-    doubled = row(range(n)) * 2
+    doubled = _codec(n)[0] * 2
     return FiniteGroup([doubled[a:a + n] for a in range(n)])
 
 
@@ -435,13 +429,13 @@ def symmetric_group(n: int) -> FiniteGroup:
         raise ValueError(f"symmetric_group supports ints 1 <= n <= 5, got {n!r}")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    row, gather, _ = _codec(len(perms))
+    idx, row, gather, _, _ = _codec(len(perms))
     # product a*b applies a first, then b; the adjacent transpositions
     # generate, and the identity is the first mapping tuple
     swaps = [(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1)]
     gens = [(index[s], row(map(index.__getitem__, map(itemgetter(*s), perms))))
             for s in swaps]
-    return FiniteGroup(_generated_rows(row(range(len(perms))), gens, gather))
+    return FiniteGroup(_generated_rows(idx, gens, gather))
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -456,10 +450,10 @@ def dihedral_group(n: int) -> FiniteGroup:
         r = (rb + ra) % n if fb == 0 else (rb - ra) % n
         return r + n * ((fa + fb) % 2)
 
-    row, gather, _ = _codec(2 * n)
+    idx, row, gather, _, _ = _codec(2 * n)
     # the rotation 1 and the reflection n generate
     gens = [(s, row(mul(s, b) for b in range(2 * n))) for s in (1, n)]
-    return FiniteGroup(_generated_rows(row(range(2 * n)), gens, gather))
+    return FiniteGroup(_generated_rows(idx, gens, gather))
 
 
 def klein_four_group() -> FiniteGroup:
@@ -476,34 +470,24 @@ def dihedral_quandle(n: int) -> FiniteQuandle:
     other entry of 0..n-1 repeated three times, from entry n - i on."""
     if type(n) is not int or n <= 0:
         raise ValueError(f"order must be a positive int, got {n!r}")
-    row, _, _ = _codec(n)
-    tripled = row(range(n)) * 3
+    tripled = _codec(n)[0] * 3
     table = tuple(tuple(tripled[n - i:3 * n - i:2]) for i in range(n))
     return FiniteQuandle._trusted(table, n)
-
-
-def _group_columns(g: FiniteGroup) -> tuple:
-    """g's rows, its columns and its inverse map as sequences of order
-    g.size, with gather."""
-    n = g.size
-    row, gather, join = _codec(n)
-    rows = list(map(row, g.table))
-    flat = join(rows)
-    return rows, [flat[b::n] for b in range(n)], row(g.inverse), gather
 
 
 def conj_quandle(g: FiniteGroup) -> FiniteQuandle:
     """A group under conjugation: a * b = b^-1 a b.  Column b is row b^-1
     gathered through column b."""
-    rows, cols, inverse, gather = _group_columns(g)
-    cols = [gather(col, rows[inverse[b]]) for b, col in enumerate(cols)]
+    rows, _, cols, (_, _, gather, _, _) = _encode(g.table)
+    cols = [gather(col, rows[g.inverse[b]]) for b, col in enumerate(cols)]
     return FiniteQuandle._trusted(tuple(zip(*cols)), g.size)
 
 
 def core_quandle(g: FiniteGroup) -> FiniteQuandle:
     """The core quandle of a group: a * b = b a^-1 b.  Column b is the
     inverse map gathered through row b, then through column b."""
-    rows, cols, inverse, gather = _group_columns(g)
+    rows, _, cols, (_, row, gather, _, _) = _encode(g.table)
+    inverse = row(g.inverse)
     cols = [gather(col, gather(rows[b], inverse)) for b, col in enumerate(cols)]
     return FiniteQuandle._trusted(tuple(zip(*cols)), g.size)
 
@@ -573,8 +557,7 @@ def alexander_quandle(ring: LaurentQuotientRing) -> FiniteQuandle:
     sequence of the b - t b gathered through the addition row of t a."""
     n, h, d = ring.modulus, ring.h, ring.degree
     size, top = n ** d, n ** (d - 1)
-    row, gather, join = _codec(size)
-    idx = row(range(size))
+    idx, row, gather, join, _ = _codec(size)
     units = [(s, join(idx[b + s:b + s * n] + idx[b:b + s] for b in range(0, size, s * n)))
              for s in (n ** k for k in range(d))]
     add = _generated_rows(idx, units, gather)
@@ -617,7 +600,6 @@ def form_is_antisymmetric(gram: Sequence[Sequence[int]], vectors: Sequence[Seque
             lhs = form_value(gram, x, y, modulus)
             rhs = -form_value(gram, y, x, modulus)
             if modulus:
-                lhs %= modulus
                 rhs %= modulus
             if lhs != rhs:
                 return False

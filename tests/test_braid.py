@@ -211,6 +211,10 @@ def test_braid_powers():
     assert braid_eq(a ** 3, BraidElement.parse("aaa"))
     assert braid_eq(a ** -2, BraidElement.parse("AA"))
     assert braid_eq(a ** 0, BraidElement.identity())
+    # a bool is not taken as 1, and a float fails before the loop
+    for k in (True, 2.0):
+        with pytest.raises(ValueError, match="must be an int"):
+            a ** k
     rng = random.Random(26)
     for _ in range(20):
         u = BraidElement.parse(random_word(rng, 0, 10))

@@ -247,7 +247,8 @@ def test_tree_eval_matches_fraction_reference():
 
 
 def test_expand_rejects_non_rationals():
-    for r in (0.5, 2.0, "1/2", Decimal("0.5"), None):
+    # a bool is not coerced to an int, as in PFrac.from_fraction
+    for r in (0.5, 2.0, "1/2", Decimal("0.5"), None, True, False):
         with pytest.raises(TypeError):
             cf_expand(r)
 

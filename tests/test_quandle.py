@@ -31,6 +31,7 @@ from trefoil import (
 from trefoil.acceptance import _ALEXANDER_RINGS, _conj_core_groups
 from trefoil.quandle import (
     _bijectivity_failure,
+    _codec,
     _encode,
     _generating_set,
     _identity_and_inverse,
@@ -437,12 +438,14 @@ def _bijectivity_failure_by_sets(cols, n):
 
 def test_bijectivity_matches_the_set_scan_on_planted_tables():
     rng = random.Random(903)
-    for n in range(2, 257):
+    # orders up to 256 run the codec's translate test, 257 to 260 its set test
+    for n in range(2, 261):
+        _, row, _, _, permutes = _codec(n)
         cols = [rng.sample(range(n), n) for _ in range(n)]
-        assert _bijectivity_failure(list(map(bytes, cols)), n) is None
+        assert _bijectivity_failure(list(map(row, cols)), permutes) is None
         # plant repeats: one or more values copied within a column, in a
         # column before, at or after the first that already repeats
-        for _ in range(3):
+        for _ in range(3 if n <= 256 else 10):
             planted = [list(col) for col in cols]
             for _ in range(rng.choice((1, 1, 2, 5))):
                 col = planted[rng.randrange(n)]
@@ -450,8 +453,7 @@ def test_bijectivity_matches_the_set_scan_on_planted_tables():
                 col[j] = col[i]
             expected = _bijectivity_failure_by_sets(planted, n)
             assert expected is not None
-            assert _bijectivity_failure(list(map(bytes, planted)), n) == expected, n
-            assert _bijectivity_failure(list(map(tuple, planted)), n) == expected, n
+            assert _bijectivity_failure(list(map(row, planted)), permutes) == expected, n
 
 
 def test_scans_at_both_encodings():
@@ -474,6 +476,10 @@ def test_scans_at_both_encodings():
 
 def _columns(q):
     return list(zip(*q.table))
+
+
+def _greedy_generating_set(q):
+    return _generating_set(_columns(q), tuple(range(q.size)))
 
 
 def _closure(q, chosen):
@@ -510,8 +516,8 @@ def _stock_quandles_to_order_40():
 
 def test_generating_set_of_dihedral_quandles_is_zero_and_one():
     for n in range(2, 301):
-        assert _generating_set(_columns(dihedral_quandle(n)))[0] == [0, 1], n
-    assert _generating_set(_columns(dihedral_quandle(1))) == ([0], [])
+        assert _greedy_generating_set(dihedral_quandle(n))[0] == [0, 1], n
+    assert _greedy_generating_set(dihedral_quandle(1)) == ([0], [])
 
 
 def test_generating_set_is_greedy_and_generates():
@@ -519,7 +525,7 @@ def test_generating_set_is_greedy_and_generates():
         if not check_rack(q).right_translations_bijective:
             continue
         cols = _columns(q)
-        chosen, moving = _generating_set(cols)
+        chosen, moving = _greedy_generating_set(q)
         assert _closure(q, chosen) == set(range(q.size))
         # each s is the first element outside the closure of the earlier ones
         for i, s in enumerate(chosen):
@@ -531,7 +537,7 @@ def test_generating_set_is_greedy_and_generates():
 def test_generating_set_of_trivial_quandles_is_everything():
     for n in range(1, 41):
         q = conj_quandle(cyclic_group(n))
-        assert _generating_set(_columns(q)) == (list(range(n)), [])
+        assert _greedy_generating_set(q) == (list(range(n)), [])
         assert check_quandle(q) == check_rack(q) == AxiomReport(True, True, True, None)
 
 
@@ -557,7 +563,7 @@ def _assert_first_failure_in_generating_set(q):
     if not report.right_translations_bijective or report.right_distributive:
         return None
     c = report.counterexample[2]
-    assert c in _generating_set(_columns(q))[1], (q.table, c)
+    assert c in _greedy_generating_set(q)[1], (q.table, c)
     return c
 
 
@@ -645,7 +651,7 @@ def _associativity_failure_on_every_row(table):
     The first failing (a, b, c), located cell by cell in the failing row,
     or None."""
     n = len(table)
-    rows, flat, gather, join = _encode(table, n)
+    rows, flat, _, (_, _, gather, join, _) = _encode(table)
     for a, row_a in enumerate(rows):
         if join([rows[x] for x in row_a]) != gather(row_a, flat):
             return next((a, b, c) for b in range(n) for c in range(n)
@@ -882,7 +888,11 @@ def test_symmetric_groups_and_products_match_their_cells():
 
 
 def test_conj_and_core_quandles_match_their_cells():
-    groups = _conj_core_groups() + [symmetric_group(5), dihedral_group(129)]
+    # Z/3 with identity 2, and its product with S3, whose identity is 12
+    shifted = FiniteGroup(_cells(3, lambda a, b: (a + b + 1) % 3))
+    product = FiniteGroup(_cells_direct_product(shifted, symmetric_group(3)))
+    assert (shifted.identity, product.identity) == (2, 12)
+    groups = _conj_core_groups() + [shifted, product, symmetric_group(5), dihedral_group(129)]
     assert groups[-1].size == 258
     for g in groups:
         _assert_table(conj_quandle(g).table, _cells_conj(g))
@@ -970,9 +980,9 @@ def _random_loop_like_table(rng, n):
 def _search_outcome(table):
     """The row-level identity and inverse search on a table of any shape
     FiniteGroup accepts: what it finds, or the text of its ValueError."""
-    rows, flat, _, _ = _encode(table, len(table))
+    rows, _, cols, (idx, _, _, _, _) = _encode(table)
     try:
-        return _identity_and_inverse(rows, flat)
+        return _identity_and_inverse(rows, cols, idx)
     except ValueError as exc:
         return str(exc)
 
