@@ -5,10 +5,13 @@ Delta = aba = bab and w is a positive word containing no aba or bab.
 Equality, hashing, the exponent sum and the printed word all read (d, w).
 
 Only raw input (parse) is reduced letter by letter.  The group
-operations build (d, w) from the operands' forms without that loop: an
-inverse in closed form from the complements of the simple factors of w
-(El-Rifai-Morton, Quart. J. Math. 45, 1994), a product by reducing only
-the junction of the two words, after which the right factor is copied.
+operations build (d, w) from the operands' forms without that loop.  An
+inverse is the closed form from the complements of the simple factors of
+w (El-Rifai-Morton, Quart. J. Math. 45, 1994), written in one pass over
+w that splits off each factor and emits its complement.  A product
+reduces only the junction of the two words and copies the right factor;
+when the words meet on a repeated letter, or one is empty, there is
+nothing to reduce and the words are joined as they are.
 
 Equality is also decided by a second, independent route over the integers:
 the Burau representation at t = -1,
@@ -30,7 +33,6 @@ letter-by-letter reduction.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import field
 
 from ._trusted import value_type
@@ -51,15 +53,6 @@ _TAU = str.maketrans("ab", "ba")
 _DELTA_POWERS = ((1, 0, 0, 1), (0, 1, -1, 0), (-1, 0, 0, -1), (0, -1, 1, 0))
 # x^-1 = Delta^-1 x y; "D" stands for Delta^-1
 _EXPAND = str.maketrans({"A": "Dab", "B": "Dba"})
-# The simple factors of a word free of aba and bab, left to right: its
-# maximal alternating pieces, each of one or two letters, so adjacent
-# factors meet on a repeated letter.
-_FACTORS = re.compile("ab?|ba?")
-# The complement ds of a simple factor s: s ds = Delta, so
-# s^-1 = ds Delta^-1 = Delta^-1 tau(ds).  ds starts with tau of the last
-# letter of s and ends with its first.
-_COMPLEMENT = {"a": "ba", "b": "ab", "ab": "a", "ba": "b"}
-_TAU_COMPLEMENT = {s: ds.translate(_TAU) for s, ds in _COMPLEMENT.items()}
 
 
 def _times(d: int, w: str, letters: str) -> tuple[int, str]:
@@ -115,12 +108,16 @@ def _glue(d: int, w: str, v: str) -> tuple[int, str]:
     """Delta^d w v in Garside form, for positive words w and v free of aba
     and bab.
 
-    A letter c of v cancels when w ends in c tau(c), as c tau(c) c = Delta.
-    A letter that does not cancel is kept; the next one then cancels only
-    when w ends in x and the two are tau(x) x.  Each Delta so made moves
-    left, swapping a and b in the rest of v (flip).  Once two letters of v
-    are kept in a row, no later one can cancel, since v has no aba or bab:
-    the rest of v is copied as it stands."""
+    When w or v is empty, or w ends in the letter v starts with, nothing
+    cancels: a repeated letter is in no aba or bab, so w v is returned as
+    it is.  Otherwise a letter c of v cancels when w ends in c tau(c), as
+    c tau(c) c = Delta.  A letter that does not cancel is kept; the next
+    one then cancels only when w ends in x and the two are tau(x) x.  Each
+    Delta so made moves left, swapping a and b in the rest of v (flip).
+    Once two letters of v are kept in a row, no later one can cancel,
+    since v has no aba or bab: the rest of v is copied as it stands."""
+    if not w or not v or w[-1] == v[0]:
+        return d, w + v
     n, i, flip = len(w), 0, False
     while i < len(v):
         c = v[i].translate(_TAU) if flip else v[i]
@@ -135,16 +132,38 @@ def _glue(d: int, w: str, v: str) -> tuple[int, str]:
     return d, (w.translate(_TAU) if flip else w) + v[i:]
 
 
-def _inverse_word(factors: list[str]) -> str:
-    """The positive word X with (s_1 ... s_k)^-1 = Delta^-k X for the simple
-    factors s_i of a word free of aba and bab, given as a list that this
-    overwrites: X = tau^k(ds_k) ... tau(ds_1), moving each Delta^-1 of
-    s_i^-1 = ds_i Delta^-1 to the front.  Adjacent pieces meet on a repeated
-    letter, as adjacent factors do, so X has no aba or bab."""
-    factors[0::2] = map(_TAU_COMPLEMENT.__getitem__, factors[0::2])
-    factors[1::2] = map(_COMPLEMENT.__getitem__, factors[1::2])
-    factors.reverse()
-    return "".join(factors)
+def _inverse_word(u: str, m: int) -> tuple[int, str]:
+    """(k, X) with (s_1 ... s_k)^-1 = Delta^-k X, for the first k = min(m,
+    number of factors) simple factors s_i of u, a word free of aba and bab,
+    in one pass over u.
+
+    The factors are u's maximal alternating pieces: a step takes a pair
+    when the next letter differs, else a single.  s_i^-1 = ds_i Delta^-1,
+    with ds_i the complement (s_i ds_i = Delta); moving each Delta^-1 to
+    the front gives X = tau^k(ds_k) ... tau(ds_1).  The complement of a
+    pair x tau(x) is x, and of a single x is tau(x) x, so with
+    t = tau^i(first letter of s_i) the piece tau^i(ds_i) is t for a pair
+    and tau(t) t for a single.  Adjacent factors meet on a repeated letter,
+    so t carries from tau(u[0]): a pair keeps it, a single flips it.  The
+    pieces meet on a repeated letter too, so X has no aba or bab.  Every
+    factor and its piece have three letters together: the factors cover
+    u[:3k - len(X)]."""
+    pieces = []
+    i, n = 0, len(u)
+    t = "b" if u[:1] == "a" else "a"
+    while i < n and m:
+        if i + 1 < n and u[i] != u[i + 1]:
+            pieces.append(t)
+            i += 2
+        elif t == "a":
+            pieces.append("ba")
+            t, i = "b", i + 1
+        else:
+            pieces.append("ab")
+            t, i = "a", i + 1
+        m -= 1
+    pieces.reverse()
+    return len(pieces), "".join(pieces)
 
 
 @value_type
@@ -192,14 +211,14 @@ class BraidElement:
         return BraidElement._trusted(d, w, _matmul(self.image, other.image))
 
     def inv(self) -> "BraidElement":
-        # (Delta^d w)^-1 = Delta^-d u^-1 with u = tau^d(w) = s_1 ... s_k in
-        # simple factors, and u^-1 = Delta^-k X (_inverse_word); the inverse
-        # of a determinant-one image is its adjugate
+        """(Delta^d w)^-1 = Delta^-d u^-1 with u = tau^d(w) = s_1 ... s_k in
+        simple factors; one pass over u (_inverse_word) gives
+        u^-1 = Delta^-k X.  The inverse of a determinant-one image is its
+        adjugate."""
         u = self.w.translate(_TAU) if self.d % 2 else self.w
-        factors = _FACTORS.findall(u)
-        d = -self.d - len(factors)
+        k, x = _inverse_word(u, len(u))
         p, q, r, s = self.image
-        return BraidElement._trusted(d, _inverse_word(factors), (s, -q, -r, p))
+        return BraidElement._trusted(-self.d - k, x, (s, -q, -r, p))
 
     def __pow__(self, k: int) -> "BraidElement":
         if type(k) is not int:
@@ -216,17 +235,17 @@ class BraidElement:
         return out
 
     def render(self) -> str:
-        """The symmetric form N^-1 P: Delta^-m cancels against the first m
-        simple factors s_i of w.  With P_m = s_1 ... s_m and
-        P_m^-1 = Delta^-m X (_inverse_word), Delta^-m P_m = (P_m^-1 Delta^m)^-1
-        = tau^m(X)^-1; a Delta left over prints as aba or ABA."""
+        """The symmetric form N^-1 P: Delta^-m cancels against the first
+        m = min(-d, number of factors) simple factors s_i of w.  One pass
+        over them (_inverse_word) gives P_m^-1 = Delta^-m X for
+        P_m = s_1 ... s_m, so Delta^-m P_m = (P_m^-1 Delta^m)^-1
+        = tau^m(X)^-1, and the rest of w follows as it stands; a Delta
+        left over prints as aba or ABA."""
         if self.d >= 0:
             return "aba" * self.d + self.w
-        factors = _FACTORS.findall(self.w)
-        m = min(-self.d, len(factors))
-        x = _inverse_word(factors[:m])
+        m, x = _inverse_word(self.w, -self.d)
         neg = (x.translate(_TAU) if m % 2 else x)[::-1].upper()
-        return "ABA" * (-self.d - m) + neg + "".join(factors[m:])
+        return "ABA" * (-self.d - m) + neg + self.w[3 * m - len(x):]
 
     def __str__(self) -> str:
         return self.render()

@@ -200,13 +200,15 @@ def sympl_form(x: IntPair, y: IntPair) -> int:
 
 
 def sympl_op(x: IntPair, y: IntPair) -> IntPair:
-    """(a, b) * (c, d) = (a - Dc, b - Dd); defined on every pair, including
-    zero and imprimitive vectors."""
+    """(a, b) * (c, d) = (a - Dc, b - Dd); defined on every pair of ints,
+    including zero and imprimitive vectors."""
+    _require_ints(*x, *y)
     d = sympl_form(x, y)
     return (x[0] - d * y[0], x[1] - d * y[1])
 
 
 def sympl_op_inv(x: IntPair, y: IntPair) -> IntPair:
+    _require_ints(*x, *y)
     d = sympl_form(x, y)
     return (x[0] + d * y[0], x[1] + d * y[1])
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -333,3 +334,27 @@ def test_inverse_and_product_match_the_parsed_raw_text():
         assert_same(u.inv(), BraidElement.parse(inverted_text(left)))
         assert_same(u * v, BraidElement.parse(left + right))
         assert_same(v.inv() * u.inv(), BraidElement.parse(inverted_text(left + right)))
+
+
+def test_inverse_and_render_match_the_references_at_size():
+    # raw texts of 10^5 letters, shifted by Delta^j: both parities of d,
+    # from a positive d ("aab") and from a negative d whose render cancels
+    # Delta^d against part of w ("abAB") to one left over after all of w's
+    # simple factors (-d > len(w))
+    rng = random.Random(30)
+    for alphabet in ("abAB", "aab"):
+        text = "".join(rng.choice(alphabet) for _ in range(10**5))
+        u = BraidElement.parse(text)
+        for j in (0, 1, -(u.d + len(u.w)) - 2, -(u.d + len(u.w)) - 3):
+            shifted = ("aba" if j > 0 else "ABA") * abs(j) + text
+            v = BraidElement(j, "") * u
+            assert_same(v.inv(), loop_inv(v))
+            assert_same(v.inv(), BraidElement.parse(inverted_text(shifted)))
+            for x in (v, v.inv()):
+                shown = x.render()
+                assert_same(BraidElement.parse(shown), x)
+                # Delta^d cancels against the first -d simple factors of w
+                # (its maximal alternating pieces); the rest of w follows
+                factors = re.findall("ab?|ba?", x.w)
+                positive = "".join(factors[max(-x.d, 0):])
+                assert shown.lstrip("AB") == ("aba" * x.d if x.d > 0 else "") + positive

@@ -254,6 +254,20 @@ def test_sympl_examples():
     assert sympl_op((5, 3), (5, 3)) == (5, 3)
 
 
+@pytest.mark.parametrize("op", [sympl_op, sympl_op_inv])
+@pytest.mark.parametrize("x, y", [
+    ((0.5, 0), (1, 1)),
+    ((1, 0), (1, 1.0)),
+    ((True, 0), (1, 1)),
+    ((1, 0), (1, False)),
+    (("1", 0), (1, 1)),
+    ((1, 0), (1, "1")),
+])
+def test_sympl_rejects_non_int_entries(op, x, y):
+    with pytest.raises(ValueError, match="expected ints"):
+        op(x, y)
+
+
 def test_sympl_rack_axioms_sampled():
     rng = random.Random(13)
     for _ in range(300):

@@ -131,6 +131,7 @@ def test_every_allowed_helper_is_shared_somewhere():
 @pytest.mark.parametrize("group, module, function, call", [
     ("words", "words", "normalize", "word_to_frac(w)"),
     ("braids", "braid", "_glue", "_matmul((1, 0, 0, 1), (1, 0, 0, 1))"),
+    ("braids", "braid", "_inverse_word", "_matmul((1, 0, 0, 1), (1, 0, 0, 1))"),
     ("fractions", "pfrac", "sympl_op", "pf_op(x, y)"),
 ])
 def test_a_planted_call_across_routes_is_found(group, module, function, call):
