@@ -13,6 +13,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, TextIO
@@ -21,7 +22,6 @@ from .braid import BraidElement, braid_eq, longitude, meridian
 from .cfrac import ContinuedFraction, cf_eval, cf_expand
 from .longknot import (
     CoveredElement,
-    covering_p,
     fiber_compare,
     lambda_act,
     pi1_act,
@@ -108,7 +108,7 @@ def random_braid_text(rng: random.Random, max_len: int) -> str:
 
 def random_braid(rng: random.Random, max_len: int) -> BraidElement:
     """A braid word of up to max_len letters with any exponent sum."""
-    return BraidElement.parse("".join(rng.choice("aAbB") for _ in range(rng.randint(0, max_len))))
+    return BraidElement.parse(random_braid_text(rng, max_len))
 
 
 def sample_covered_pool(rng: random.Random, count: int, max_len: int) -> list[CoveredElement]:
@@ -176,6 +176,18 @@ _COVERED_ROUTES = [
      lambda p, q: CoveredElement(_M_INV * p.g * q.g.inv() * _M * q.g),
      lambda p, q: CoveredElement(_M * p.g * q.g.inv() * _M_INV * q.g), _itself),
 ]
+
+
+def _covering_map(p: CoveredElement) -> PFrac:
+    """The point 0/1 moved by g' letter by letter, a as *0/1 and b as *1/0:
+    -c/d for the t = -1 image [[a, b], [c, d]] of g'."""
+    _, _, c, d = p.g.image
+    return pf_new(-c, d)
+
+
+# the long trefoil's own operations, sampled on covered elements and mapped
+# into the fraction quandle
+_COVERING_ROUTE = [("covering map", _sole, qt_op, qt_op_inv, _covering_map)]
 
 
 def _routes_agree(reference, routes, pairs,
@@ -270,6 +282,20 @@ def _conj_core_groups():
     return groups
 
 
+def _sampled_axioms(name: str, op, op_inv, triples) -> Optional[str]:
+    """The first failure on the sampled triples (x, y, z) of idempotence, of
+    *̄ undoing * either way round, or of right distributivity, else None."""
+    for x, y, z in triples:
+        if op(x, x) != x:
+            return f"{name} idempotence fails at {x}"
+        xy = op(x, y)
+        if op_inv(xy, y) != x or op(op_inv(x, y), y) != x:
+            return f"{name} inverse operation fails at {x}, {y}"
+        if op(xy, z) != op(op(x, z), op(y, z)):
+            return f"{name} distributivity fails at {x}, {y}, {z}"
+    return None
+
+
 def _criterion_axioms() -> tuple[bool, str]:
     checked = {"dihedral": 0, "alexander": 0, "conj": 0, "core": 0}
     largest = dict.fromkeys(checked, 0)
@@ -299,42 +325,18 @@ def _criterion_axioms() -> tuple[bool, str]:
 
     fraction_triples, covered_triples = 10_000, 10_000
     rng = random.Random(1003)
-    for _ in range(fraction_triples):
-        x = random_pfrac(rng, 10**6)
-        y = random_pfrac(rng, 10**6)
-        z = random_pfrac(rng, 10**6)
-        if pf_op(x, x) != x:
-            return False, f"idempotence fails at {x}"
-        if pf_op_inv(pf_op(x, y), y) != x or pf_op(pf_op_inv(x, y), y) != x:
-            return False, f"inverse operation fails at {x}, {y}"
-        if pf_op(pf_op(x, y), z) != pf_op(pf_op(x, z), pf_op(y, z)):
-            return False, f"distributivity fails at {x}, {y}, {z}"
-
+    triples = [(random_pfrac(rng, 10**6), random_pfrac(rng, 10**6), random_pfrac(rng, 10**6))
+               for _ in range(fraction_triples)]
+    failure = _sampled_axioms("fraction", pf_op, pf_op_inv, triples)
+    if failure:
+        return False, failure
     pool = sample_covered_pool(rng, 24, 12)
-    op_memo: dict[tuple[int, int], CoveredElement] = {}
-
-    def pooled_op(i: int, j: int) -> CoveredElement:
-        key = (i, j)
-        if key not in op_memo:
-            op_memo[key] = qt_op(pool[i], pool[j])
-        return op_memo[key]
-
-    for i, p in enumerate(pool):
-        if qt_op(p, p) != p:
-            return False, f"covered-quandle idempotence fails at pool element {i}"
-    checked_pairs = set()
-    for _ in range(covered_triples):
-        i, j, k = rng.randrange(24), rng.randrange(24), rng.randrange(24)
-        if (i, j) not in checked_pairs:
-            checked_pairs.add((i, j))
-            if qt_op_inv(pooled_op(i, j), pool[j]) != pool[i]:
-                return False, f"covered-quandle inverse fails at pair ({i}, {j})"
-            if qt_op(qt_op_inv(pool[i], pool[j]), pool[j]) != pool[i]:
-                return False, f"covered-quandle inverse fails at pair ({i}, {j})"
-        lhs = qt_op(pooled_op(i, j), pool[k])
-        rhs = qt_op(pooled_op(i, k), pooled_op(j, k))
-        if lhs != rhs:
-            return False, f"covered-quandle distributivity fails at ({i}, {j}, {k})"
+    triples = [(pool[rng.randrange(24)], pool[rng.randrange(24)], pool[rng.randrange(24)])
+               for _ in range(covered_triples)]
+    # the pool's products repeat, so each is computed once
+    failure = _sampled_axioms("covered-quandle", cache(qt_op), cache(qt_op_inv), triples)
+    if failure:
+        return False, failure
     families = ", ".join(f"{checked[f]} {f} (order <= {largest[f]})" for f in checked)
     return True, (f"exhaustive: {families}, {cells} cells decided (n^3 per quandle); "
                   f"randomized: {fraction_triples} fraction triples and {covered_triples} "
@@ -375,7 +377,7 @@ def _criterion_isomorphism_certificate() -> tuple[bool, str]:
 
 def _criterion_continued_fractions() -> tuple[bool, str]:
     bound, term_max, random_lists = 200, 12, 20_000
-    fractions = lists = 0
+    fractions = 0
     for q in range(1, bound + 1):
         for p in range(-bound, bound + 1):
             if gcd(abs(p), q) != 1:
@@ -385,46 +387,27 @@ def _criterion_continued_fractions() -> tuple[bool, str]:
             if cf_eval(cf_expand(r)) != r:
                 return False, f"eval(expand({p}/{q})) != {p}/{q}"
 
-    def check(terms: tuple[int, ...]) -> Optional[str]:
-        nonlocal lists
-        lists += 1
-        cf = ContinuedFraction(terms)
-        if cf_expand(cf_eval(cf)) != cf:
-            return f"expand(eval({list(terms)})) != {list(terms)}"
-        return None
-
     # exhaustive over the full coefficient ranges for n <= 4; the literal
     # n <= 8 grid has ~8.6e8 lists, far beyond the runtime budget, so the
     # longer lengths are covered by random draws from the same ranges
-    for k1 in range(-term_max, term_max + 1):
-        err = check((k1,))
-        if err:
-            return False, err
-        for kn in range(2, term_max + 1):
-            err = check((k1, kn))
-            if err:
-                return False, err
-            for k2 in range(1, term_max + 1):
-                err = check((k1, k2, kn))
-                if err:
-                    return False, err
-                for k3 in range(1, term_max + 1):
-                    err = check((k1, k2, k3, kn))
-                    if err:
-                        return False, err
-    grid_lists = lists
+    first, middle, last = (range(-term_max, term_max + 1), range(1, term_max + 1),
+                           range(2, term_max + 1))
+    grid = list(itertools.product(first))
+    for n in range(2, 5):
+        grid += itertools.product(first, *[middle] * (n - 2), last)
     rng = random.Random(1005)
+    drawn = []
     for _ in range(random_lists):
         n = rng.randint(5, 8)
-        terms = [rng.randint(-term_max, term_max)]
-        terms += [rng.randint(1, term_max) for _ in range(n - 2)]
-        terms.append(rng.randint(2, term_max))
-        err = check(tuple(terms))
-        if err:
-            return False, err
+        drawn.append([rng.randint(-term_max, term_max),
+                      *(rng.randint(1, term_max) for _ in range(n - 2)), rng.randint(2, term_max)])
+    for terms in grid + drawn:
+        cf = ContinuedFraction(terms)
+        if cf_expand(cf_eval(cf)) != cf:
+            return False, f"expand(eval({list(terms)})) != {list(terms)}"
     return True, (f"{fractions} fractions with |p|,|q| <= {bound} round-trip; exhaustive "
-                  f"term grid for n <= 4, |k| <= {term_max} ({grid_lists} lists) plus "
-                  f"{lists - grid_lists} random lists for n in 5..8 (full grid infeasible "
+                  f"term grid for n <= 4, |k| <= {term_max} ({len(grid)} lists) plus "
+                  f"{len(drawn)} random lists for n in 5..8 (full grid infeasible "
                   f"in budget)")
 
 
@@ -540,12 +523,10 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
         if qt_op(anchor, base) != qt_op(anchor, mate):
             return False, "covering property fails: fibre mates act differently"
 
-    for _ in range(pairs):
-        p, q = rng.choice(pool), rng.choice(pool)
-        lhs = covering_p(qt_op(p, q))
-        rhs = covering_p(q).inv() * covering_p(p) * covering_p(q)
-        if not braid_eq(lhs, rhs):
-            return False, f"representation property fails at {p}, {q}"
+    covered = [(rng.choice(pool), rng.choice(pool)) for _ in range(pairs)]
+    failure, mapped = _routes_agree(_FRACTION_REFERENCE, _COVERING_ROUTE, covered)
+    if failure:
+        return False, failure
 
     base = qt_new(BraidElement.identity())
     closed = range(-closed_k, closed_k + 1)
@@ -569,8 +550,6 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
     for _ in range(act_cases):
         p, h1, h2 = rng.choice(pool), random_braid(rng, act_len), random_braid(rng, act_len)
         r, where = pi1_act(p, h1), f"{p} and h = {h1.render() or '1'}"
-        if not braid_eq(r.x, h1.inv() * covering_p(p) * h1):
-            return False, f"pi1_act moves x to {r.x}, not to h^-1 x h, at {where}"
         if not braid_eq(r.x, r.g.inv() * m * r.g):
             return False, f"pi1_act stores an x other than g'^-1 m g' at {where}"
         if pi1_act(r, h2) != pi1_act(p, h1 * h2):
@@ -604,12 +583,13 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
             return False, f"CoveredElement accepted the slot {g} with exponent sum {g.eps}"
     return True, (f"* and *̄ second slots equal both displayed forms ({slot_checks} "
                   f"comparisons) and *̄ undoes * on both, stored x equals g'^-1 m g' "
-                  f"({x_checks} results); covering "
-                  f"and representation properties hold ({pairs} each); longitude checks exact; "
+                  f"({x_checks} results); covering property holds ({pairs} pairs); the "
+                  f"covering map into the fraction quandle carries * and *̄ to * and *̄ "
+                  f"({mapped['covering map']} pairs); longitude checks exact; "
                   f"lambda^k closed form for |k|<={closed_k} ({len(closed)} powers); "
                   f"freeness |k|<={free_k} ({free_cases} elements); "
                   f"fiber_compare recovers {len(planted)} planted k with |k|<={fiber_k}; "
-                  f"pi1_act by braids of <= {act_len} letters moves x to h^-1 x h, keeps x "
+                  f"pi1_act by braids of <= {act_len} letters keeps x "
                   f"equal to g'^-1 m g' and composes ({acted} cases); inv and * equal "
                   f"the Garside forms and images of the parsed inverted and concatenated "
                   f"raw texts of <= {text_len} letters ({kernel_checks} results); "

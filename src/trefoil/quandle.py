@@ -40,6 +40,7 @@ located in the order of the scalar scan (c, a, b for distributivity; a, b, c
 for associativity), so the first counterexample found is the one a
 cell-by-cell loop would find.  The stock tables are built with the same
 gather and join, a whole row or column per step rather than a Python step
+per cell; transvection_quandle is the exception, evaluating its form once
 per cell.
 
 Rows are bytes up to order 256, where gather is one bytes.translate, and

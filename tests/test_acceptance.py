@@ -9,6 +9,7 @@ expected failure rather than weakened; the computed behaviour is pinned by
 its own test below and in tests/test_quandle.py.
 """
 
+import itertools
 import re
 from functools import cache
 from math import gcd
@@ -21,6 +22,7 @@ from trefoil.pfrac import (
     PF_INFINITY,
     PF_ZERO,
     TransvectionMatrix,
+    pf_new,
     sympl_op_inv,
     transvection_matrix,
 )
@@ -173,3 +175,49 @@ def test_criterion_2_reports_a_wrong_determinant(monkeypatch):
     result = run_criterion(2)
     assert not result.ok
     assert re.fullmatch(r"det of matrix for -?\d+/\d+ is 2", result.detail), result.detail
+
+
+def _covering_map_reading_a_for_d(p):
+    a, _, c, _ = p.g.image
+    return pf_new(-c, a)
+
+
+def test_criterion_9_reports_a_covering_map_off_the_fraction_quandle(monkeypatch):
+    monkeypatch.setattr(acceptance, "_COVERING_ROUTE",
+                        [("covering map", acceptance._sole, acceptance.qt_op,
+                          acceptance.qt_op_inv, _covering_map_reading_a_for_d)])
+    result = run_criterion(9)
+    assert not result.ok
+    assert result.detail.startswith("the covering map route and the reference disagree at ")
+
+
+def _wrong_at_first_distinct_pair(op):
+    """op, but sending the first pair of distinct elements it is given, and
+    that pair alone, to its first argument."""
+    faulty = []
+
+    def op_with_fault(x, y):
+        if x != y and not faulty:
+            faulty.append((x, y))
+        return x if faulty and faulty[0] == (x, y) else op(x, y)
+    return op_with_fault
+
+
+@pytest.mark.parametrize("name, quandle", [("qt_op", "covered-quandle"), ("pf_op", "fraction")])
+def test_criterion_3_reports_an_operation_wrong_at_one_pair(monkeypatch, name, quandle):
+    monkeypatch.setattr(acceptance, name, _wrong_at_first_distinct_pair(getattr(acceptance, name)))
+    result = run_criterion(3)
+    assert not result.ok
+    assert result.detail.startswith(f"{quandle} "), result.detail
+
+
+def test_sampled_axioms_reports_a_failure_of_distributivity_alone():
+    # y + s(x - y) on Z/5, s swapping 1 and 2: idempotent, each right
+    # translation an involution, but not distributive
+    swap = (0, 2, 1, 3, 4)
+
+    def op(x, y):
+        return (y + swap[(x - y) % 5]) % 5
+    triples = list(itertools.product(range(5), repeat=3))
+    assert acceptance._sampled_axioms("toy", op, op, triples) == (
+        "toy distributivity fails at 0, 1, 4")

@@ -29,6 +29,8 @@ ROUTES = {
     "fractions": (["pfrac.pf_op"],
                   ["pfrac.apply_matrix", "pfrac.transvection_matrix"],
                   ["pfrac.sympl_op"]),
+    # the long trefoil's operations against the fraction quandle they map to
+    "covering": (["longknot.qt_op", "longknot.qt_op_inv"], ["pfrac.pf_op", "pfrac.pf_op_inv"]),
 }
 
 # The validators and value-type builders routes may share, besides classes.
