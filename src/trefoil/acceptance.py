@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, TextIO
 
-from .braid import BraidElement, braid_eq, longitude, meridian
+from .braid import BraidElement, _product3, braid_eq, longitude, meridian
 from .cfrac import ContinuedFraction, cf_eval, cf_expand
 from .longknot import (
     CoveredElement,
@@ -556,17 +556,24 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
             return False, f"pi1_act does not compose at {where}, {h2.render() or '1'}"
         acted += 1
 
-    # inv and * build Garside forms without the raw-input loop; parsing the
-    # inverted or concatenated raw text is the letter-by-letter route
-    kernel_checks = 0
+    # inv, * and the three-factor product of the covered slots build
+    # Garside forms without the raw-input loop; parsing the inverted or
+    # concatenated raw text is the letter-by-letter route.  The products
+    # are the slots' shapes u^-1 v u and u v u^-1
+    kernel_checks, product3_checks = 0, 0
     for _ in range(text_pairs):
         left, right = random_braid_text(rng, text_len), random_braid_text(rng, text_len)
         u, v = BraidElement.parse(left), BraidElement.parse(right)
-        for got, text in ((u.inv(), left[::-1].swapcase()), (u * v, left + right)):
+        u_inv, inverted = u.inv(), left[::-1].swapcase()
+        kernel = [(u_inv, inverted), (u * v, left + right)]
+        products = [(_product3(u_inv, v, u), inverted + right + left),
+                    (_product3(u, v, u_inv), left + right + inverted)]
+        for got, text in kernel + products:
             want = BraidElement.parse(text)
             if (got.d, got.w, got.image) != (want.d, want.w, want.image):
                 return False, f"{got} differs from the parsed raw text {text or '1'}"
-            kernel_checks += 1
+        kernel_checks += len(kernel)
+        product3_checks += len(products)
 
     slots = [BraidElement.parse("a"), BraidElement.parse("ab"), BraidElement.parse("aba") ** 4]
     while len(slots) < 3 + random_slots:
@@ -592,7 +599,9 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
                   f"pi1_act by braids of <= {act_len} letters keeps x "
                   f"equal to g'^-1 m g' and composes ({acted} cases); inv and * equal "
                   f"the Garside forms and images of the parsed inverted and concatenated "
-                  f"raw texts of <= {text_len} letters ({kernel_checks} results); "
+                  f"raw texts of <= {text_len} letters ({kernel_checks} results), and the "
+                  f"three-factor products u^-1 v u and u v u^-1 those of the three "
+                  f"concatenated texts ({product3_checks} results); "
                   f"CoveredElement rejects {rejected} slots with eps != 0")
 
 

@@ -11,7 +11,9 @@ w (El-Rifai-Morton, Quart. J. Math. 45, 1994), written in one pass over
 w that splits off each factor and emits its complement.  A product
 reduces only the junction of the two words and copies the right factor;
 when the words meet on a repeated letter, or one is empty, there is
-nothing to reduce and the words are joined as they are.
+nothing to reduce and the words are joined as they are.  A product of
+three braids glues the third word straight onto the form of the first
+two, without building their product as a braid.
 
 Equality is also decided by a second, independent route over the integers:
 the Burau representation at t = -1,
@@ -104,32 +106,38 @@ def _image(d: int, w: str) -> _Matrix:
     return p, q, r, s
 
 
-def _glue(d: int, w: str, v: str) -> tuple[int, str]:
-    """Delta^d w v in Garside form, for positive words w and v free of aba
-    and bab.
+def _glue(d: int, w: str, e: int, v: str) -> tuple[int, str]:
+    """Delta^d w Delta^e v in Garside form, for positive words w and v free
+    of aba and bab.
 
-    When w or v is empty, or w ends in the letter v starts with, nothing
-    cancels: a repeated letter is in no aba or bab, so w v is returned as
-    it is.  Otherwise a letter c of v cancels when w ends in c tau(c), as
-    c tau(c) c = Delta.  A letter that does not cancel is kept; the next
-    one then cancels only when w ends in x and the two are tau(x) x.  Each
-    Delta so made moves left, swapping a and b in the rest of v (flip).
-    Once two letters of v are kept in a row, no later one can cancel,
-    since v has no aba or bab: the rest of v is copied as it stands."""
-    if not w or not v or w[-1] == v[0]:
-        return d, w + v
-    n, i, flip = len(w), 0, False
+    Delta^e moves left first, Delta^d w Delta^e v = Delta^(d+e) tau^e(w) v,
+    but tau^e(w) is never written out: a letter of tau^e(w) is compared
+    with v through the parity flip, which starts at e's.  When w or v is
+    empty, or tau^e(w) ends in the letter v starts with, nothing cancels:
+    a repeated letter is in no aba or bab, so tau^e(w) v is returned as it
+    is.  Otherwise a letter c of v cancels when tau^e(w) ends in c tau(c),
+    as c tau(c) c = Delta.  A letter that does not cancel is kept; the next
+    one then cancels only when tau^e(w) ends in x and the two are
+    tau(x) x.  Each Delta so made moves left, swapping a and b in the rest
+    of v and flipping the parity again, so the part of w left is written
+    once, through tau^flip.  Once two letters of v are kept in a row, no
+    later one can cancel, since v has no aba or bab: the rest of v is
+    copied as it stands."""
+    flip = e % 2 == 1
+    if not w or not v or (w[-1] == v[0]) != flip:
+        return d + e, (w.translate(_TAU) if flip else w) + v
+    n, i = len(w), 0
     while i < len(v):
         c = v[i].translate(_TAU) if flip else v[i]
-        if n > 1 and w[n - 2] == c != w[n - 1]:  # w ends in c tau(c)
+        if n > 1 and w[n - 2] == c != w[n - 1]:  # tau^e(w) ends in c tau(c)
             n, i = n - 2, i + 1
         elif n and w[n - 1] != c and i + 1 < len(v) and v[i + 1] != v[i]:
-            n, i = n - 1, i + 2  # w ends in x and v goes on tau(x) x
+            n, i = n - 1, i + 2  # tau^e(w) ends in x and v goes on tau(x) x
         else:
             break
         d, flip = d + 1, not flip
     w = w[:n]
-    return d, (w.translate(_TAU) if flip else w) + v[i:]
+    return d + e, (w.translate(_TAU) if flip else w) + v[i:]
 
 
 def _inverse_word(u: str, m: int) -> tuple[int, str]:
@@ -205,9 +213,7 @@ class BraidElement:
         return 3 * self.d + len(self.w)
 
     def __mul__(self, other: "BraidElement") -> "BraidElement":
-        # Delta^d w Delta^e v = Delta^(d+e) tau^e(w) v
-        w = self.w.translate(_TAU) if other.d % 2 else self.w
-        d, w = _glue(self.d + other.d, w, other.w)
+        d, w = _glue(self.d, self.w, other.d, other.w)
         return BraidElement._trusted(d, w, _matmul(self.image, other.image))
 
     def inv(self) -> "BraidElement":
@@ -249,6 +255,15 @@ class BraidElement:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _product3(u: BraidElement, v: BraidElement, w: BraidElement) -> BraidElement:
+    """u v w, equal to (u * v) * w, as one braid: the Garside form of u v
+    is glued to w at once, and the images multiply left to right, so u v
+    is never built as a braid."""
+    d, x = _glue(u.d, u.w, v.d, v.w)
+    d, x = _glue(d, x, w.d, w.w)
+    return BraidElement._trusted(d, x, _matmul(_matmul(u.image, v.image), w.image))
 
 
 def render_braid(u: BraidElement) -> str:

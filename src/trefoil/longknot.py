@@ -10,7 +10,11 @@ operations are
     (x, g') *  (y, h') = (y^-1 x y, g' x^-1 y) = (y^-1 x y, m^-1 g' y)
     (x, g') *̄ (y, h') = (y x y^-1, g' x y^-1) = (y x y^-1, m g' y^-1)
 
-since g' x^-1 = m^-1 g' and g' x = m g'.  The displayed forms in h',
+since g' x^-1 = m^-1 g' and g' x = m g'.  Each slot, of these, of the
+constructor's x = g'^-1 m g' and of pi1_act's pair, is one three-factor
+product (braid._product3): the Garside form of the first two factors is
+glued straight to the third, so no intermediate braid is built, and *̄
+inverts y once for both of its slots.  The displayed forms in h',
 m^-1 g' h'^-1 m h' and m g' h'^-1 m^-1 h', are routes checked against these
 operations in the acceptance suite's table, acceptance._COVERED_ROUTES.  The
 longitude generates an infinite cyclic group that acts on second slots,
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import field
 
 from ._trusted import value_type
-from .braid import BraidElement, longitude_power, meridian
+from .braid import BraidElement, _product3, longitude_power, meridian
 
 _M, _M_INV = meridian(), meridian().inv()
 
@@ -55,7 +59,7 @@ class CoveredElement:
             raise TypeError(f"CoveredElement takes a BraidElement, not {type(g).__name__}")
         if g.eps != 0:
             raise ValueError(f"second slot must have exponent sum 0, got {g.eps}")
-        object.__setattr__(self, "x", g.inv() * _M * g)
+        object.__setattr__(self, "x", _product3(g.inv(), _M, g))
 
     def to_json(self) -> dict:
         return {"g_prime": self.g.render(), "x": self.x.render(), "eps": self.x.eps}
@@ -72,13 +76,14 @@ def qt_new(g: BraidElement) -> CoveredElement:
 def qt_op(p: CoveredElement, q: CoveredElement) -> CoveredElement:
     """(x, g') * (y, h') = (y^-1 x y, m^-1 g' y)."""
     y = q.x
-    return CoveredElement._trusted(_M_INV * p.g * y, y.inv() * p.x * y)
+    return CoveredElement._trusted(_product3(_M_INV, p.g, y), _product3(y.inv(), p.x, y))
 
 
 def qt_op_inv(p: CoveredElement, q: CoveredElement) -> CoveredElement:
     """(x, g') *̄ (y, h') = (y x y^-1, m g' y^-1)."""
-    y_inv = q.x.inv()
-    return CoveredElement._trusted(_M * p.g * y_inv, q.x * p.x * y_inv)
+    y = q.x
+    y_inv = y.inv()
+    return CoveredElement._trusted(_product3(_M, p.g, y_inv), _product3(y, p.x, y_inv))
 
 
 def covering_p(p: CoveredElement) -> BraidElement:
@@ -97,7 +102,7 @@ def lambda_act(k: int, p: CoveredElement) -> CoveredElement:
 
 def pi1_act(p: CoveredElement, h: BraidElement) -> CoveredElement:
     """The group action (m^{g'}, g')^h = (m^{g'h}, m^{-eps(h)} g' h)."""
-    return CoveredElement._trusted(_M ** (-h.eps) * p.g * h, h.inv() * p.x * h)
+    return CoveredElement._trusted(_product3(_M ** (-h.eps), p.g, h), _product3(h.inv(), p.x, h))
 
 
 def fiber_compare(p1: CoveredElement, p2: CoveredElement) -> int:

@@ -376,12 +376,16 @@ class FiniteGroup:
     and each element's inverse (the first two-sided one), then checks
     associativity on a generating set (Light's test), every check a whole
     row at a time.  size, identity and inverse are derived from the table,
-    so equality and hashing compare the table alone."""
+    so equality and hashing compare the table alone.  _rows and _cols are
+    derived too: the table's rows and columns in the row type of its order,
+    kept from the checks for conj_quandle and core_quandle to gather from."""
 
     table: tuple[tuple[int, ...], ...]
     size: int = field(init=False, compare=False, repr=False)
     identity: int = field(init=False, compare=False, repr=False)
     inverse: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _rows: tuple = field(init=False, compare=False, repr=False)
+    _cols: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         frozen = _freeze_table(self.table)
@@ -394,6 +398,8 @@ class FiniteGroup:
         object.__setattr__(self, "size", len(frozen))
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_cols", tuple(cols))
 
 
 def _generated_rows(identity: Sequence[int], gens, gather) -> list:
@@ -479,17 +485,17 @@ def dihedral_quandle(n: int) -> FiniteQuandle:
 def conj_quandle(g: FiniteGroup) -> FiniteQuandle:
     """A group under conjugation: a * b = b^-1 a b.  Column b is row b^-1
     gathered through column b."""
-    rows, _, cols, (_, _, gather, _, _) = _encode(g.table)
-    cols = [gather(col, rows[g.inverse[b]]) for b, col in enumerate(cols)]
+    gather = _codec(g.size)[2]
+    cols = [gather(col, g._rows[g.inverse[b]]) for b, col in enumerate(g._cols)]
     return FiniteQuandle._trusted(tuple(zip(*cols)), g.size)
 
 
 def core_quandle(g: FiniteGroup) -> FiniteQuandle:
     """The core quandle of a group: a * b = b a^-1 b.  Column b is the
     inverse map gathered through row b, then through column b."""
-    rows, _, cols, (_, row, gather, _, _) = _encode(g.table)
+    _, row, gather, _, _ = _codec(g.size)
     inverse = row(g.inverse)
-    cols = [gather(col, gather(rows[b], inverse)) for b, col in enumerate(cols)]
+    cols = [gather(col, gather(g._rows[b], inverse)) for b, col in enumerate(g._cols)]
     return FiniteQuandle._trusted(tuple(zip(*cols)), g.size)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from trefoil import (
     qt_op_inv,
     render_braid,
 )
-from trefoil.acceptance import sample_covered_pool
+from trefoil.acceptance import random_braid, sample_covered_pool
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,56 @@ def test_both_displayed_second_slot_forms_agree(pool):
         # *̄ : g' x y^-1 and m g' h'^-1 m^-1 h'
         g1, g2 = p.g * p.x * q.x.inv(), m * p.g * q.g.inv() * m_inv * q.g
         assert braid_eq(g1, g2) and braid_eq(qt_op_inv(p, q).g, g1)
+
+
+def _forms(*braids):
+    return [(u.d, u.w, u.image) for u in braids]
+
+
+def _two_product_op(pair, q):
+    # (x, g') * (y, h') = (y^-1 x y, m^-1 g' y), each slot from two *s;
+    # pair is (g', x)
+    g, x = pair
+    y = q.x
+    return meridian().inv() * g * y, y.inv() * x * y
+
+
+def _two_product_op_inv(pair, q):
+    # (x, g') *̄ (y, h') = (y x y^-1, m g' y^-1)
+    g, x = pair
+    y = q.x
+    return meridian() * g * y.inv(), y * x * y.inv()
+
+
+def test_slots_equal_the_two_product_formulas_on_the_selftest_pool():
+    # the pool and act lengths of the selftest's long-trefoil criterion
+    pool, m = sample_covered_pool(random.Random(1009), 20, 12), meridian()
+    for p in pool:
+        assert _forms(CoveredElement(p.g).x) == _forms(p.g.inv() * m * p.g)
+    for p, q in itertools.product(pool, repeat=2):
+        for op, slow in ((qt_op, _two_product_op), (qt_op_inv, _two_product_op_inv)):
+            r = op(p, q)
+            assert _forms(r.g, r.x) == _forms(*slow((p.g, p.x), q))
+    rng = random.Random(40)
+    for _ in range(500):
+        p, h = rng.choice(pool), random_braid(rng, 8)
+        r = pi1_act(p, h)
+        assert _forms(r.g, r.x) == _forms(m ** (-h.eps) * p.g * h, h.inv() * p.x * h)
+
+
+def test_slots_equal_the_two_product_formulas_along_chains():
+    # chains of depth 32 of * and of *̄ from the selftest pool, the
+    # two-product slots carried along beside the covered element
+    pool = sample_covered_pool(random.Random(1009), 20, 12)
+    rng = random.Random(41)
+    for op, slow in ((qt_op, _two_product_op), (qt_op_inv, _two_product_op_inv)):
+        for _ in range(8):
+            p = rng.choice(pool)
+            pair = (p.g, p.x)
+            for _ in range(32):
+                q = rng.choice(pool)
+                p, pair = op(p, q), slow(pair, q)
+                assert _forms(p.g, p.x) == _forms(*pair)
 
 
 def test_covering_property(pool):

@@ -899,6 +899,21 @@ def test_conj_and_core_quandles_match_their_cells():
         _assert_table(core_quandle(g).table, _cells_core(g))
 
 
+def test_conj_and_core_gather_from_the_rows_and_columns_the_group_keeps():
+    # order 258 takes the tuple-row path; the kept rows and columns are the
+    # table's and stay out of equality, hashing and repr
+    g = dihedral_group(129)
+    assert g.size == 258 and g._rows == g.table and g._cols == tuple(zip(*g.table))
+    assert g == FiniteGroup(g.table) and hash(g) == hash(FiniteGroup(g.table))
+    assert "_rows" not in repr(g) and "_cols" not in repr(g)
+    t, n = g.table, g.size
+    inverse = [next(b for b in range(n) if t[a][b] == g.identity) for a in range(n)]
+    conj, core = conj_quandle(g).table, core_quandle(g).table
+    for a, b in itertools.product(range(n), repeat=2):
+        assert conj[a][b] == t[t[inverse[b]][a]][b]
+        assert core[a][b] == t[t[b][inverse[a]]][b]
+
+
 def test_alexander_quandles_match_their_cells_across_order_256():
     rings = [LaurentQuotientRing(m, h) for m, h in _ALEXANDER_RINGS]
     # orders 243, 289 and 343: degree 5, 2 and 1

@@ -4,7 +4,8 @@ route it is checked against, but value types and validators.
 
 The walk reads src/trefoil with ast.  A module-level function, or a
 module-level name bound by assignment, reads every module-level function,
-class or name of the package that its definition names, across imports;
+class or name of the package that its definition names, across imports,
+by name or as an attribute of a module imported with `from . import`;
 reaching is the closure of reading.  A class is a value type: it is
 reached but not entered.  Annotations are not read.
 """
@@ -43,25 +44,37 @@ def _trees():
 
 
 def _runtime_names(node):
-    """The names a definition reads when it runs: annotations left out."""
+    """The names a definition reads when it runs, annotations left out:
+    each bare name, and each attribute of one as 'name.attribute'."""
     hidden = set()
     for sub in ast.walk(node):
         for annotation in (getattr(sub, "annotation", None), getattr(sub, "returns", None)):
             if annotation is not None:
                 hidden.update(map(id, ast.walk(annotation)))
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and id(n) not in hidden}
+    names = set()
+    for n in ast.walk(node):
+        if id(n) in hidden:
+            continue
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            names.add(f"{n.value.id}.{n.attr}")
+    return names
 
 
 def _reads(trees):
     """Each module-level definition, as 'module.name', with the qualified
-    names it reads, and the set of classes."""
+    names it reads, and the set of classes.  After `from . import module`,
+    module.name reads that module's name; a read is kept, once every module
+    is walked, when it names a definition."""
     reads, classes = {}, set()
     for module, tree in trees.items():
         scope, bodies = {}, []
         for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
-                    scope[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                    scope[alias.asname or alias.name] = (
+                        f"{node.module}.{alias.name}" if node.module else alias.name)
             elif isinstance(node, ast.ClassDef):
                 scope[node.name] = f"{module}.{node.name}"
                 classes.add(scope[node.name])
@@ -78,9 +91,12 @@ def _reads(trees):
         for name, body in bodies:
             own = f"{module}.{name}"
             named = set() if body is None else _runtime_names(body)
-            reads.setdefault(own, set()).update(
-                scope[n] for n in named if n in scope and scope[n] != own)
-    return reads, classes
+            # 'head.attribute' qualifies its head: 'pfrac.pf_op' after
+            # `from . import pfrac`, and no definition after a class name
+            qualified = {scope[head] + dot + attr
+                         for head, dot, attr in (n.partition(".") for n in named) if head in scope}
+            reads.setdefault(own, set()).update(qualified - {own})
+    return {own: names & reads.keys() for own, names in reads.items()}, classes
 
 
 def _reach(reads, entries):
@@ -135,10 +151,14 @@ def test_every_allowed_helper_is_shared_somewhere():
     ("braids", "braid", "_glue", "_matmul((1, 0, 0, 1), (1, 0, 0, 1))"),
     ("braids", "braid", "_inverse_word", "_matmul((1, 0, 0, 1), (1, 0, 0, 1))"),
     ("fractions", "pfrac", "sympl_op", "pf_op(x, y)"),
+    ("covering", "longknot", "qt_op", "from . import pfrac; pfrac.pf_op(p, q)"),
 ])
 def test_a_planted_call_across_routes_is_found(group, module, function, call):
+    # an import is planted at module level, the call at the top of the function
     trees = _trees()
     node = next(n for n in trees[module].body
                 if isinstance(n, ast.FunctionDef) and n.name == function)
-    node.body.insert(0, ast.parse(call).body[0])
+    planted = ast.parse(call).body
+    trees[module].body[:0] = [s for s in planted if isinstance(s, ast.ImportFrom)]
+    node.body[:0] = [s for s in planted if not isinstance(s, ast.ImportFrom)]
     assert any(_shared_helpers(trees, group).values())
