@@ -4,7 +4,7 @@ builder of a Fraction."""
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import partial
+from types import MethodType
 
 
 def value_type(cls):
@@ -28,8 +28,11 @@ def pair_type(cls):
     """Attach to cls, a tuple subclass with __slots__ = (), its C-level
     builder that skips the checks: cls._trusted(pair) holds the two items
     of the tuple pair as given, without running cls.__new__.  It is only
-    for pairs valid by an argument stated where they are built."""
-    cls._trusted = partial(tuple.__new__, cls)
+    for pairs valid by an argument stated where they are built.  The
+    builder is tuple.__new__ bound to cls as a method, which passes cls
+    ahead of the pair without building an argument tuple, as a partial
+    does."""
+    cls._trusted = MethodType(tuple.__new__, cls)
     return cls
 
 

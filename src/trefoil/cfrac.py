@@ -7,9 +7,20 @@ Expansion uses floor, never truncation, so negative rationals expand the way
 "greatest integer not exceeding" dictates.  No floating point anywhere.
 
 Both directions are integer kernels sized for rationals of many thousands
-of bits: expansion is Euclid's algorithm, batched on the leading bits of
-long pairs (Lehmer), and evaluation multiplies the term matrices
-[[k, 1], [1, 0]] as a balanced product tree.
+of bits, and each forms only the products it keeps.  Expansion is Euclid's
+algorithm, batched on the leading bits of long pairs (Lehmer).  Euclid on
+the top bits (A, B) of the pair carries only the bottom row of the batch's
+convergent matrix M = [[h_m, h_(m-1)], [k_m, k_(m-1)]]; the top row follows
+exactly from the window pair (a, b) after the batch and s = det M = (-1)^m:
+
+    h_m = (A k_m + s b) / B,    h_(m-1) = (A - h_m a) / b.
+
+Proof: (A, B) = M (a, b) reads A = h_m a + h_(m-1) b and
+B = k_m a + k_(m-1) b.  With h_(m-1) k_m = h_m k_(m-1) - s,
+A k_m = h_m (k_m a + k_(m-1) b) - s b = h_m B - s b, and the second is the
+first row solved for h_(m-1).  Evaluation multiplies the term matrices
+[[k, 1], [1, 0]] as a balanced product tree, and forms only its first
+column (h_n, k_n) along the tree's right spine.
 """
 
 from __future__ import annotations
@@ -85,17 +96,19 @@ class ContinuedFraction:
 
 
 # Below this many denominator bits one divmod per term is faster than a
-# batch: the two cost the same per term at 2000-3000 bits (CPython 3.11,
-# x86-64), where a batch costs about 0.6 us per term.
-_BATCH_MIN_BITS = 2048
+# batch: cut-offs of 1280 and 1536 bits measure the same, 1024 is 2-4%
+# slower on expansions of 1280-2560 bits and 2048 about 9% slower at 2048
+# bits (CPython 3.11.7, x86-64).
+_BATCH_MIN_BITS = 1536
 # A batch runs Euclid on the top bits of the pair and keeps a quotient while
 # the truncated remainder has more than half of them; 384 to 768 bits
 # measure the same.
 _BATCH_TOP_BITS = 512
 _BATCH_KEEP = 1 << _BATCH_TOP_BITS // 2
-# Most terms per leaf of cf_eval's product tree: leaves of 16 to 128 terms
-# measure the same, 8 is about 15% slower (CPython 3.11, x86-64).
-_TREE_LEAF = 32
+# Most terms per leaf of cf_eval's product tree: leaves of 96 and 128 terms
+# measure the same, 32 is 4-7% slower and 192 3-5% slower from 2^12 bits
+# on (CPython 3.11.7, x86-64).
+_TREE_LEAF = 128
 
 
 def cf_expand(r: Rational) -> ContinuedFraction:
@@ -108,7 +121,8 @@ def cf_expand(r: Rational) -> ContinuedFraction:
     and while q is large the terms come in batches (Lehmer 1938): Euclid on
     the top bits of p and q proposes quotients b_1..b_m, kept while the
     truncated remainder is still long, and their convergent matrix
-    M = [[h_m, h_(m-1)], [k_m, k_(m-1)]] is applied to the whole pair as
+    M = [[h_m, h_(m-1)], [k_m, k_(m-1)]], its top row recovered from its
+    bottom row as _euclid_batch proves, is applied to the whole pair as
     (x, y) = M^-1 (p, q).  The batch is checked by
 
         Lemma.  For p > q > 0 and positive b_1..b_m, these are the first m
@@ -155,10 +169,25 @@ def cf_expand(r: Rational) -> ContinuedFraction:
 def _euclid_batch(p: int, q: int) -> tuple[list[int], int, int]:
     """The next Euclidean quotients of p > q > 0 read off the top bits, with
     the pair after them.  When the top bits make not one quotient certain,
-    this is the single quotient of one divmod."""
+    this is the single quotient of one divmod.
+
+    Euclid on the window (A, B) of top bits carries only the bottom row
+    (k_m, k_(m-1)) of the convergent matrix M = [[h_m, h_(m-1)],
+    [k_m, k_(m-1)]]; the top row is recovered from the window pair (a, b)
+    after the m steps and s = det M = (-1)^m as
+
+        h_m = (A k_m + s b) / B,    h_(m-1) = (A - h_m a) / b,
+
+    both divisions exact.  (A, B) = M (a, b) gives A = h_m a + h_(m-1) b and
+    B = k_m a + k_(m-1) b, so A k_m = h_m a k_m + h_(m-1) k_m b, and
+    h_(m-1) k_m = h_m k_(m-1) - s turns this into h_m B - s b; the second
+    is A = h_m a + h_(m-1) b solved for h_(m-1), with b > 0 as the last step
+    kept a remainder of at least _BATCH_KEEP.
+    """
     shift = p.bit_length() - _BATCH_TOP_BITS
-    a, b = p >> shift, q >> shift
+    top, bottom = a, b = p >> shift, q >> shift
     quotients: list[int] = []
+    k, k_prev = 0, 1
     keep, append = _BATCH_KEEP, quotients.append
     while b >= keep:
         t, rem = divmod(a, b)
@@ -166,28 +195,19 @@ def _euclid_batch(p: int, q: int) -> tuple[list[int], int, int]:
             break
         append(t)
         a, b = b, rem
-    # (x, y) = M^-1 (p, q), where det M = (-1)^m
-    h, h_prev, k, k_prev = _convergents(quotients)
-    x, y = k_prev * p - h_prev * q, h * q - k * p
-    if len(quotients) % 2:
-        x, y = -x, -y
-    while not x > y >= 0:
-        x, y = quotients.pop() * x + y, x
-    if not quotients:
-        t, rem = divmod(p, q)
-        return [t], q, rem
-    return quotients, x, y
-
-
-def _convergents(terms: Sequence[int]) -> tuple[int, int, int, int]:
-    """The product of the matrices [[a, 1], [1, 0]] over the terms, row by
-    row, [[h_n, h_(n-1)], [k_n, k_(n-1)]], by the convergent recurrence
-    h_i = a_i h_(i-1) + h_(i-2) and the same for k_i."""
-    h, h_prev, k, k_prev = 1, 0, 0, 1
-    for a in terms:
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-    return h, h_prev, k, k_prev
+        k, k_prev = t * k + k_prev, k
+    if quotients:
+        s = -1 if len(quotients) % 2 else 1
+        h = (top * k + s * b) // bottom
+        h_prev = (top - h * a) // b
+        # (x, y) = M^-1 (p, q) = s [[k_(m-1), -h_(m-1)], [-k_m, h_m]] (p, q)
+        x, y = s * (k_prev * p - h_prev * q), s * (h * q - k * p)
+        while not x > y >= 0:
+            x, y = quotients.pop() * x + y, x
+        if quotients:
+            return quotients, x, y
+    t, rem = divmod(p, q)
+    return [t], q, rem
 
 
 def cf_eval(cf: Union[ContinuedFraction, Sequence[int]]) -> Fraction:
@@ -199,24 +219,44 @@ def cf_eval(cf: Union[ContinuedFraction, Sequence[int]]) -> Fraction:
     [[a_i, 1], [1, 0]] over the terms a_i, which is
     [[h_n, h_(n-1)], [k_n, k_(n-1)]].  The product is a balanced tree
     (Bernstein 2008, "Fast multiplication and its applications"), so its
-    large products are of equal-sized factors; each leaf is a run of terms
-    multiplied out by the convergent recurrence.  The product has
-    determinant h_n k_(n-1) - h_(n-1) k_n = +-1 and k_n > 0, so h_n/k_n is
-    already in lowest terms and is built without a gcd.
+    large products are of equal-sized factors.  Only its first column
+    (h_n, k_n) is formed: along the right spine of the tree each node is the
+    left half's whole product times the right half's first column, and the
+    rightmost leaf is folded from the last term, (h, k) <- (a h + k, h).
+    The product has determinant h_n k_(n-1) - h_(n-1) k_n = +-1 and k_n > 0,
+    so h_n/k_n is already in lowest terms and is built without a gcd.
     """
     if not isinstance(cf, ContinuedFraction):
         cf = ContinuedFraction(cf)
-    h, _, k, _ = _product(cf.terms)
+    h, k = _column(cf.terms, 0, len(cf.terms))
     return coprime_fraction(h, k)
 
 
-def _product(terms: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """The matrix product over the terms, as _convergents gives it, split in
-    halves down to leaves of at most _TREE_LEAF terms (depth log2 of the
-    number of leaves)."""
-    if len(terms) <= _TREE_LEAF:
-        return _convergents(terms)
-    mid = len(terms) // 2
-    a, b, c, d = _product(terms[:mid])
-    e, f, g, h = _product(terms[mid:])
+def _column(terms: tuple[int, ...], lo: int, hi: int) -> tuple[int, int]:
+    """The first column (h, k) of the matrix product over terms[lo:hi]."""
+    if hi - lo <= _TREE_LEAF:
+        h, k = 1, 0
+        for a in reversed(terms[lo:hi]):
+            h, k = a * h + k, h
+        return h, k
+    mid = (lo + hi) // 2
+    a, b, c, d = _product(terms, lo, mid)
+    e, g = _column(terms, mid, hi)
+    return a * e + b * g, c * e + d * g
+
+
+def _product(terms: tuple[int, ...], lo: int, hi: int) -> tuple[int, int, int, int]:
+    """The matrix product over terms[lo:hi], row by row, split in halves
+    down to leaves of at most _TREE_LEAF terms, each multiplied out by the
+    convergent recurrence h_i = a_i h_(i-1) + h_(i-2), and the same for
+    k_i."""
+    if hi - lo <= _TREE_LEAF:
+        h, h_prev, k, k_prev = 1, 0, 0, 1
+        for a in terms[lo:hi]:
+            h, h_prev = a * h + h_prev, h
+            k, k_prev = a * k + k_prev, k
+        return h, h_prev, k, k_prev
+    mid = (lo + hi) // 2
+    a, b, c, d = _product(terms, lo, mid)
+    e, f, g, h = _product(terms, mid, hi)
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)

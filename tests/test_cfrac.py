@@ -45,7 +45,8 @@ from trefoil import (
     word_op,
     word_op_inv,
 )
-from trefoil.cfrac import _BATCH_MIN_BITS, _TREE_LEAF, _euclid_batch
+from trefoil.cfrac import (_BATCH_KEEP, _BATCH_MIN_BITS, _BATCH_TOP_BITS, _TREE_LEAF,
+                           _euclid_batch)
 
 
 def fraction_expand(r):
@@ -69,6 +70,58 @@ def fraction_eval(terms):
     return value
 
 
+def convergents(terms):
+    """The matrix product over the terms, [[h_n, h_(n-1)], [k_n, k_(n-1)]],
+    row by row, by the forward convergent recurrence."""
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    for a in terms:
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+    return h, h_prev, k, k_prev
+
+
+def full_product(terms):
+    """The whole matrix product as a balanced tree of tuple slices, all four
+    entries at every node: the reference for cf_eval's one column."""
+    if len(terms) <= _TREE_LEAF:
+        return convergents(terms)
+    mid = len(terms) // 2
+    a, b, c, d = full_product(terms[:mid])
+    e, f, g, h = full_product(terms[mid:])
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def window_euclid(p, q):
+    """Euclid on the top bits of p > q as a batch reads them: the proposed
+    quotients, the window (A, B) and the window pair after the quotients."""
+    shift = p.bit_length() - _BATCH_TOP_BITS
+    top, bottom = a, b = p >> shift, q >> shift
+    proposed = []
+    while b >= _BATCH_KEEP:
+        t, rem = divmod(a, b)
+        if rem < _BATCH_KEEP:
+            break
+        proposed.append(t)
+        a, b = b, rem
+    return proposed, (top, bottom), (a, b)
+
+
+def two_row_batch(p, q):
+    """A batch with both rows of its matrix from the convergent recurrence:
+    the reference for _euclid_batch."""
+    quotients = window_euclid(p, q)[0]
+    h, h_prev, k, k_prev = convergents(quotients)
+    x, y = k_prev * p - h_prev * q, h * q - k * p
+    if len(quotients) % 2:
+        x, y = -x, -y
+    while not x > y >= 0:
+        x, y = quotients.pop() * x + y, x
+    if not quotients:
+        t, rem = divmod(p, q)
+        return [t], q, rem
+    return quotients, x, y
+
+
 def random_rationals():
     rng = random.Random(41)
     yield from (Fraction(n) for n in (0, 1, -1, 7, -7, 2**70, -(2**70)))
@@ -86,6 +139,8 @@ def test_kernels_match_fraction_reference():
         cf = cf_expand(r)
         assert cf.terms == fraction_expand(r)
         assert cf_eval(cf) == fraction_eval(cf.terms) == r
+        h, _, k, _ = full_product(cf.terms)
+        assert (h, k) == (r.numerator, r.denominator)
         assert cf_expand(r.numerator) == ContinuedFraction((r.numerator,))
         terms = cf.terms
         if len(terms) >= 2:
@@ -204,14 +259,19 @@ def test_batched_expand_on_long_fibonacci_ratios():
 
 def test_euclid_batch_returns_only_true_quotients():
     # whatever the leading bits propose, a batch returns true Euclidean
-    # quotients and the pair after them; about one batch in thirty here
-    # drops a proposed trailing quotient, and p much longer than q leaves
-    # nothing to propose
+    # quotients and the pair after them, the same as the two-row reference;
+    # about one batch in thirty here drops a proposed trailing quotient, and
+    # nothing is proposed when p is much longer than q, or when p is about a
+    # 250-bit multiple of q, so the first window remainder is short
     rng = random.Random(46)
-    for _ in range(300):
+    seen = set()
+    for _ in range(400):
         bits = rng.randint(_BATCH_MIN_BITS + 1, 3 * _BATCH_MIN_BITS)
         q = rng.getrandbits(bits) | 1 << bits - 1
-        p = q + 1 + rng.getrandbits(rng.choice((bits - 8, bits, bits + 8, bits + 600)))
+        if rng.random() < 0.1:
+            p = (rng.getrandbits(250) | 1 << 249) * q + rng.getrandbits(64)
+        else:
+            p = q + 1 + rng.getrandbits(rng.choice((bits - 8, bits, bits + 8, bits + 600)))
         quotients, x, y = _euclid_batch(p, q)
         assert quotients
         a, b = p, q
@@ -220,6 +280,25 @@ def test_euclid_batch_returns_only_true_quotients():
             assert k == t
             a, b = b, r
         assert (x, y) == (a, b)
+        assert (quotients, x, y) == two_row_batch(p, q)
+        proposed, (top, bottom), (a, b) = window_euclid(p, q)
+        if p.bit_length() > q.bit_length() + 200:
+            seen.add("p >> q")
+        if not proposed:
+            seen.add("keeps nothing, " + ("B short" if bottom < _BATCH_KEEP else "remainder short"))
+            continue
+        # the top row recovered from the bottom row is the recurrence's; with
+        # the kept quotients and (x, y) equal to the reference's, so is the
+        # kernel's, as y = s (h q - k p) fixes h and x fixes h_prev
+        h, h_prev, k, _ = convergents(proposed)
+        s = (-1) ** len(proposed)
+        assert divmod(top * k + s * b, bottom) == (h, 0)
+        assert divmod(top - h * a, b) == (h_prev, 0)
+        seen.add(f"m {'odd' if len(proposed) % 2 else 'even'}")
+        if len(quotients) < len(proposed):
+            seen.add("pops")
+    assert seen == {"keeps nothing, B short", "keeps nothing, remainder short",
+                    "m odd", "m even", "pops", "p >> q"}, seen
 
 
 def test_batched_expand_around_a_huge_partial_quotient():
@@ -235,14 +314,17 @@ def test_batched_expand_around_a_huge_partial_quotient():
 
 
 def test_tree_eval_matches_fraction_reference():
+    # one leaf, a spine of one and of two nodes, and either side of each cut
     rng = random.Random(45)
-    for n in range(1, 3 * _TREE_LEAF + 2):
+    for n in range(1, 3 * _TREE_LEAF + 3):
         for bound in (3, 2**70):
             terms = [rng.randint(-bound, bound)] + [rng.randint(1, bound) for _ in range(n - 1)]
             if n >= 2 and terms[-1] == 1:
                 terms[-1] = 2
             value = cf_eval(terms)
             assert value == fraction_eval(terms)
+            h, _, k, _ = full_product(tuple(terms))
+            assert (value.numerator, value.denominator) == (h, k)
             assert cf_expand(value).terms == tuple(terms)
 
 

@@ -32,6 +32,8 @@ ROUTES = {
                   ["pfrac.sympl_op"]),
     # the long trefoil's operations against the fraction quandle they map to
     "covering": (["longknot.qt_op", "longknot.qt_op_inv"], ["pfrac.pf_op", "pfrac.pf_op_inv"]),
+    # expansion against evaluation, which criterion 5 checks both ways
+    "continued fractions": (["cfrac.cf_expand"], ["cfrac.cf_eval"]),
 }
 
 # The validators and value-type builders routes may share, besides classes.
@@ -127,7 +129,7 @@ def test_routes_share_no_helper(group):
 def test_the_walk_follows_calls_across_modules():
     reads, classes = _reads(_trees())
     assert {"words._canon", "words._last_b_to"} <= _reach(reads, ["words.normalize"])
-    assert {"cfrac._euclid_batch", "cfrac._convergents", "cfrac.ContinuedFraction"} <= (
+    assert {"cfrac._euclid_batch", "cfrac._BATCH_KEEP", "cfrac.ContinuedFraction"} <= (
         _reach(reads, ["words.frac_to_word"]))
     assert {"pfrac._pf_signed", "pfrac._pfrac", "pfrac.PFrac"} <= (
         _reach(reads, ["words.word_to_frac"]))
@@ -152,6 +154,7 @@ def test_every_allowed_helper_is_shared_somewhere():
     ("braids", "braid", "_inverse_word", "_matmul((1, 0, 0, 1), (1, 0, 0, 1))"),
     ("fractions", "pfrac", "sympl_op", "pf_op(x, y)"),
     ("covering", "longknot", "qt_op", "from . import pfrac; pfrac.pf_op(p, q)"),
+    ("continued fractions", "cfrac", "cf_eval", "_euclid_batch(3, 2)"),
 ])
 def test_a_planted_call_across_routes_is_found(group, module, function, call):
     # an import is planted at module level, the call at the top of the function
