@@ -8,7 +8,10 @@ Only raw input (parse) is reduced letter by letter.  The group
 operations build (d, w) from the operands' forms without that loop.  An
 inverse is the closed form from the complements of the simple factors of
 w (El-Rifai-Morton, Quart. J. Math. 45, 1994), written in one pass over
-w that splits off each factor and emits its complement.  A product
+w that splits off each factor and emits its complement; _inverse_form
+gives that form alone, for callers that glue an inverse into a longer
+product without building it as a braid, as the long trefoil's slot
+builder (longknot._act) does with y^-1 in y^-1 x y.  A product
 reduces only the junction of the two words and copies the right factor;
 when the words meet on a repeated letter, or one is empty, there is
 nothing to reduce and the words are joined as they are.  A product of
@@ -23,7 +26,9 @@ the Burau representation at t = -1,
 stored with every braid as the field `image`, together with the exponent
 sum.  Each way of building a braid sets the image in closed form: one
 column add per letter of w for a parsed or checked braid; the product of
-the factors' images for a product; the adjugate for an inverse.  This map
+the factors' images for a product; the adjugate for an inverse; and,
+for a covered element's first slot g'^-1 m g', the transvection matrix
+read off the bottom row of g''s image (longknot._x_image).  This map
 sends B3 onto SL(2, Z) with kernel <Delta^4> (Milnor 1971; Kassel-Turaev,
 Braid Groups, 2008), and eps(Delta^4) = 12, so two braids with equal
 images and equal exponent sums differ by Delta^(4k) with 12k = 0: they
@@ -174,6 +179,15 @@ def _inverse_word(u: str, m: int) -> tuple[int, str]:
     return len(pieces), "".join(pieces)
 
 
+def _inverse_form(d: int, w: str) -> tuple[int, str]:
+    """The Garside form of (Delta^d w)^-1 = Delta^-d u^-1, with
+    u = tau^d(w) = s_1 ... s_k in simple factors: one pass over u
+    (_inverse_word) gives u^-1 = Delta^-k X, so the form is (-d - k, X)."""
+    u = w.translate(_TAU) if d % 2 else w
+    k, x = _inverse_word(u, len(u))
+    return -d - k, x
+
+
 @value_type
 class BraidElement:
     """The braid Delta^d w in Garside form; build it with parse or the
@@ -217,14 +231,11 @@ class BraidElement:
         return BraidElement._trusted(d, w, _matmul(self.image, other.image))
 
     def inv(self) -> "BraidElement":
-        """(Delta^d w)^-1 = Delta^-d u^-1 with u = tau^d(w) = s_1 ... s_k in
-        simple factors; one pass over u (_inverse_word) gives
-        u^-1 = Delta^-k X.  The inverse of a determinant-one image is its
-        adjugate."""
-        u = self.w.translate(_TAU) if self.d % 2 else self.w
-        k, x = _inverse_word(u, len(u))
+        """The Garside form from _inverse_form; the inverse of a
+        determinant-one image is its adjugate."""
+        d, w = _inverse_form(self.d, self.w)
         p, q, r, s = self.image
-        return BraidElement._trusted(-self.d - k, x, (s, -q, -r, p))
+        return BraidElement._trusted(d, w, (s, -q, -r, p))
 
     def __pow__(self, k: int) -> "BraidElement":
         if type(k) is not int:

@@ -10,15 +10,38 @@ operations are
     (x, g') *  (y, h') = (y^-1 x y, g' x^-1 y) = (y^-1 x y, m^-1 g' y)
     (x, g') *̄ (y, h') = (y x y^-1, g' x y^-1) = (y x y^-1, m g' y^-1)
 
-since g' x^-1 = m^-1 g' and g' x = m g'.  Each slot, of these, of the
-constructor's x = g'^-1 m g' and of pi1_act's pair, is one three-factor
-product (braid._product3): the Garside form of the first two factors is
-glued straight to the third, so no intermediate braid is built, and *̄
-inverts y once for both of its slots.  The displayed forms in h',
-m^-1 g' h'^-1 m h' and m g' h'^-1 m^-1 h', are routes checked against these
-operations in the acceptance suite's table, acceptance._COVERED_ROUTES.  The
-longitude generates an infinite cyclic group that acts on second slots,
-freely and transitively on each fibre of the covering map (x, g') -> x.
+since g' x^-1 = m^-1 g' and g' x = m g'.  Both are pi1_act's action
+
+    (x, g')^r = (r^-1 x r, m^s g' r),    s = -eps(r),
+
+by r = y and by r = y^-1, and the three share one slot builder, _act,
+which builds one braid per slot from the operands' parts (d, w, image):
+no factor, y^-1 included, is built as a braid.  A slot's Garside form is
+two junction glues (braid._glue) of its factors' forms.  The form of y^-1
+comes from braid._inverse_form once per call, and *̄ uses it in both
+slots; that of m^-+1 is the meridian's, and pi1_act's m^s is a^s.  On
+images, M^s G adds s times G's bottom row to its top row, M = [[1, 1],
+[0, 1]] being the image of m, so the second slot's image is one row
+operation and one 2x2 product.  The first slot's image takes no product:
+the result's x is m conjugated by its second slot, r^-1 x r =
+(m^s g' r)^-1 m (m^s g' r) as m^s commutes with m, and for any
+G = [[a, b], [c, d]] of determinant 1
+
+    G^-1 M G = [[1 + cd, d^2], [-c^2, 1 - cd]]        (_x_image).
+
+Proof: M = I + e_1 e_2^T, so G^-1 M G = I + (G^-1 e_1)(e_2^T G).  The
+first column of G^-1 = [[d, -b], [-c, a]] is (d, -c), and e_2^T G is G's
+bottom row (c, d), so G^-1 M G = I + (d, -c)^T (c, d), the matrix above.
+It is the transvection matrix (pfrac.transvection_matrix) of the point
+(d, -c), made of the row (c, d) that the covering map kappa = -c/d reads.
+
+The constructor's x = g'^-1 m g' stays a three-factor product
+(braid._product3), a route independent of the slot builder.  It and the
+displayed forms in h', m^-1 g' h'^-1 m h' and m g' h'^-1 m^-1 h', are
+checked against these operations in the acceptance suite's table,
+acceptance._COVERED_ROUTES.  The longitude generates an infinite cyclic
+group that acts on second slots, freely and transitively on each fibre of
+the covering map (x, g') -> x.
 
 The deck layer needs no Garside products beyond lambda_act's one.  The
 longitude is lambda = Delta^2 a^-6 with Delta^2 central, so lambda^k has a
@@ -34,7 +57,15 @@ from __future__ import annotations
 from dataclasses import field
 
 from ._trusted import value_type
-from .braid import BraidElement, _product3, longitude_power, meridian
+from .braid import (
+    BraidElement,
+    _glue,
+    _inverse_form,
+    _matmul,
+    _product3,
+    longitude_power,
+    meridian,
+)
 
 _M, _M_INV = meridian(), meridian().inv()
 
@@ -73,17 +104,45 @@ def qt_new(g: BraidElement) -> CoveredElement:
     return CoveredElement(g)
 
 
+def _x_image(c: int, d: int) -> tuple[int, int, int, int]:
+    """The t = -1 image of g^-1 m g for g with image [[a, b], [c, d]]:
+    [[1 + cd, d^2], [-c^2, 1 - cd]], the transvection of the point
+    (d, -c)."""
+    cd = c * d
+    return 1 + cd, d * d, -c * c, 1 - cd
+
+
+def _act(p: CoveredElement, s: int, md: int, mw: str, rd: int, rw: str,
+         r_image: tuple[int, int, int, int], ud: int, uw: str) -> CoveredElement:
+    """p^r = (r^-1 x r, m^s g' r) for s = -eps(r), one braid per slot, from
+    the Garside forms (md, mw) of m^s, (rd, rw) of r and (ud, uw) of r^-1
+    and the image of r.  Each form is two junction glues; the image of
+    m^s g' r is g''s with s times its bottom row added to its top row,
+    times r's, and _x_image reads x's image off that image's bottom row."""
+    g, x = p.g, p.x
+    a, b, c, d = g.image
+    image = _matmul((a + s * c, b + s * d, c, d), r_image)
+    gd, gw = _glue(md, mw, g.d, g.w)
+    gd, gw = _glue(gd, gw, rd, rw)
+    xd, xw = _glue(ud, uw, x.d, x.w)
+    xd, xw = _glue(xd, xw, rd, rw)
+    return CoveredElement._trusted(BraidElement._trusted(gd, gw, image),
+                                   BraidElement._trusted(xd, xw, _x_image(image[2], image[3])))
+
+
 def qt_op(p: CoveredElement, q: CoveredElement) -> CoveredElement:
     """(x, g') * (y, h') = (y^-1 x y, m^-1 g' y)."""
     y = q.x
-    return CoveredElement._trusted(_product3(_M_INV, p.g, y), _product3(y.inv(), p.x, y))
+    ud, uw = _inverse_form(y.d, y.w)
+    return _act(p, -1, _M_INV.d, _M_INV.w, y.d, y.w, y.image, ud, uw)
 
 
 def qt_op_inv(p: CoveredElement, q: CoveredElement) -> CoveredElement:
     """(x, g') *̄ (y, h') = (y x y^-1, m g' y^-1)."""
     y = q.x
-    y_inv = y.inv()
-    return CoveredElement._trusted(_product3(_M, p.g, y_inv), _product3(y, p.x, y_inv))
+    ud, uw = _inverse_form(y.d, y.w)
+    e, f, g, h = y.image  # y^-1's image is the adjugate
+    return _act(p, 1, _M.d, _M.w, ud, uw, (h, -f, -g, e), y.d, y.w)
 
 
 def covering_p(p: CoveredElement) -> BraidElement:
@@ -102,7 +161,11 @@ def lambda_act(k: int, p: CoveredElement) -> CoveredElement:
 
 def pi1_act(p: CoveredElement, h: BraidElement) -> CoveredElement:
     """The group action (m^{g'}, g')^h = (m^{g'h}, m^{-eps(h)} g' h)."""
-    return CoveredElement._trusted(_product3(_M ** (-h.eps), p.g, h), _product3(h.inv(), p.x, h))
+    s = -h.eps
+    # m = a, so m^s is a^s, and for s < 0 the inverse of a^-s
+    md, mw = (0, "a" * s) if s >= 0 else _inverse_form(0, "a" * -s)
+    ud, uw = _inverse_form(h.d, h.w)
+    return _act(p, s, md, mw, h.d, h.w, h.image, ud, uw)
 
 
 def fiber_compare(p1: CoveredElement, p2: CoveredElement) -> int:

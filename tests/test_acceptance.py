@@ -16,8 +16,9 @@ from math import gcd
 
 import pytest
 
-from trefoil import acceptance
+from trefoil import acceptance, longknot
 from trefoil.acceptance import _ALEXANDER_RINGS, CRITERIA, _conj_core_groups, run_criterion
+from trefoil.longknot import _x_image
 from trefoil.pfrac import (
     PF_INFINITY,
     PF_ZERO,
@@ -144,11 +145,14 @@ def test_criterion_9_counts_its_route_checks():
 
 def test_criterion_9_counts_its_kernel_checks():
     # each of 300 random pairs of raw texts checks one inverse and one
-    # product, then the two three-factor products of the covered slots
+    # product, then the two three-factor products, then both slots of *
+    # and of *̄ on the covered elements over the two texts
     assert ("inv and * equal the Garside forms and images of the parsed inverted and "
             "concatenated raw texts of <= 200 letters (600 results), and the three-factor "
             "products u^-1 v u and u v u^-1 those of the three concatenated texts "
-            "(600 results)") in _criterion(9).detail
+            "(600 results); on covered elements over u and v, the slots y^-1 x y, "
+            "m^-1 g' y, y x y^-1 and m g' y^-1 of * and *̄ those of the concatenated texts "
+            "(1200 results)") in _criterion(9).detail
 
 
 def test_criterion_9_reports_a_three_factor_product_off_the_parsed_text(monkeypatch):
@@ -157,6 +161,21 @@ def test_criterion_9_reports_a_three_factor_product_off_the_parsed_text(monkeypa
     result = run_criterion(9)
     assert not result.ok
     assert " differs from the parsed raw text " in result.detail, result.detail
+
+
+def _transposed_x_image(c, d):
+    p, q, r, s = _x_image(c, d)
+    return p, r, q, s
+
+
+def test_criterion_9_reports_a_transposed_x_image(monkeypatch):
+    # x's image read off g''s bottom row, but transposed: every x slot of
+    # *, *̄ and pi1_act is off its letter-loop image
+    monkeypatch.setattr(longknot, "_x_image", _transposed_x_image)
+    result = run_criterion(9)
+    assert not result.ok
+    assert result.detail.startswith("the g' x^-1 y route and the reference disagree at "), (
+        result.detail)
 
 
 def _negated_sympl_op_inv(u, v):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -21,6 +22,8 @@ from trefoil import (
     render_braid,
 )
 from trefoil.acceptance import random_braid, sample_covered_pool
+from trefoil.braid import _image, _matmul, _product3
+from trefoil.longknot import _x_image
 
 
 @pytest.fixture(scope="module")
@@ -122,35 +125,95 @@ def _two_product_op_inv(pair, q):
     return meridian() * g * y.inv(), y * x * y.inv()
 
 
+def _product3_op(pair, q):
+    # each slot one three-factor product, y^-1 built as a braid and x's
+    # image a product of images
+    g, x = pair
+    y = q.x
+    return _product3(meridian().inv(), g, y), _product3(y.inv(), x, y)
+
+
+def _product3_op_inv(pair, q):
+    g, x = pair
+    y, y_inv = q.x, q.x.inv()
+    return _product3(meridian(), g, y_inv), _product3(y, x, y_inv)
+
+
+# each operation with its reference slot formulas
+_SLOT_REFERENCES = ((qt_op, _two_product_op, _product3_op),
+                    (qt_op_inv, _two_product_op_inv, _product3_op_inv))
+
+
+def _reference_acts(p, h):
+    # pi1_act's slots as two *s and as three-factor products
+    m, g, x = meridian(), p.g, p.x
+    m_s = m ** (-h.eps)
+    return (m_s * g * h, h.inv() * x * h), (_product3(m_s, g, h), _product3(h.inv(), x, h))
+
+
+def _x_by_letters(x):
+    # the letter-loop image of x's Garside form
+    return x.image == _image(x.d, x.w)
+
+
 def test_slots_equal_the_two_product_formulas_on_the_selftest_pool():
-    # the pool and act lengths of the selftest's long-trefoil criterion
+    # the pool and act lengths of the selftest's long-trefoil criterion;
+    # the slots also equal the three-factor products, and each x's image,
+    # read off its g', equals the letter loop over x's form
     pool, m = sample_covered_pool(random.Random(1009), 20, 12), meridian()
     for p in pool:
         assert _forms(CoveredElement(p.g).x) == _forms(p.g.inv() * m * p.g)
     for p, q in itertools.product(pool, repeat=2):
-        for op, slow in ((qt_op, _two_product_op), (qt_op_inv, _two_product_op_inv)):
+        for op, *slow in _SLOT_REFERENCES:
             r = op(p, q)
-            assert _forms(r.g, r.x) == _forms(*slow((p.g, p.x), q))
+            assert all(_forms(r.g, r.x) == _forms(*ref((p.g, p.x), q)) for ref in slow)
+            assert _x_by_letters(r.x)
     rng = random.Random(40)
     for _ in range(500):
         p, h = rng.choice(pool), random_braid(rng, 8)
         r = pi1_act(p, h)
-        assert _forms(r.g, r.x) == _forms(m ** (-h.eps) * p.g * h, h.inv() * p.x * h)
+        assert all(_forms(r.g, r.x) == _forms(*ref) for ref in _reference_acts(p, h))
+        assert _x_by_letters(r.x)
 
 
 def test_slots_equal_the_two_product_formulas_along_chains():
     # chains of depth 32 of * and of *̄ from the selftest pool, the
-    # two-product slots carried along beside the covered element
+    # two-product and the three-factor slots carried along beside the
+    # covered element
     pool = sample_covered_pool(random.Random(1009), 20, 12)
     rng = random.Random(41)
-    for op, slow in ((qt_op, _two_product_op), (qt_op_inv, _two_product_op_inv)):
+    for op, *slow in _SLOT_REFERENCES:
         for _ in range(8):
             p = rng.choice(pool)
-            pair = (p.g, p.x)
+            pairs = [(p.g, p.x)] * len(slow)
             for _ in range(32):
                 q = rng.choice(pool)
-                p, pair = op(p, q), slow(pair, q)
-                assert _forms(p.g, p.x) == _forms(*pair)
+                p, pairs = op(p, q), [ref(pair, q) for ref, pair in zip(slow, pairs)]
+                assert all(_forms(p.g, p.x) == _forms(*pair) for pair in pairs)
+                assert _x_by_letters(p.x)
+
+
+def _random_sl2(rng, bits):
+    # a random coprime bottom row (c, d), c != 0, completed to determinant 1
+    while True:
+        c = rng.getrandbits(bits) * rng.choice((1, -1))
+        d = rng.getrandbits(bits) * rng.choice((1, -1))
+        if c and gcd(c, d) == 1:
+            break
+    a = pow(d, -1, abs(c))
+    return a, (a * d - 1) // c, c, d
+
+
+def test_x_image_is_the_conjugated_meridian_image():
+    # G^-1 M G for random G in SL(2, Z) with entries up to 10^3 bits, and
+    # for G = +-[[1, b], [0, 1]], whose bottom row has c = 0
+    rng, meridian_image = random.Random(42), meridian().image
+    images = [_random_sl2(rng, rng.randint(1, 1000)) for _ in range(2000)]
+    images += [(e, b, 0, e) for e in (1, -1) for b in (0, 1, -7, 2 ** 999)]
+    for a, b, c, d in images:
+        assert a * d - b * c == 1
+        conjugated = _matmul(_matmul((d, -b, -c, a), meridian_image), (a, b, c, d))
+        assert _x_image(c, d) == conjugated
 
 
 def test_covering_property(pool):

@@ -23,9 +23,10 @@ ROUTES = {
     # rewriting against the fraction route and its continued fractions
     "words": (["words.normalize"],
               ["words.word_to_frac", "words.frac_to_word", "cfrac.cf_expand"]),
-    # the Garside kernels against the Burau image at t = -1
-    "braids": (["braid._times", "braid._glue", "braid._inverse_word"],
-               ["braid._image", "braid._matmul"]),
+    # the Garside kernels against the Burau image at t = -1, the covered
+    # element's first slot read off its second slot's image included
+    "braids": (["braid._times", "braid._glue", "braid._inverse_word", "braid._inverse_form"],
+               ["braid._image", "braid._matmul", "longknot._x_image"]),
     # the transvection, the matrix action and the symplectic operation
     "fractions": (["pfrac.pf_op"],
                   ["pfrac.apply_matrix", "pfrac.transvection_matrix"],
@@ -152,6 +153,7 @@ def test_every_allowed_helper_is_shared_somewhere():
     ("words", "words", "normalize", "word_to_frac(w)"),
     ("braids", "braid", "_glue", "_matmul((1, 0, 0, 1), (1, 0, 0, 1))"),
     ("braids", "braid", "_inverse_word", "_matmul((1, 0, 0, 1), (1, 0, 0, 1))"),
+    ("braids", "longknot", "_x_image", "_glue(0, '', 0, '')"),
     ("fractions", "pfrac", "sympl_op", "pf_op(x, y)"),
     ("covering", "longknot", "qt_op", "from . import pfrac; pfrac.pf_op(p, q)"),
     ("continued fractions", "cfrac", "cf_eval", "_euclid_batch(3, 2)"),
