@@ -27,8 +27,9 @@ stored with every braid as the field `image`, together with the exponent
 sum.  Each way of building a braid sets the image in closed form: one
 column add per letter of w for a parsed or checked braid; the product of
 the factors' images for a product; the adjugate for an inverse; and,
-for a covered element's first slot g'^-1 m g', the transvection matrix
-read off the bottom row of g''s image (longknot._x_image).  This map
+for the first slot g'^-1 m g' of a covered-quandle operation's result,
+the transvection matrix read off the bottom row of g''s image
+(longknot._x_image).  This map
 sends B3 onto SL(2, Z) with kernel <Delta^4> (Milnor 1971; Kassel-Turaev,
 Braid Groups, 2008), and eps(Delta^4) = 12, so two braids with equal
 images and equal exponent sums differ by Delta^(4k) with 12k = 0: they
