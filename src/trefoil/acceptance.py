@@ -576,15 +576,15 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
         star, bar = qt_op(p, q), qt_op_inv(p, q)
         x_text, y_text = inverted + "a" + left, right[::-1].swapcase() + "a" + right
         y_inv_text = y_text[::-1].swapcase()
-        slots = [(star.x, y_inv_text + x_text + y_text), (star.g, "A" + left + y_text),
+        moved = [(star.x, y_inv_text + x_text + y_text), (star.g, "A" + left + y_text),
                  (bar.x, y_text + x_text + y_inv_text), (bar.g, "a" + left + y_inv_text)]
-        for got, text in kernel + products + slots:
+        for got, text in kernel + products + moved:
             want = BraidElement.parse(text)
             if (got.d, got.w, got.image) != (want.d, want.w, want.image):
                 return False, f"{got} differs from the parsed raw text {text or '1'}"
         kernel_checks += len(kernel)
         product3_checks += len(products)
-        builder_checks += len(slots)
+        builder_checks += len(moved)
 
     slots = [BraidElement.parse("a"), BraidElement.parse("ab"), BraidElement.parse("aba") ** 4]
     while len(slots) < 3 + random_slots:
