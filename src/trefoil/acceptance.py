@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, TextIO
 
-from .braid import BraidElement, _product3, braid_eq, longitude, meridian
+from .braid import BraidElement, braid_eq, longitude, meridian
 from .cfrac import ContinuedFraction, cf_eval, cf_expand
 from .longknot import (
     CoveredElement,
@@ -556,34 +556,30 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
             return False, f"pi1_act does not compose at {where}, {h2.render() or '1'}"
         acted += 1
 
-    # inv, *, the three-factor product and the slot builder behind * and *̄
-    # build Garside forms without the raw-input loop, the builder reading
-    # x's image off g''s; parsing the inverted or concatenated raw text is
-    # the letter-by-letter route.  The products take the shapes u^-1 v u and
-    # u v u^-1, and the slots are those of * and *̄ on p over g' = u and q
-    # over h' = v, x and y their meridian conjugates.  The slot identities
-    # hold for every braid, so p and q are built whatever the exponent sums
-    # of u and v
-    kernel_checks, product3_checks, builder_checks = 0, 0, 0
+    # inv, * and the slot builder behind * and *̄ build Garside forms
+    # without the raw-input loop, the builder reading x's image off g''s;
+    # parsing the inverted or concatenated raw text is the letter-by-letter
+    # route.  The slots are those of * and *̄ on p over g' = u and q over
+    # h' = v, x and y their meridian conjugates.  The slot identities hold
+    # for every braid, so p and q are built whatever the exponent sums of u
+    # and v
+    kernel_checks, builder_checks = 0, 0
     for _ in range(text_pairs):
         left, right = random_braid_text(rng, text_len), random_braid_text(rng, text_len)
         u, v = BraidElement.parse(left), BraidElement.parse(right)
-        u_inv, inverted = u.inv(), left[::-1].swapcase()
-        kernel = [(u_inv, inverted), (u * v, left + right)]
-        products = [(_product3(u_inv, v, u), inverted + right + left),
-                    (_product3(u, v, u_inv), left + right + inverted)]
-        p, q = (CoveredElement._trusted(g, _product3(g.inv(), m, g)) for g in (u, v))
+        inverted = left[::-1].swapcase()
+        kernel = [(u.inv(), inverted), (u * v, left + right)]
+        p, q = (CoveredElement._trusted(g, g.inv() * m * g) for g in (u, v))
         star, bar = qt_op(p, q), qt_op_inv(p, q)
         x_text, y_text = inverted + "a" + left, right[::-1].swapcase() + "a" + right
         y_inv_text = y_text[::-1].swapcase()
         moved = [(star.x, y_inv_text + x_text + y_text), (star.g, "A" + left + y_text),
                  (bar.x, y_text + x_text + y_inv_text), (bar.g, "a" + left + y_inv_text)]
-        for got, text in kernel + products + moved:
+        for got, text in kernel + moved:
             want = BraidElement.parse(text)
             if (got.d, got.w, got.image) != (want.d, want.w, want.image):
                 return False, f"{got} differs from the parsed raw text {text or '1'}"
         kernel_checks += len(kernel)
-        product3_checks += len(products)
         builder_checks += len(moved)
 
     slots = [BraidElement.parse("a"), BraidElement.parse("ab"), BraidElement.parse("aba") ** 4]
@@ -610,11 +606,10 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
                   f"pi1_act by braids of <= {act_len} letters keeps x "
                   f"equal to g'^-1 m g' and composes ({acted} cases); inv and * equal "
                   f"the Garside forms and images of the parsed inverted and concatenated "
-                  f"raw texts of <= {text_len} letters ({kernel_checks} results), and the "
-                  f"three-factor products u^-1 v u and u v u^-1 those of the three "
-                  f"concatenated texts ({product3_checks} results); on covered elements "
-                  f"over u and v, the slots y^-1 x y, m^-1 g' y, y x y^-1 and m g' y^-1 of "
-                  f"* and *̄ those of the concatenated texts ({builder_checks} results); "
+                  f"raw texts of <= {text_len} letters ({kernel_checks} results); on "
+                  f"covered elements over u and v, the slots y^-1 x y, m^-1 g' y, y x y^-1 "
+                  f"and m g' y^-1 of * and *̄ those of the concatenated texts "
+                  f"({builder_checks} results); "
                   f"CoveredElement rejects {rejected} slots with eps != 0")
 
 

@@ -14,9 +14,7 @@ product without building it as a braid, as the long trefoil's slot
 builder (longknot._act) does with y^-1 in y^-1 x y.  A product
 reduces only the junction of the two words and copies the right factor;
 when the words meet on a repeated letter, or one is empty, there is
-nothing to reduce and the words are joined as they are.  A product of
-three braids glues the third word straight onto the form of the first
-two, without building their product as a braid.
+nothing to reduce and the words are joined as they are.
 
 Equality is also decided by a second, independent route over the integers:
 the Burau representation at t = -1,
@@ -267,15 +265,6 @@ class BraidElement:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def _product3(u: BraidElement, v: BraidElement, w: BraidElement) -> BraidElement:
-    """u v w, equal to (u * v) * w, as one braid: the Garside form of u v
-    is glued to w at once, and the images multiply left to right, so u v
-    is never built as a braid."""
-    d, x = _glue(u.d, u.w, v.d, v.w)
-    d, x = _glue(d, x, w.d, w.w)
-    return BraidElement._trusted(d, x, _matmul(_matmul(u.image, v.image), w.image))
 
 
 def render_braid(u: BraidElement) -> str:

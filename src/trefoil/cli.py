@@ -293,7 +293,8 @@ def _run(argv: Optional[Sequence[str]],
                     result = pi1_act(qt_new(BraidElement.parse(args.g)),
                                      BraidElement.parse(args.h))
                 payload = result.to_json()
-                text = f"g' = {payload['g_prime']}\nx = {payload['x']}\neps = {payload['eps']}"
+                text = (f"g' = {payload['g_prime'] or '1'}\nx = {payload['x']}\n"
+                        f"eps = {payload['eps']}")
         elif args.command == "selftest":
             # imported here, not at the top: only selftest needs the suite
             from .acceptance import run_selftest

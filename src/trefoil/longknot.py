@@ -35,13 +35,13 @@ bottom row (c, d), so G^-1 M G = I + (d, -c)^T (c, d), the matrix above.
 It is the transvection matrix (pfrac.transvection_matrix) of the point
 (d, -c), made of the row (c, d) that the covering map kappa = -c/d reads.
 
-The constructor's x = g'^-1 m g' stays a three-factor product
-(braid._product3), a route independent of the slot builder.  It and the
-displayed forms in h', m^-1 g' h'^-1 m h' and m g' h'^-1 m^-1 h', are
-checked against these operations in the acceptance suite's table,
-acceptance._COVERED_ROUTES.  The longitude generates an infinite cyclic
-group that acts on second slots, freely and transitively on each fibre of
-the covering map (x, g') -> x.
+The constructor's x = g'^-1 m g' is two braid products, a route
+independent of the slot builder.  It and the displayed forms in h',
+m^-1 g' h'^-1 m h' and m g' h'^-1 m^-1 h', are checked against these
+operations in the acceptance suite's table, acceptance._COVERED_ROUTES.
+The longitude generates an infinite cyclic group that acts on second
+slots, freely and transitively on each fibre of the covering map
+(x, g') -> x.
 
 The deck layer needs no Garside products beyond lambda_act's one.  The
 longitude is lambda = Delta^2 a^-6 with Delta^2 central, so lambda^k has a
@@ -62,7 +62,6 @@ from .braid import (
     _glue,
     _inverse_form,
     _matmul,
-    _product3,
     longitude_power,
     meridian,
 )
@@ -90,7 +89,7 @@ class CoveredElement:
             raise TypeError(f"CoveredElement takes a BraidElement, not {type(g).__name__}")
         if g.eps != 0:
             raise ValueError(f"second slot must have exponent sum 0, got {g.eps}")
-        object.__setattr__(self, "x", _product3(g.inv(), _M, g))
+        object.__setattr__(self, "x", g.inv() * _M * g)
 
     def to_json(self) -> dict:
         return {"g_prime": self.g.render(), "x": self.x.render(), "eps": self.x.eps}

@@ -16,7 +16,7 @@ from trefoil import (
     render_braid,
 )
 from trefoil.acceptance import random_braid_text
-from trefoil.braid import _EXPAND, _TAU, _glue, _product3, _times, longitude_power
+from trefoil.braid import _EXPAND, _TAU, _glue, _times, longitude_power
 
 # the Burau images at t = -1 of a, a^-1, b, b^-1, as (p, q, r, s) = [[p, q], [r, s]]
 _GENS = {"a": (1, 1, 0, 1), "A": (1, -1, 0, 1), "b": (1, 0, -1, 1), "B": (1, 0, 1, 1)}
@@ -336,30 +336,6 @@ def test_inverse_and_product_match_the_parsed_raw_text():
         assert_same(v.inv() * u.inv(), BraidElement.parse(inverted_text(left + right)))
 
 
-def positive_word(rng, head, n):
-    """A positive word free of aba and bab of max(n, len(head)) letters
-    that starts with head: a drawn letter that would complete aba or bab
-    is replaced by a repeat of the last one."""
-    w = head
-    while len(w) < n:
-        c = rng.choice("ab")
-        w += w[-1] if len(w) > 1 and w[-2] == c != w[-1] else c
-    return w
-
-
-def meeting(u, e, rng, n):
-    """Delta^e v, v of about n letters, whose word starts so as to cancel
-    against u's in u * (Delta^e v), where the left word is tau^e(u.w): v
-    starts with t[-2] when t = tau^e(u.w) ends in two distinct letters
-    (t[-2] t[-1] t[-2] = Delta), else with tau(t[-1]) t[-1]."""
-    t = u.w.translate(_TAU) if e % 2 else u.w
-    if len(t) > 1 and t[-2] != t[-1]:
-        head = t[-2]
-    else:
-        head = t[-1:].translate(_TAU) + t[-1:]
-    return BraidElement(e, positive_word(rng, head, n))
-
-
 def test_glue_twists_the_left_word_like_translate_then_glue():
     # every pair of words free of aba and bab of <= 6 letters, under Delta^e
     # of both parities: the twisted glue equals translating w by tau^e and
@@ -377,31 +353,6 @@ def test_glue_twists_the_left_word_like_translate_then_glue():
             assert got == _glue(d + e, twisted, 0, v) == _times(d + e, twisted, v)
             cancelled += got[0] > d + e
     assert cancelled > 2000
-
-
-def test_product3_equals_two_products():
-    # Delta powers of both parities, empty words, and junctions planted to
-    # cancel, at the first junction and at the second, beside random ones
-    rng = random.Random(32)
-    cancels = [0, 0]
-    for i in range(4000):
-        u = BraidElement(rng.randint(-3, 3), positive_word(rng, "", rng.choice((0, 1, 2, 12))))
-        e = rng.randint(-3, 3)
-        v = (meeting(u, e, rng, rng.randint(0, 12)) if i % 2
-             else BraidElement(e, positive_word(rng, "", rng.choice((0, 3, 12)))))
-        uv, f = u * v, rng.randint(-3, 3)
-        w = (meeting(uv, f, rng, rng.randint(0, 12)) if i % 3
-             else BraidElement(f, positive_word(rng, "", rng.choice((0, 3, 12)))))
-        got = _product3(u, v, w)
-        assert_same(got, uv * w)
-        cancels[0] += uv.d > u.d + v.d
-        cancels[1] += got.d > uv.d + w.d
-    assert min(cancels) > 1500
-    for text in ("", "a", "ab", "aba", "ABA", "AbaB"):
-        u = BraidElement.parse(text)
-        for v, w in itertools.product((BraidElement.identity(), u, u.inv()), repeat=2):
-            assert_same(_product3(u, v, w), (u * v) * w)
-            assert_same(_product3(v, w, u), (v * w) * u)
 
 
 def test_inverse_and_render_match_the_references_at_size():

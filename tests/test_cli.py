@@ -144,8 +144,11 @@ def test_orbit_command():
 
 
 def test_long_commands():
-    code, out, _ = go("long", "op", "", "AAAAbaab")
-    assert code == 0 and "eps = 1" in out
+    # an empty g' prints as 1, as CoveredElement's str does; --json keeps
+    # the empty word
+    for argv in (("long", "op", "", "AAAAbaab"), ("long", "act", "", "")):
+        assert go(*argv) == (0, "g' = 1\nx = a\neps = 1\n", "")
+        assert json.loads(go("--json", *argv)[1])["g_prime"] == ""
     code, out, _ = go("long", "fiber", "", "AAAAbaab")
     assert code == 0 and out == "k = 1\n"
     code, out, _ = go("long", "act", "", "a")

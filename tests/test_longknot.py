@@ -21,8 +21,9 @@ from trefoil import (
     qt_op_inv,
     render_braid,
 )
+from trefoil import longknot
 from trefoil.acceptance import random_braid, sample_covered_pool
-from trefoil.braid import _image, _matmul, _product3
+from trefoil.braid import _image, _matmul
 from trefoil.longknot import _x_image
 
 
@@ -125,30 +126,14 @@ def _two_product_op_inv(pair, q):
     return meridian() * g * y.inv(), y * x * y.inv()
 
 
-def _product3_op(pair, q):
-    # each slot one three-factor product, y^-1 built as a braid and x's
-    # image a product of images
-    g, x = pair
-    y = q.x
-    return _product3(meridian().inv(), g, y), _product3(y.inv(), x, y)
-
-
-def _product3_op_inv(pair, q):
-    g, x = pair
-    y, y_inv = q.x, q.x.inv()
-    return _product3(meridian(), g, y_inv), _product3(y, x, y_inv)
-
-
 # each operation with its reference slot formulas
-_SLOT_REFERENCES = ((qt_op, _two_product_op, _product3_op),
-                    (qt_op_inv, _two_product_op_inv, _product3_op_inv))
+_SLOT_REFERENCES = ((qt_op, _two_product_op), (qt_op_inv, _two_product_op_inv))
 
 
-def _reference_acts(p, h):
-    # pi1_act's slots as two *s and as three-factor products
-    m, g, x = meridian(), p.g, p.x
-    m_s = m ** (-h.eps)
-    return (m_s * g * h, h.inv() * x * h), (_product3(m_s, g, h), _product3(h.inv(), x, h))
+def _reference_act(p, h):
+    # pi1_act's slots, each from two *s
+    g, x = p.g, p.x
+    return meridian() ** (-h.eps) * g * h, h.inv() * x * h
 
 
 def _x_by_letters(x):
@@ -156,40 +141,53 @@ def _x_by_letters(x):
     return x.image == _image(x.d, x.w)
 
 
+def test_constructor_does_not_use_the_slot_builder(monkeypatch):
+    # CoveredElement(g) stays a route of its own: with the slot builder
+    # and the x-image reader raising, it still builds x on the selftest
+    # pool, equal to g^-1 a g parsed from g's text letter by letter
+    pool = sample_covered_pool(random.Random(1009), 20, 12)
+
+    def called(*args):
+        raise AssertionError("the constructor called the slot builder")
+
+    monkeypatch.setattr(longknot, "_act", called)
+    monkeypatch.setattr(longknot, "_x_image", called)
+    for p in pool:
+        text = p.g.render()
+        want = BraidElement.parse(text[::-1].swapcase() + "a" + text)
+        assert _forms(CoveredElement(p.g).x) == _forms(want)
+
+
 def test_slots_equal_the_two_product_formulas_on_the_selftest_pool():
     # the pool and act lengths of the selftest's long-trefoil criterion;
-    # the slots also equal the three-factor products, and each x's image,
-    # read off its g', equals the letter loop over x's form
-    pool, m = sample_covered_pool(random.Random(1009), 20, 12), meridian()
-    for p in pool:
-        assert _forms(CoveredElement(p.g).x) == _forms(p.g.inv() * m * p.g)
+    # each x's image, read off its g', equals the letter loop over x's form
+    pool = sample_covered_pool(random.Random(1009), 20, 12)
     for p, q in itertools.product(pool, repeat=2):
-        for op, *slow in _SLOT_REFERENCES:
+        for op, ref in _SLOT_REFERENCES:
             r = op(p, q)
-            assert all(_forms(r.g, r.x) == _forms(*ref((p.g, p.x), q)) for ref in slow)
+            assert _forms(r.g, r.x) == _forms(*ref((p.g, p.x), q))
             assert _x_by_letters(r.x)
     rng = random.Random(40)
     for _ in range(500):
         p, h = rng.choice(pool), random_braid(rng, 8)
         r = pi1_act(p, h)
-        assert all(_forms(r.g, r.x) == _forms(*ref) for ref in _reference_acts(p, h))
+        assert _forms(r.g, r.x) == _forms(*_reference_act(p, h))
         assert _x_by_letters(r.x)
 
 
 def test_slots_equal_the_two_product_formulas_along_chains():
     # chains of depth 32 of * and of *̄ from the selftest pool, the
-    # two-product and the three-factor slots carried along beside the
-    # covered element
+    # two-product slots carried along beside the covered element
     pool = sample_covered_pool(random.Random(1009), 20, 12)
     rng = random.Random(41)
-    for op, *slow in _SLOT_REFERENCES:
+    for op, ref in _SLOT_REFERENCES:
         for _ in range(8):
             p = rng.choice(pool)
-            pairs = [(p.g, p.x)] * len(slow)
+            pair = p.g, p.x
             for _ in range(32):
                 q = rng.choice(pool)
-                p, pairs = op(p, q), [ref(pair, q) for ref, pair in zip(slow, pairs)]
-                assert all(_forms(p.g, p.x) == _forms(*pair) for pair in pairs)
+                p, pair = op(p, q), ref(pair, q)
+                assert _forms(p.g, p.x) == _forms(*pair)
                 assert _x_by_letters(p.x)
 
 
