@@ -19,7 +19,7 @@ from math import gcd
 from typing import Callable, Optional, TextIO
 
 from .braid import BraidElement, braid_eq, longitude, meridian
-from .cfrac import ContinuedFraction, cf_eval, cf_expand
+from .cfrac import _TREE_LEAF, ContinuedFraction, cf_eval, cf_expand, cf_validate
 from .longknot import (
     CoveredElement,
     fiber_compare,
@@ -375,6 +375,17 @@ def _criterion_isomorphism_certificate() -> tuple[bool, str]:
                   f"fraction image), and word_op_inv undoes word_op")
 
 
+def _cf_fold(terms) -> Fraction:
+    """The value of [k1; k2, ..., kn] folded from the last term,
+    k + 1/(h/k') = (k h + k')/h, one product per term, and reduced by a
+    gcd: a route apart from cfrac's batched expansion and evaluation
+    tree."""
+    h, k = 1, 0
+    for a in reversed(terms):
+        h, k = a * h + k, h
+    return Fraction(h, k)
+
+
 def _criterion_continued_fractions() -> tuple[bool, str]:
     bound, term_max, random_lists = 200, 12, 20_000
     fractions = 0
@@ -405,10 +416,34 @@ def _criterion_continued_fractions() -> tuple[bool, str]:
         cf = ContinuedFraction(terms)
         if cf_expand(cf_eval(cf)) != cf:
             return False, f"expand(eval({list(terms)})) != {list(terms)}"
+
+    # the batched expansion and the evaluation tree, against the fold:
+    # rationals past the batch threshold, and lists of several tree levels
+    big_bits, long_min, long_max = (2**11, 2**13, 2**15), 3 * _TREE_LEAF + 1, 8 * _TREE_LEAF
+    big = 0
+    for bits in big_bits:
+        q = rng.getrandbits(bits) | 1 << bits - 1
+        r = Fraction(rng.choice((1, -1)) * rng.getrandbits(bits), q)
+        terms = cf_expand(r).terms
+        if not cf_validate(terms) or _cf_fold(terms) != r or cf_eval(terms) != r:
+            return False, f"the continued fraction of a {bits}-bit rational is off its fold"
+        big += 1
+    long_lists = 0
+    for _ in range(8):
+        n = rng.randint(long_min, long_max)
+        cf = ContinuedFraction([rng.randint(-term_max, term_max),
+                                *(rng.randint(1, term_max) for _ in range(n - 2)),
+                                rng.randint(2, term_max)])
+        value = cf_eval(cf)
+        if value != _cf_fold(cf.terms) or cf_expand(value) != cf:
+            return False, f"the value of a {n}-term list is off its fold"
+        long_lists += 1
     return True, (f"{fractions} fractions with |p|,|q| <= {bound} round-trip; exhaustive "
                   f"term grid for n <= 4, |k| <= {term_max} ({len(grid)} lists) plus "
                   f"{len(drawn)} random lists for n in 5..8 (full grid infeasible "
-                  f"in budget)")
+                  f"in budget); expansion and evaluation equal the convergent fold on "
+                  f"{big} rationals of {', '.join(map(str, big_bits))} bits and {long_lists} "
+                  f"lists of {long_min}..{long_max} terms, each round-tripping")
 
 
 def _criterion_braid_relation() -> tuple[bool, str]:
@@ -563,13 +598,15 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
     # h' = v, x and y their meridian conjugates.  The slot identities hold
     # for every braid, so p and q are built whatever the exponent sums of u
     # and v
-    kernel_checks, builder_checks = 0, 0
+    kernel_checks, builder_checks, rendered = 0, 0, 0
     for _ in range(text_pairs):
         left, right = random_braid_text(rng, text_len), random_braid_text(rng, text_len)
         u, v = BraidElement.parse(left), BraidElement.parse(right)
         inverted = left[::-1].swapcase()
-        kernel = [(u.inv(), inverted), (u * v, left + right)]
-        p, q = (CoveredElement._trusted(g, g.inv() * m * g) for g in (u, v))
+        u_inv, v_inv = u.inv(), v.inv()
+        kernel = [(u_inv, inverted), (u * v, left + right)]
+        p, q = (CoveredElement._trusted(g, g_inv * m * g)
+                for g, g_inv in ((u, u_inv), (v, v_inv)))
         star, bar = qt_op(p, q), qt_op_inv(p, q)
         x_text, y_text = inverted + "a" + left, right[::-1].swapcase() + "a" + right
         y_inv_text = y_text[::-1].swapcase()
@@ -581,6 +618,12 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
                 return False, f"{got} differs from the parsed raw text {text or '1'}"
         kernel_checks += len(kernel)
         builder_checks += len(moved)
+        # the symmetric form cancels Delta^d, d < 0, against w's factors
+        for w in (u_inv, v_inv):
+            if w.d < 0:
+                if BraidElement.parse(w.render()) != w:
+                    return False, f"Delta^{w.d} {w.w} renders as {w.render()}, another braid"
+                rendered += 1
 
     slots = [BraidElement.parse("a"), BraidElement.parse("ab"), BraidElement.parse("aba") ** 4]
     while len(slots) < 3 + random_slots:
@@ -609,7 +652,8 @@ def _criterion_long_trefoil() -> tuple[bool, str]:
                   f"raw texts of <= {text_len} letters ({kernel_checks} results); on "
                   f"covered elements over u and v, the slots y^-1 x y, m^-1 g' y, y x y^-1 "
                   f"and m g' y^-1 of * and *̄ those of the concatenated texts "
-                  f"({builder_checks} results); "
+                  f"({builder_checks} results); {rendered} of u^-1 and v^-1 "
+                  f"with d < 0 parse back from their rendered text; "
                   f"CoveredElement rejects {rejected} slots with eps != 0")
 
 

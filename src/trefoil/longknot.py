@@ -17,15 +17,16 @@ since g' x^-1 = m^-1 g' and g' x = m g'.  Both are pi1_act's action
 by r = y and by r = y^-1, and the three share one slot builder, _act,
 which builds one braid per slot from the operands' parts (d, w, image):
 no factor, y^-1 included, is built as a braid.  A slot's Garside form is
-two junction glues (braid._glue) of its factors' forms.  The form of y^-1
-comes from braid._inverse_form once per call, and *̄ uses it in both
-slots; that of m^-+1 is the meridian's, and pi1_act's m^s is a^s.  On
-images, M^s G adds s times G's bottom row to its top row, M = [[1, 1],
-[0, 1]] being the image of m, so the second slot's image is one row
-operation and one 2x2 product.  The first slot's image takes no product:
-the result's x is m conjugated by its second slot, r^-1 x r =
-(m^s g' r)^-1 m (m^s g' r) as m^s commutes with m, and for any
-G = [[a, b], [c, d]] of determinant 1
+two junction glues (braid._glue) of its factors' forms.  * and *̄ take
+the form of y^-1 from braid._inverse_form once per acting element,
+memoized (_acting_inverse), and *̄ uses it in both slots; pi1_act
+inverts h once per call.  The form of m^-+1 is the meridian's, and
+pi1_act's m^s is a^s.  On images, M^s G adds s times G's bottom row to
+its top row, M = [[1, 1], [0, 1]] being the image of m, so the second
+slot's image is one row operation and one 2x2 product.  The first
+slot's image takes no product: the result's x is m conjugated by its
+second slot, r^-1 x r = (m^s g' r)^-1 m (m^s g' r) as m^s commutes with
+m, and for any G = [[a, b], [c, d]] of determinant 1
 
     G^-1 M G = [[1 + cd, d^2], [-c^2, 1 - cd]]        (_x_image).
 
@@ -54,6 +55,7 @@ in the kernel <Delta^4> with exponent sum 0, hence trivial.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import field
 
 from ._trusted import value_type
@@ -67,6 +69,11 @@ from .braid import (
 )
 
 _M, _M_INV = meridian(), meridian().inv()
+# The Garside form of y^-1 by y's form (d, w), for the 128 acting elements
+# of * and *̄ used last: a quandle acts again and again by the same few
+# elements, as every x * y and x *̄ y on a pool does.  The forms are
+# immutable pairs, so every caller may share one.
+_acting_inverse = functools.lru_cache(_inverse_form)
 
 
 class FiberMismatchError(ValueError):
@@ -132,14 +139,14 @@ def _act(p: CoveredElement, s: int, md: int, mw: str, rd: int, rw: str,
 def qt_op(p: CoveredElement, q: CoveredElement) -> CoveredElement:
     """(x, g') * (y, h') = (y^-1 x y, m^-1 g' y)."""
     y = q.x
-    ud, uw = _inverse_form(y.d, y.w)
+    ud, uw = _acting_inverse(y.d, y.w)
     return _act(p, -1, _M_INV.d, _M_INV.w, y.d, y.w, y.image, ud, uw)
 
 
 def qt_op_inv(p: CoveredElement, q: CoveredElement) -> CoveredElement:
     """(x, g') *̄ (y, h') = (y x y^-1, m g' y^-1)."""
     y = q.x
-    ud, uw = _inverse_form(y.d, y.w)
+    ud, uw = _acting_inverse(y.d, y.w)
     e, f, g, h = y.image  # y^-1's image is the adjugate
     return _act(p, 1, _M.d, _M.w, ud, uw, (h, -f, -g, e), y.d, y.w)
 

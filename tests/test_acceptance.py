@@ -18,6 +18,8 @@ import pytest
 
 from trefoil import acceptance, longknot
 from trefoil.acceptance import _ALEXANDER_RINGS, CRITERIA, _conj_core_groups, run_criterion
+from trefoil.braid import BraidElement
+from trefoil.cfrac import _TREE_LEAF, cf_eval
 from trefoil.longknot import _x_image
 from trefoil.pfrac import (
     PF_INFINITY,
@@ -117,7 +119,9 @@ def test_criteria_2_4_5_6_count_their_cases():
     assert _criterion(5).detail == (
         f"{fractions} fractions with |p|,|q| <= 200 round-trip; exhaustive term grid for "
         f"n <= 4, |k| <= 12 ({grid} lists) plus 20000 random lists for n in 5..8 "
-        f"(full grid infeasible in budget)")
+        f"(full grid infeasible in budget); expansion and evaluation equal the convergent "
+        f"fold on 3 rationals of 2048, 8192, 32768 bits and 8 lists of "
+        f"{3 * _TREE_LEAF + 1}..{8 * _TREE_LEAF} terms, each round-tripping")
     assert _criterion(6).detail == (
         "holds on 10000 random fractions with |p|,|q| <= 1000000 and 100 random words "
         "of <= 30 letters")
@@ -146,11 +150,37 @@ def test_criterion_9_counts_its_route_checks():
 def test_criterion_9_counts_its_kernel_checks():
     # each of 300 random pairs of raw texts checks one inverse and one
     # product, then both slots of * and of *̄ on the covered elements over
-    # the two texts
+    # the two texts, then renders the texts' inverses that have d < 0
+    detail = _criterion(9).detail
     assert ("inv and * equal the Garside forms and images of the parsed inverted and "
             "concatenated raw texts of <= 200 letters (600 results); on covered elements "
             "over u and v, the slots y^-1 x y, m^-1 g' y, y x y^-1 and m g' y^-1 of * and *̄ "
-            "those of the concatenated texts (1200 results)") in _criterion(9).detail
+            "those of the concatenated texts (1200 results); ") in detail
+    m = re.search(r"; (\d+) of u\^-1 and v\^-1 with d < 0 parse back from their rendered "
+                  r"text; ", detail)
+    assert m and 0 < int(m.group(1)) <= 600, detail
+
+
+def test_criterion_9_reports_a_render_of_another_braid(monkeypatch):
+    # a letter too many, only when Delta^d is cancelled against w
+    render = BraidElement.render
+    monkeypatch.setattr(BraidElement, "render", lambda u: render(u) + "a" * (u.d < 0))
+    result = run_criterion(9)
+    assert not result.ok
+    assert re.fullmatch(r"Delta\^-\d+ [ab]* renders as [abAB]+, another braid",
+                        result.detail), result.detail
+
+
+def test_criterion_5_reports_an_evaluation_tree_off_the_fold(monkeypatch):
+    # wrong only on lists of several tree levels, which no grid or random
+    # list of up to 8 terms reaches
+    def cf_eval_off_on_long_lists(cf):
+        return cf_eval(cf) + (len(cf) > 3 * _TREE_LEAF)
+
+    monkeypatch.setattr(acceptance, "cf_eval", cf_eval_off_on_long_lists)
+    result = run_criterion(5)
+    assert not result.ok
+    assert result.detail == "the continued fraction of a 2048-bit rational is off its fold"
 
 
 def _transposed_x_image(c, d):

@@ -21,7 +21,7 @@ from trefoil import (
     qt_op_inv,
     render_braid,
 )
-from trefoil import longknot
+from trefoil import braid, longknot
 from trefoil.acceptance import random_braid, sample_covered_pool
 from trefoil.braid import _image, _matmul
 from trefoil.longknot import _x_image
@@ -189,6 +189,47 @@ def test_slots_equal_the_two_product_formulas_along_chains():
                 p, pair = op(p, q), ref(pair, q)
                 assert _forms(p.g, p.x) == _forms(*pair)
                 assert _x_by_letters(p.x)
+
+
+def test_memoized_inverse_forms_give_the_results_of_fresh_ones():
+    # each result with the memo emptied before it, against all of them
+    # with the memo kept, as the pool's elements act again and again
+    pool = sample_covered_pool(random.Random(42), 12, 12)
+    calls = [(op, p, q) for p, q in itertools.product(pool, repeat=2) for op in (qt_op, qt_op_inv)]
+    cold = []
+    for op, p, q in calls:
+        longknot._acting_inverse.cache_clear()
+        result = op(p, q)
+        cold.append(_forms(result.g, result.x))
+    warm = [_forms(result.g, result.x) for result in (op(p, q) for op, p, q in calls)]
+    assert longknot._acting_inverse.cache_info().hits > 0
+    assert warm == cold
+
+
+def test_the_inverse_memo_is_bounded():
+    assert longknot._acting_inverse.cache_info().maxsize == 128
+
+
+def test_a_chain_inverts_each_acting_element_once(monkeypatch):
+    # 8 steps of * then *̄ by two acting elements invert each once; the
+    # counter goes in after the elements are built, as the constructor's
+    # x = g'^-1 m g' inverts g' unmemoized
+    pool = sample_covered_pool(random.Random(44), 3, 12)
+    p, acting = pool[0], pool[1:]
+    calls = []
+
+    def counted(u, m):
+        calls.append(u)
+        return inverse_word(u, m)
+
+    inverse_word = braid._inverse_word
+    longknot._acting_inverse.cache_clear()
+    monkeypatch.setattr(braid, "_inverse_word", counted)
+    for q in itertools.islice(itertools.cycle(acting), 8):
+        r = qt_op(p, q)
+        assert qt_op_inv(r, q) == p
+        p = r
+    assert len(calls) == 2
 
 
 def _random_sl2(rng, bits):

@@ -33,8 +33,9 @@ ROUTES = {
                   ["pfrac.sympl_op"]),
     # the long trefoil's operations against the fraction quandle they map to
     "covering": (["longknot.qt_op", "longknot.qt_op_inv"], ["pfrac.pf_op", "pfrac.pf_op_inv"]),
-    # expansion against evaluation, which criterion 5 checks both ways
-    "continued fractions": (["cfrac.cf_expand"], ["cfrac.cf_eval"]),
+    # expansion against evaluation, which criterion 5 checks both ways,
+    # and both against criterion 5's term-by-term fold
+    "continued fractions": (["cfrac.cf_expand"], ["cfrac.cf_eval"], ["acceptance._cf_fold"]),
 }
 
 # The validators and value-type builders routes may share, besides classes.
@@ -157,6 +158,7 @@ def test_every_allowed_helper_is_shared_somewhere():
     ("fractions", "pfrac", "sympl_op", "pf_op(x, y)"),
     ("covering", "longknot", "qt_op", "from . import pfrac; pfrac.pf_op(p, q)"),
     ("continued fractions", "cfrac", "cf_eval", "_euclid_batch(3, 2)"),
+    ("continued fractions", "acceptance", "_cf_fold", "cf_eval(terms)"),
 ])
 def test_a_planted_call_across_routes_is_found(group, module, function, call):
     # an import is planted at module level, the call at the top of the function
