@@ -19,8 +19,9 @@ again: `cls._trusted(*fields)`, generated by `_trusted.value_type`, or for
 PFrac the C-level `PFrac._trusted((p, q))`, attached by
 `_trusted.pair_type`.  A braid's Burau image at t = -1 and a covered
 element's meridian conjugate x are fields set in closed form by each
-operation, and a finite group's size, identity and inverses are fields its
-one constructor, FiniteGroup(table), derives from the table.
+operation, and a finite group's identity and inverses are fields its one
+constructor, FiniteGroup(table), derives from the table; a finite
+structure's size is read off its table.
 """
 
 from .braid import (

@@ -1,10 +1,11 @@
 """Finite quandles and racks: exact axiom checking and the stock constructions.
 
-Carriers are index sets 0..size-1 with dense operation tables.  Each
-structure is built from its defining data alone: a group from its
-multiplication table, FiniteGroup(table), which derives the size, identity
-and inverses; an Alexander quandle from the one linear map it uses,
-multiplication by t, the companion map of the monic h.
+Carriers are index sets 0..size-1 with dense operation tables, and a
+structure's size is its table's number of rows.  Each structure is built
+from its defining data alone: a group from its multiplication table,
+FiniteGroup(table), which derives the identity and inverses; an Alexander
+quandle from the one linear map it uses, multiplication by t, the
+companion map of the monic h.
 
 Idempotence and bijectivity of the right translations R_c (a -> a*c) are
 checked on every cell.  Right distributivity, (a*b)*c = (a*c)*(b*c) for all
@@ -88,19 +89,20 @@ def _freeze_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]
 class FiniteQuandle:
     """A binary operation on {0, ..., size-1} given by a dense table.
 
-    ``table[i][j]`` is the value of ``i * j``.  FiniteQuandle(table) only
-    checks that the table is well formed and derives size from it, as
-    FiniteGroup(table) does; use :func:`check_quandle` / :func:`check_rack`
+    ``table[i][j]`` is the value of ``i * j``, and size is read off the
+    table, its number of rows.  FiniteQuandle(table) only checks that the
+    table is well formed; use :func:`check_quandle` / :func:`check_rack`
     for the axioms.
     """
 
     table: tuple[tuple[int, ...], ...]
-    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        frozen = _freeze_table(self.table)
-        object.__setattr__(self, "table", frozen)
-        object.__setattr__(self, "size", len(frozen))
+        object.__setattr__(self, "table", _freeze_table(self.table))
+
+    @property
+    def size(self) -> int:
+        return len(self.table)
 
 
 @value_type
@@ -375,17 +377,13 @@ class FiniteGroup:
     identity (the first element that fixes every element from both sides)
     and each element's inverse (the first two-sided one), then checks
     associativity on a generating set (Light's test), every check a whole
-    row at a time.  size, identity and inverse are derived from the table,
-    so equality and hashing compare the table alone.  _rows and _cols are
-    derived too: the table's rows and columns in the row type of its order,
-    kept from the checks for conj_quandle and core_quandle to gather from."""
+    row at a time.  identity and inverse are derived from the table, so
+    equality and hashing compare the table alone, and size is read off the
+    table, its number of rows."""
 
     table: tuple[tuple[int, ...], ...]
-    size: int = field(init=False, compare=False, repr=False)
     identity: int = field(init=False, compare=False, repr=False)
     inverse: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _rows: tuple = field(init=False, compare=False, repr=False)
-    _cols: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         frozen = _freeze_table(self.table)
@@ -395,14 +393,15 @@ class FiniteGroup:
         if failure is not None:
             raise ValueError(f"associativity fails at {failure}")
         object.__setattr__(self, "table", frozen)
-        object.__setattr__(self, "size", len(frozen))
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_cols", tuple(cols))
+
+    @property
+    def size(self) -> int:
+        return len(self.table)
 
 
-def _generated_rows(identity: Sequence[int], gens, gather) -> list:
+def _generated_table(identity: Sequence[int], gens, gather) -> list:
     """Every row of a group table whose element 0 is the identity, row x
     being x*y over y, from the rows of a generating set given as (s, row s)
     pairs.  Row x*s is row x gathered along row s, since x*(s*y) = (x*s)*y,
@@ -442,25 +441,24 @@ def symmetric_group(n: int) -> FiniteGroup:
     swaps = [(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1)]
     gens = [(index[s], row(map(index.__getitem__, map(itemgetter(*s), perms))))
             for s in swaps]
-    return FiniteGroup(_generated_rows(idx, gens, gather))
+    return FiniteGroup(_generated_table(idx, gens, gather))
 
 
 def dihedral_group(n: int) -> FiniteGroup:
-    """The dihedral group of order 2n: rotations 0..n-1, reflections n..2n-1."""
+    """The dihedral group of order 2n: rotations r^i at 0..n-1 and
+    reflections f r^i at n..2n-1, with r^i f = f r^-i.  Row r^i is the
+    rotations rotated by i, then the reflections rotated by -i, as
+    r^i r^j = r^(i+j) and r^i f r^j = f r^(j-i); row f r^i is the
+    reflections rotated by i, then the rotations rotated by -i, as
+    f r^i r^j = f r^(i+j) and f r^i f r^j = r^(j-i).  Each row is two
+    slices."""
     if type(n) is not int or n <= 0:
         raise ValueError(f"order must be a positive int, got {n!r}")
-
-    def mul(a: int, b: int) -> int:
-        ra, fa = a % n, a // n
-        rb, fb = b % n, b // n
-        # (r^ra f^fa)(r^rb f^fb); f r = r^-1 f
-        r = (rb + ra) % n if fb == 0 else (rb - ra) % n
-        return r + n * ((fa + fb) % 2)
-
-    idx, row, gather, _, _ = _codec(2 * n)
-    # the rotation 1 and the reflection n generate
-    gens = [(s, row(mul(s, b) for b in range(2 * n))) for s in (1, n)]
-    return FiniteGroup(_generated_rows(idx, gens, gather))
+    idx = _codec(2 * n)[0]
+    rot, ref = idx[:n] * 2, idx[n:] * 2
+    rows = [rot[i:i + n] + ref[n - i:2 * n - i] for i in range(n)]
+    rows += [ref[i:i + n] + rot[n - i:2 * n - i] for i in range(n)]
+    return FiniteGroup(rows)
 
 
 def klein_four_group() -> FiniteGroup:
@@ -479,24 +477,24 @@ def dihedral_quandle(n: int) -> FiniteQuandle:
         raise ValueError(f"order must be a positive int, got {n!r}")
     tripled = _codec(n)[0] * 3
     table = tuple(tuple(tripled[n - i:3 * n - i:2]) for i in range(n))
-    return FiniteQuandle._trusted(table, n)
+    return FiniteQuandle._trusted(table)
 
 
 def conj_quandle(g: FiniteGroup) -> FiniteQuandle:
     """A group under conjugation: a * b = b^-1 a b.  Column b is row b^-1
     gathered through column b."""
-    gather = _codec(g.size)[2]
-    cols = [gather(col, g._rows[g.inverse[b]]) for b, col in enumerate(g._cols)]
-    return FiniteQuandle._trusted(tuple(zip(*cols)), g.size)
+    rows, _, cols, (_, _, gather, _, _) = _encode(g.table)
+    columns = [gather(col, rows[g.inverse[b]]) for b, col in enumerate(cols)]
+    return FiniteQuandle._trusted(tuple(zip(*columns)))
 
 
 def core_quandle(g: FiniteGroup) -> FiniteQuandle:
     """The core quandle of a group: a * b = b a^-1 b.  Column b is the
     inverse map gathered through row b, then through column b."""
-    _, row, gather, _, _ = _codec(g.size)
+    rows, _, cols, (_, row, gather, _, _) = _encode(g.table)
     inverse = row(g.inverse)
-    cols = [gather(col, gather(g._rows[b], inverse)) for b, col in enumerate(g._cols)]
-    return FiniteQuandle._trusted(tuple(zip(*cols)), g.size)
+    columns = [gather(col, gather(rows[b], inverse)) for b, col in enumerate(cols)]
+    return FiniteQuandle._trusted(tuple(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +565,14 @@ def alexander_quandle(ring: LaurentQuotientRing) -> FiniteQuandle:
     idx, row, gather, join, _ = _codec(size)
     units = [(s, join(idx[b + s:b + s * n] + idx[b:b + s] for b in range(0, size, s * n)))
              for s in (n ** k for k in range(d))]
-    add = _generated_rows(idx, units, gather)
+    add = _generated_table(idx, units, gather)
     # t v is v's low digits shifted up one place plus -c h, c v's top digit
     minus_h = [sum((-c * hk) % n * n ** k for k, hk in enumerate(h[:d])) for c in range(n)]
     times_t = [add[minus_h[i // top]][i % top * n] for i in range(size)]
     # b - t b is the y with t b + y = b
     rest = row(add[tb].index(b) for b, tb in enumerate(times_t))
     table = tuple(tuple(gather(add[ta], rest)) for ta in times_t)
-    return FiniteQuandle._trusted(table, size)
+    return FiniteQuandle._trusted(table)
 
 
 # ---------------------------------------------------------------------------
@@ -638,4 +636,4 @@ def transvection_quandle(modulus: int, gram: Sequence[Sequence[int]]) -> FiniteQ
             d = form_value(gram, x, y, modulus)
             row.append(index[tuple((xi - d * yi) % modulus for xi, yi in zip(x, y))])
         table.append(row)
-    return FiniteQuandle._trusted(tuple(map(tuple, table)), len(vectors))
+    return FiniteQuandle._trusted(tuple(map(tuple, table)))

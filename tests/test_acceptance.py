@@ -9,6 +9,7 @@ expected failure rather than weakened; the computed behaviour is pinned by
 its own test below and in tests/test_quandle.py.
 """
 
+import io
 import itertools
 import re
 from functools import cache
@@ -16,7 +17,7 @@ from math import gcd
 
 import pytest
 
-from trefoil import acceptance, longknot
+from trefoil import acceptance, cfrac, cli, longknot
 from trefoil.acceptance import _ALEXANDER_RINGS, CRITERIA, _conj_core_groups, run_criterion
 from trefoil.braid import BraidElement
 from trefoil.cfrac import _TREE_LEAF, cf_eval
@@ -30,6 +31,7 @@ from trefoil.pfrac import (
     transvection_matrix,
 )
 from trefoil.quandle import check_quandle, transvection_quandle
+from trefoil.words import QWord
 
 _EXPECTED_GREEN = [c for c in CRITERIA if c[0] != 10]
 
@@ -107,13 +109,16 @@ def test_criteria_2_4_5_6_count_their_cases():
     # word_op and word_op_inv on each of the 999 consecutive pairs of short words
     detail = _criterion(4).detail
     m = re.fullmatch(r"1000 random words of <= 30 letters and 4 of 10000 letters "
-                     r"\((\d+) letters\): rewriting is sound, both routes agree, "
-                     r"all outputs valid; word_op and word_op_inv on 999 consecutive pairs "
+                     r"\((\d+) letters\): rewriting is sound, each word having its normal "
+                     r"form's braid conjugate in B3 \((\d+) distinct normal forms, (\d+) "
+                     r"distinct conjugates\); both routes agree, all outputs valid; word_op and word_op_inv on 999 consecutive pairs "
                      r"of the short words equal the normal forms of \* and \*̄ on their "
                      r"images \(1998 comparisons, each of the normal form and the fraction "
                      r"image\), and word_op_inv undoes word_op", detail)
     assert m, detail
     assert 40_000 <= int(m.group(1)) <= 40_000 + 1000 * 30
+    # as many conjugates as normal forms, at most one per word
+    assert 0 < int(m.group(2)) == int(m.group(3)) <= 1004
     fractions = sum(gcd(abs(p), q) == 1 for q in range(1, 201) for p in range(-200, 201))
     grid = 25 * sum(11 * 12 ** (n - 2) if n >= 2 else 1 for n in range(1, 5))
     assert _criterion(5).detail == (
@@ -181,6 +186,36 @@ def test_criterion_5_reports_an_evaluation_tree_off_the_fold(monkeypatch):
     result = run_criterion(5)
     assert not result.ok
     assert result.detail == "the continued fraction of a 2048-bit rational is off its fold"
+
+
+def test_criterion_4_reports_an_unsound_rewriting(monkeypatch):
+    # each word's normal form is that of the word on the other base letter
+    normalize = acceptance.normalize
+    monkeypatch.setattr(acceptance, "normalize",
+                        lambda w: normalize(QWord("ba"["ab".index(w.base)], w.tail)))
+    result = run_criterion(4)
+    assert result.status == "FAIL"
+    assert re.fullmatch(r"rewriting changed the braid conjugate of [ab][abAB]*",
+                        result.detail), result.detail
+
+
+def test_a_criterion_that_raises_fails_on_its_own_line(monkeypatch):
+    # a faulty Lehmer batch raises inside criterion 5; the later criteria
+    # still run and the run exits 1, not 3
+    def raising_batch(*args):
+        raise IndexError("pop from empty list")
+
+    monkeypatch.setattr(cfrac, "_euclid_batch", raising_batch)
+    result = run_criterion(5)
+    assert result.status == "FAIL" and result.seconds >= 0
+    assert result.detail == "raised IndexError: pop from empty list"
+    out = io.StringIO()
+    assert cli.run(["selftest"], stdout=out) == 1
+    lines = out.getvalue().splitlines()
+    assert [line.split()[:2] for line in lines[:10]] == (
+        [["PASS", str(n)] for n in range(1, 5)] + [["FAIL", "5"]]
+        + [["PASS", str(n)] for n in range(6, 10)] + [["REFUTED-AS-EXPECTED", "10"]])
+    assert lines[10:] == ["8/10 criteria passed, 1 refuted as expected"]
 
 
 def _transposed_x_image(c, d):

@@ -1,6 +1,8 @@
+import importlib
 import io
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -25,6 +27,7 @@ from trefoil import (
     transvection_matrix,
     word_to_frac,
 )
+from trefoil import cli
 from trefoil.cli import _parse_poly, run
 
 
@@ -341,6 +344,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/1\n"
+
+
+def test_the_installed_script_and_package_are_the_cli_and_the_source():
+    # what `pip install .` builds: the `trefoil` script calls cli.main, and
+    # the package is found in the source tree
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = project["project"]["scripts"]["trefoil"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
+    (where,) = project["tool"]["setuptools"]["packages"]["find"]["where"]
+    assert (root / where / "trefoil" / "__init__.py").is_file()
 
 
 def test_one_process_matches_fresh_interpreters():

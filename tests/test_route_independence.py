@@ -20,9 +20,11 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "trefoil"
 
 # Each group lists the entry points of routes that must not share helpers.
 ROUTES = {
-    # rewriting against the fraction route and its continued fractions
+    # rewriting against the fraction route and its continued fractions,
+    # and both against criterion 4's braid conjugate of a word
     "words": (["words.normalize"],
-              ["words.word_to_frac", "words.frac_to_word", "cfrac.cf_expand"]),
+              ["words.word_to_frac", "words.frac_to_word", "cfrac.cf_expand"],
+              ["acceptance._conjugate"]),
     # the Garside kernels against the Burau image at t = -1, the covered
     # element's first slot read off its second slot's image included
     "braids": (["braid._times", "braid._glue", "braid._inverse_word", "braid._inverse_form"],
@@ -152,6 +154,7 @@ def test_every_allowed_helper_is_shared_somewhere():
 
 @pytest.mark.parametrize("group, module, function, call", [
     ("words", "words", "normalize", "word_to_frac(w)"),
+    ("words", "acceptance", "_conjugate", "normalize(w)"),
     ("braids", "braid", "_glue", "_matmul((1, 0, 0, 1), (1, 0, 0, 1))"),
     ("braids", "braid", "_inverse_word", "_matmul((1, 0, 0, 1), (1, 0, 0, 1))"),
     ("braids", "longknot", "_x_image", "_glue(0, '', 0, '')"),
